@@ -14,13 +14,26 @@ pairs. The order is made exact by lossless integer encoding:
 
 Pairs with negative weight or a false feasibility mask are never matched.
 Zero-weight feasible pairs are matched (the tie-break prefers inclusion).
+
+The production solver splits the feasibility graph (rows and columns are
+nodes, feasible cells are edges) into connected components and solves each
+one on its own sub-matrix, rows and columns kept in ascending global order.
+The answer is the same as solving the whole matrix, because:
+
+* the combined objective (scaled weight * base + bonus) is a sum over
+  components, so a best matching is a best matching of every component;
+* row-major cell order restricted to sorted sub-rows and sub-columns is the
+  global cell order, so each component's greedy-lex winner is the global
+  winner restricted to that component; and
+* a per-component ``min_exp`` only rescales that component's weights by a
+  power of two, which orders its matchings the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,14 +87,12 @@ class Matching:
         return frozenset(self.pairs)
 
 
-def _encode(m: WeightMatrix) -> Tuple[List[List[int]], np.ndarray, int]:
+def _encode(weights: np.ndarray, feas: np.ndarray) -> List[List[int]]:
     """Losslessly encode weights into combined integer objectives.
 
-    Returns (combined, feasible, bonus_base). combined[r][c] is meaningful
-    only where feasible; infeasible cells hold 0.
+    combined[r][c] is meaningful only where feasible; infeasible cells hold 0.
     """
-    feas = m.feasible()
-    rows, cols = m.weights.shape
+    rows, cols = weights.shape
     k = rows * cols
     bonus_base = 3 ** (k + 1)
 
@@ -92,7 +103,7 @@ def _encode(m: WeightMatrix) -> Tuple[List[List[int]], np.ndarray, int]:
         row_parts = []
         for c in range(cols):
             if feas[r, c]:
-                mant, exp = math.frexp(float(m.weights[r, c]))
+                mant, exp = math.frexp(float(weights[r, c]))
                 imant = int(mant * (1 << 53))
                 texp = exp - 53
                 if imant != 0 and (min_exp is None or texp < min_exp):
@@ -115,7 +126,7 @@ def _encode(m: WeightMatrix) -> Tuple[List[List[int]], np.ndarray, int]:
             else:
                 row.append(0)
         combined.append(row)
-    return combined, feas, bonus_base
+    return combined
 
 
 def _finish(m: WeightMatrix, pairs: Sequence[Tuple[int, int]]) -> Matching:
@@ -124,17 +135,41 @@ def _finish(m: WeightMatrix, pairs: Sequence[Tuple[int, int]]) -> Matching:
     return Matching(pairs=ordered, total_weight=total)
 
 
-def solve_max_weight(m: WeightMatrix) -> Matching:
-    """Exact O(n^3) maximum-weight matching; rows/cols may stay unmatched.
+def _components(feas: np.ndarray) -> List[Tuple[List[int], List[int]]]:
+    """Connected components of the feasibility graph that hold an edge.
 
-    Uses a shortest-augmenting-path Hungarian method on the padded square
-    integer objective, so results are bit-stable across runs and platforms.
+    Each component is (rows, cols), both ascending. Rows and columns without
+    a feasible cell belong to no component.
     """
-    combined, feas, _ = _encode(m)
-    rows, cols = m.weights.shape
-    if rows == 0 or cols == 0 or not feas.any():
-        return _finish(m, ())
+    rows = feas.shape[0]
+    parent = list(range(rows + feas.shape[1]))
 
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    rr, cc = np.nonzero(feas)
+    for r, c in zip(rr.tolist(), cc.tolist()):
+        a, b = find(r), find(rows + c)
+        if a != b:
+            parent[b] = a
+    groups: Dict[int, Tuple[List[int], List[int]]] = {}
+    for r in np.flatnonzero(feas.any(1)).tolist():
+        groups.setdefault(find(r), ([], []))[0].append(r)
+    for c in np.flatnonzero(feas.any(0)).tolist():
+        groups[find(rows + c)][1].append(c)
+    return list(groups.values())
+
+
+def _hungarian(weights: np.ndarray, feas: np.ndarray) -> List[Tuple[int, int]]:
+    """Exact O(n^3) matching of one matrix under the shared strict order.
+
+    Shortest-augmenting-path Hungarian method on the padded square integer
+    objective, so results are bit-stable across runs and platforms.
+    """
+    combined = _encode(weights, feas)
+    rows, cols = weights.shape
     n = max(rows, cols)
     # benefit[r][c]: 0 pads mean "leave unmatched"
     benefit = [[0] * n for _ in range(n)]
@@ -193,6 +228,34 @@ def solve_max_weight(m: WeightMatrix) -> Matching:
         r = p[c]
         if r and r - 1 < rows and c - 1 < cols and feas[r - 1, c - 1]:
             pairs.append((r - 1, c - 1))
+    return pairs
+
+
+def solve_max_weight(m: WeightMatrix) -> Matching:
+    """Exact maximum-weight matching; rows/cols may stay unmatched.
+
+    Solves each connected component of the feasibility graph separately: a
+    1x1 component is matched directly, a larger one by the exact Hungarian
+    method on its sub-matrix (see the module docstring for why this is the
+    whole matrix's answer). O(n^3) in the size of the largest component.
+    """
+    feas = m.feasible()
+    if m.rows == 0 or m.cols == 0 or not feas.any():
+        return _finish(m, ())
+    components = _components(feas)
+    if len(components) == 1:
+        sub_rows, sub_cols = components[0]
+        if len(sub_rows) == m.rows and len(sub_cols) == m.cols:
+            return _finish(m, _hungarian(m.weights, feas))
+
+    pairs: List[Tuple[int, int]] = []
+    for sub_rows, sub_cols in components:
+        if len(sub_rows) == 1 and len(sub_cols) == 1:
+            pairs.append((sub_rows[0], sub_cols[0]))
+            continue
+        idx = np.ix_(sub_rows, sub_cols)
+        for r, c in _hungarian(m.weights[idx], feas[idx]):
+            pairs.append((sub_rows[r], sub_cols[c]))
     return _finish(m, pairs)
 
 
@@ -205,7 +268,8 @@ def solve_oracle(m: WeightMatrix) -> Matching:
     rows, cols = m.weights.shape
     if rows > ORACLE_LIMIT or cols > ORACLE_LIMIT:
         raise ValueError(f"oracle limited to {ORACLE_LIMIT}x{ORACLE_LIMIT} matrices")
-    combined, feas, _ = _encode(m)
+    feas = m.feasible()
+    combined = _encode(m.weights, feas)
 
     best_score = 0
     best_pairs: Tuple[Tuple[int, int], ...] = ()

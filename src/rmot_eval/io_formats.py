@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -93,6 +94,16 @@ def _is_number(token: str) -> bool:
         return False
 
 
+def _non_finite(path: Path, lineno: int, *coords: float) -> ParseError:
+    # each coordinate is checked on its own: a sum of large finite values
+    # can overflow to inf
+    return ParseError(
+        "NON_FINITE", path, lineno,
+        "box coordinates x, y, w, h must be finite, got "
+        + ", ".join(repr(v) for v in coords),
+    )
+
+
 def parse_gt(path: Path | str) -> Dict[str, GroundTruthTrack]:
     """Parse a ground-truth box file into tracks."""
     path = Path(path)
@@ -111,6 +122,8 @@ def parse_gt(path: Path | str) -> Dict[str, GroundTruthTrack]:
             x, y, w, h = (float(v) for v in fields[2:6])
         except ValueError as exc:
             raise ParseError("FIELD_TYPE", path, lineno, str(exc)) from None
+        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+            raise _non_finite(path, lineno, x, y, w, h)
         if frame < 1:
             raise ParseError("FRAME_INDEX", path, lineno, f"frame must be >= 1, got {frame}")
         track_id = fields[1]
@@ -210,6 +223,8 @@ def parse_predictions(path: Path | str) -> List[Detection]:
             x, y, w, h, conf, ref = (float(v) for v in fields[2:8])
         except ValueError as exc:
             raise ParseError("FIELD_TYPE", path, lineno, str(exc)) from None
+        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+            raise _non_finite(path, lineno, x, y, w, h)
         if frame < 1:
             raise ParseError("FRAME_INDEX", path, lineno, f"frame must be >= 1, got {frame}")
         if not (0.0 <= conf <= 1.0 and 0.0 <= ref <= 1.0):
@@ -365,8 +380,11 @@ def load_bundle(root: Path | str) -> DatasetBundle:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ParseError("NO_MANIFEST", manifest_path, None, "manifest.json not found")
-    with manifest_path.open("r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with manifest_path.open("r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError("JSON_SYNTAX", manifest_path, exc.lineno, exc.msg) from None
 
     sequences: Dict[str, SequenceData] = {}
     for entry in manifest.get("sequences", []):

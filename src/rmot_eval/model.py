@@ -264,10 +264,7 @@ def validate_dataset(
                 )
             )
             continue
-        has_any = False
         for frame, by_track in task.targets.items():
-            if by_track:
-                has_any = True
             if not 1 <= frame <= seq.length:
                 out.append(
                     Violation(
@@ -290,17 +287,6 @@ def validate_dataset(
                             track_id=track_id,
                         )
                     )
-        if task.no_target and has_any:
-            # unreachable with the derived no_target property; kept for parsed
-            # documents that carry an explicit flag
-            out.append(
-                Violation(
-                    "NO_TARGET_INCONSISTENT",
-                    task.sequence_id,
-                    "no-target expression has target boxes",
-                    expression_id=task.expression_id,
-                )
-            )
 
     for seq_id, labels in (attributes or {}).items():
         seq = sequences.get(seq_id)

@@ -1,5 +1,7 @@
 """Exact matching: solver examples, tie-break order, oracle equivalence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,3 +149,83 @@ class TestSolverOracleEquivalence:
             cols = [c for _, c in m.pairs]
             assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
             assert all(mask[r, c] for r, c in m.pairs)
+
+
+TIED_WEIGHTS = (-1.0, 0.0, 0.5, 1.0)
+
+
+def scatter_blocks(blocks, row_perm, col_perm):
+    """Place (weights, mask) blocks on a block diagonal, everything between
+    them infeasible, then permute rows and columns. Returns the matrix and
+    each block's global (rows, cols)."""
+    n_rows = sum(w.shape[0] for w, _ in blocks)
+    n_cols = sum(w.shape[1] for w, _ in blocks)
+    weights = np.ones((n_rows, n_cols))
+    mask = np.zeros((n_rows, n_cols), dtype=bool)
+    placed = []
+    r0 = c0 = 0
+    for w, m in blocks:
+        rs = [row_perm[r] for r in range(r0, r0 + w.shape[0])]
+        cs = [col_perm[c] for c in range(c0, c0 + w.shape[1])]
+        weights[np.ix_(rs, cs)] = w
+        mask[np.ix_(rs, cs)] = m
+        placed.append((rs, cs))
+        r0 += w.shape[0]
+        c0 += w.shape[1]
+    return WeightMatrix(weights=weights, mask=mask), placed
+
+
+@st.composite
+def block_matrices(draw):
+    blocks = []
+    n_rows = n_cols = 0
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        if n_rows == 8 or n_cols == 8:
+            break
+        # at most 7 wide, so a second block always fits
+        r = draw(st.integers(min_value=1, max_value=min(7, 8 - n_rows)))
+        c = draw(st.integers(min_value=1, max_value=min(7, 8 - n_cols)))
+        w = draw(arrays(np.float64, (r, c), elements=st.sampled_from(TIED_WEIGHTS)))
+        blocks.append((w, draw(arrays(np.bool_, (r, c)))))
+        n_rows += r
+        n_cols += c
+    row_perm = draw(st.permutations(range(n_rows)))
+    col_perm = draw(st.permutations(range(n_cols)))
+    return scatter_blocks(blocks, row_perm, col_perm)[0]
+
+
+class TestComponentSplit:
+    """The solver matches each connected component on its own; the answer
+    must still be the whole matrix's (weight, greedy-lex) optimum."""
+
+    @given(block_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_disjoint_blocks_agree_with_oracle(self, wm):
+        a = solve_max_weight(wm)
+        b = solve_oracle(wm)
+        assert a.pairs == b.pairs
+        assert a.total_weight == b.total_weight
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tied_blocks_above_oracle_limit(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [2, 3, 3] * 4 + [2, 2]  # 14 square blocks, 36 rows and columns
+        blocks = [
+            (
+                rng.choice([0.0, 0.5, 1.0], size=(s, s)),
+                rng.random((s, s)) < 0.8,
+            )
+            for s in sizes
+        ]
+        wm, placed = scatter_blocks(blocks, rng.permutation(36), rng.permutation(36))
+        assert (wm.rows, wm.cols) == (36, 36)
+
+        expected = set()
+        for rs, cs in placed:
+            rs, cs = sorted(rs), sorted(cs)
+            idx = np.ix_(rs, cs)
+            block = solve_oracle(WeightMatrix(weights=wm.weights[idx], mask=wm.mask[idx]))
+            expected |= {(rs[r], cs[c]) for r, c in block.pairs}
+        m = solve_max_weight(wm)
+        assert set(m.pairs) == expected
+        assert m.total_weight == math.fsum(wm.weights[r, c] for r, c in expected)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from rmot_eval.cli import main
+from rmot_eval.cli import EXIT_IO, main
 from rmot_eval.io_formats import unit_filename, write_bundle, write_predictions
 
 from .conftest import build_mini_bundle, perfect_predictions
@@ -95,6 +95,31 @@ class TestEvaluateCommand:
             main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(tmp_path / "o")]
         )
         assert result.exit_code == 1
+
+    def test_non_finite_prediction_exits_1(self, runner, mini_dirs, tmp_path):
+        gt_dir, pred_dir = mini_dirs
+        f = pred_dir / "seq-a__e1.txt"
+        lines = f.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[2] = "nan"  # x
+        lines[1] = ",".join(fields)
+        f.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == EXIT_IO
+        assert f"NON_FINITE at {f}:2" in result.output
+
+    def test_malformed_manifest_exits_1(self, runner, mini_dirs, tmp_path):
+        gt_dir, pred_dir = mini_dirs
+        manifest = gt_dir / "manifest.json"
+        manifest.write_text(manifest.read_text()[:-10])
+        result = runner.invoke(
+            main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == EXIT_IO
+        assert f"JSON_SYNTAX at {manifest}:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_beta_ref_monotone_retention(self, runner, mini_dirs, tmp_path):
         gt_dir, pred_dir = mini_dirs

@@ -63,6 +63,23 @@ class TestGtFormat:
             parse_gt(p)
         assert exc.value.code == "FRAME_INDEX"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize("column", [2, 3, 4, 5])
+    def test_non_finite_coordinate_rejected(self, tmp_path, value, column):
+        fields = ["1", "7", "0", "0", "5", "5"]
+        fields[column] = value
+        p = tmp_path / "gt.txt"
+        p.write_text("1,8,0,0,5,5\n" + ",".join(fields) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_gt(p)
+        assert exc.value.code == "NON_FINITE" and exc.value.line == 2
+
+    def test_large_finite_coordinates_accepted(self, tmp_path):
+        # their sum overflows to inf; each value on its own is finite
+        p = tmp_path / "gt.txt"
+        p.write_text("1,7,1e308,1e308,1e308,1e308\n")
+        assert parse_gt(p)["7"].boxes[1].x == 1e308
+
     def test_round_trip(self, tmp_path, mini_bundle):
         tracks = mini_bundle.sequences["seq-a"].tracks
         p = tmp_path / "gt.txt"
@@ -121,6 +138,22 @@ class TestPredictionsFormat:
         with pytest.raises(ParseError) as exc:
             parse_predictions(p)
         assert exc.value.code == "SCORE_RANGE"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [2, 3, 4, 5])
+    def test_non_finite_coordinate_rejected(self, tmp_path, value, column):
+        fields = ["1", "3", "5", "5", "10", "10", "0.9", "0.8"]
+        fields[column] = value
+        p = tmp_path / "pred.txt"
+        p.write_text(",".join(fields) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_predictions(p)
+        assert exc.value.code == "NON_FINITE" and exc.value.line == 1
+
+    def test_large_finite_coordinates_accepted(self, tmp_path):
+        p = tmp_path / "pred.txt"
+        p.write_text("1,3,1e308,1e308,1e308,1e308,0.9,0.8\n")
+        assert parse_predictions(p)[0].box.w == 1e308
 
     def test_empty_file_is_valid(self, tmp_path):
         p = tmp_path / "pred.txt"
@@ -227,6 +260,12 @@ class TestBundleRoundTrip:
         with pytest.raises(ParseError) as exc:
             load_bundle(tmp_path)
         assert exc.value.code == "NO_MANIFEST"
+
+    def test_malformed_manifest(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{\n  "sequences": [\n    {"sequence_id": \n')
+        with pytest.raises(ParseError) as exc:
+            load_bundle(tmp_path)
+        assert exc.value.code == "JSON_SYNTAX" and exc.value.line == 4
 
     def test_empty_sequence_list(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"sequences": []}')
