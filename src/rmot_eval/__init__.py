@@ -7,12 +7,7 @@ scenarios for validation.
 
 __version__ = "0.1.0"
 
-from .attributes import (
-    AttributeReport,
-    attribute_hota,
-    build_attribute_report,
-    compose_geometric,
-)
+from .attributes import AttributeReport, compose_geometric
 from .hota import (
     AlphaMetrics,
     AlphaStats,
@@ -60,8 +55,6 @@ __all__ = [
     "StatsReport",
     "Violation",
     "accumulate",
-    "attribute_hota",
-    "build_attribute_report",
     "compose_geometric",
     "compute_stats",
     "evaluate",

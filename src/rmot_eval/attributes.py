@@ -1,10 +1,14 @@
 """Attribute-conditioned HOTA and the geometric-mean composites.
 
-Each attribute evaluation restricts every expression unit to the frames
-carrying that attribute and runs the full HOTA pipeline on the restriction,
-so it is a self-contained HOTA problem. Composites take the geometric mean
-of the unrounded per-attribute scores; attributes absent from the whole
-evaluation are excluded with the effective count reported.
+There is one attribute path, driven by :func:`rmot_eval.pipeline.evaluate`.
+For every unit and every attribute flagged on at least one frame of the
+unit's sequence, the pipeline restricts the unit to those frames with
+:func:`restrict_to_attribute` and matches the restriction as a
+self-contained HOTA problem. :func:`attribute_report` then pools each
+attribute's per-unit stats, finalizes the per-attribute HOTA and composes
+HOTA_S / HOTA_M as geometric means of the unrounded per-attribute scores;
+attributes absent from the whole evaluation are excluded with the effective
+count reported.
 """
 
 from __future__ import annotations
@@ -13,17 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .assignment import solve_max_weight
-from .hota import Solver, accumulate, finalize, match_unit_all_alphas
-from .model import (
-    Attribute,
-    AttributeFrameLabels,
-    Detection,
-    EvalConfig,
-    ExpressionTask,
-    SequenceData,
-    filter_predictions,
-)
+from .hota import AlphaStats, accumulate, finalize
+from .model import Attribute, AttributeFrameLabels, Detection, EvalConfig, ExpressionTask
 
 
 @dataclass(frozen=True)
@@ -58,13 +53,11 @@ class AttributeReport:
 def restrict_to_attribute(
     task: ExpressionTask,
     preds: Sequence[Detection],
-    labels: AttributeFrameLabels,
-    attr: Attribute,
+    frames: Sequence[int],
 ) -> Tuple[ExpressionTask, List[Detection]]:
-    """Keep only the frames where ``attr`` is set; frame indices are preserved."""
-    if not isinstance(attr, Attribute):
-        attr = Attribute.from_name(str(attr))
-    keep = {f for f, flags in labels.flags.items() if attr in flags}
+    """Keep only the given frames (those flagging one attribute); frame
+    indices are preserved."""
+    keep = set(frames)
     sub_task = ExpressionTask(
         sequence_id=task.sequence_id,
         expression_id=task.expression_id,
@@ -73,43 +66,6 @@ def restrict_to_attribute(
     )
     sub_preds = [d for d in preds if d.frame in keep]
     return sub_task, sub_preds
-
-
-def attribute_hota(
-    sequences: Mapping[str, SequenceData],
-    tasks: Sequence[ExpressionTask],
-    predictions: Mapping[Tuple[str, str], Sequence[Detection]],
-    labels: Mapping[str, AttributeFrameLabels],
-    attr: Attribute,
-    cfg: EvalConfig,
-    solver: Solver = solve_max_weight,
-    prefiltered: bool = False,
-) -> Optional[float]:
-    """Full pipeline over attribute-restricted units; None if attr is absent.
-
-    ``predictions`` maps (sequence_id, expression_id) to raw detections;
-    missing units are treated as empty output.
-    """
-    per_unit = []
-    any_frames = False
-    for task in tasks:
-        seq_labels = labels.get(task.sequence_id)
-        if seq_labels is None:
-            continue
-        frames = seq_labels.frames_with(attr)
-        if not frames:
-            continue
-        any_frames = True
-        dets = list(predictions.get((task.sequence_id, task.expression_id), ()))
-        if not prefiltered:
-            dets = filter_predictions(dets, cfg)
-        sub_task, sub_preds = restrict_to_attribute(task, dets, seq_labels, attr)
-        per_unit.append(
-            match_unit_all_alphas(sub_task, sub_preds, cfg.alpha_grid, frames, solver=solver)
-        )
-    if not any_frames:
-        return None
-    return finalize(accumulate(per_unit)).hota
 
 
 def compose_geometric(values: Sequence[float]) -> float:
@@ -132,12 +88,25 @@ def compose_geometric(values: Sequence[float]) -> float:
     return min(max(result, min(values)), max(values))
 
 
-def compose_report(
-    per_attr: Mapping[str, Optional[float]],
-    frame_counts: Mapping[str, int],
+def attribute_report(
+    per_unit: Sequence[Mapping[str, Sequence[AlphaStats]]],
+    labels: Mapping[str, AttributeFrameLabels],
     cfg: EvalConfig,
 ) -> AttributeReport:
-    """Assemble the attribute report from unrounded per-attribute HOTA values."""
+    """Pool the attribute-restricted unit stats and compose HOTA_S / HOTA_M.
+
+    ``per_unit`` holds one mapping per unit, from attribute name to the
+    unit's stats on that attribute's frames; an attribute flagged on no frame
+    of the unit's sequence has no entry. ``labels`` covers the whole
+    evaluation and gives the per-attribute frame counts.
+    """
+    per_attr: Dict[str, Optional[float]] = {}
+    frame_counts: Dict[str, int] = {}
+    for attr in Attribute:
+        frame_counts[attr.value] = sum(len(lab.frames_with(attr)) for lab in labels.values())
+        stacks = [u[attr.value] for u in per_unit if attr.value in u]
+        per_attr[attr.value] = finalize(accumulate(stacks)).hota if stacks else None
+
     warnings: List[str] = [
         f"attribute {name} absent from evaluation"
         for name, value in per_attr.items()
@@ -145,7 +114,7 @@ def compose_report(
     ]
 
     def compose(members: Sequence[Attribute]) -> Tuple[Optional[float], int]:
-        present = [per_attr[a.value] for a in members if per_attr.get(a.value) is not None]
+        present = [per_attr[a.value] for a in members if per_attr[a.value] is not None]
         if not present:
             return None, 0
         return compose_geometric(present), len(present)
@@ -157,34 +126,11 @@ def compose_report(
     if n_m != len(cfg.motion_attributes) and n_m > 0:
         warnings.append(f"HOTA_M composed from {n_m} of {len(cfg.motion_attributes)} attributes")
     return AttributeReport(
-        per_attribute=dict(per_attr),
-        frame_counts=dict(frame_counts),
+        per_attribute=per_attr,
+        frame_counts=frame_counts,
         hota_s=hota_s,
         hota_m=hota_m,
         n_s_effective=n_s,
         n_m_effective=n_m,
         warnings=tuple(warnings),
     )
-
-
-def build_attribute_report(
-    sequences: Mapping[str, SequenceData],
-    tasks: Sequence[ExpressionTask],
-    predictions: Mapping[Tuple[str, str], Sequence[Detection]],
-    labels: Mapping[str, AttributeFrameLabels],
-    cfg: EvalConfig,
-    solver: Solver = solve_max_weight,
-    prefiltered: bool = False,
-) -> AttributeReport:
-    """Evaluate all eight attributes and compose HOTA_S / HOTA_M."""
-    per_attr: Dict[str, Optional[float]] = {}
-    frame_counts: Dict[str, int] = {}
-    for attr in Attribute:
-        frame_counts[attr.value] = sum(
-            len(lab.frames_with(attr)) for lab in labels.values()
-        )
-        per_attr[attr.value] = attribute_hota(
-            sequences, tasks, predictions, labels, attr, cfg,
-            solver=solver, prefiltered=prefiltered,
-        )
-    return compose_report(per_attr, frame_counts, cfg)

@@ -11,7 +11,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import click
 
@@ -159,7 +159,16 @@ def cmd_evaluate(
                     err=True,
                 )
                 continue
-            predictions[(task.sequence_id, task.expression_id)] = parse_predictions(pred_path)
+            dets = parse_predictions(pred_path)
+            length = bundle.sequences[task.sequence_id].length
+            late = next((d for d in dets if d.frame > length), None)
+            if late is not None:
+                raise ParseError(
+                    "FRAME_OUT_OF_RANGE", pred_path, None,
+                    f"frame {late.frame} of track {late.track_id} lies outside "
+                    f"sequence {task.sequence_id} (frames 1-{length})",
+                )
+            predictions[(task.sequence_id, task.expression_id)] = dets
 
         n_workers = resolve_workers(workers)
         report, attr_report = evaluate(

@@ -10,13 +10,13 @@ tests). Both paths produce bit-identical statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .assignment import Matching, WeightMatrix, solve_max_weight
-from .model import Detection, EvalConfig, ExpressionTask
+from .model import Detection, ExpressionTask, iou_matrix
 
 Solver = Callable[[WeightMatrix], Matching]
 
@@ -33,10 +33,8 @@ class AlphaStats:
     ass_a_sum: float = 0.0  # sum over TPs of TPA/(TPA+FNA+FPA)
     ass_re_sum: float = 0.0  # sum over TPs of TPA/(TPA+FNA)
     ass_pr_sum: float = 0.0  # sum over TPs of TPA/(TPA+FPA)
-    # per-unit detail; dropped when pooling
+    # per-unit (gt_id, pred_id) -> TPA detail; dropped when pooling
     pair_tpa: Optional[Dict[Tuple[str, str], int]] = None
-    gt_frame_counts: Optional[Dict[str, int]] = None
-    pred_frame_counts: Optional[Dict[str, int]] = None
 
 
 @dataclass(frozen=True)
@@ -173,18 +171,8 @@ class UnitArrays:
 
         self.gt_present = gp
         self.pred_present = pp
-        # Same elementwise operations as iou_matrix, broadcast over frames,
-        # so every entry is bit-identical to the scalar iou definition.
-        # Absent slots hold zero boxes and evaluate to iou 0.
-        gx, gy, gw_, gh_ = (gb[:, :, None, i] for i in range(4))
-        px, py, pw_, ph_ = (pb[:, None, :, i] for i in range(4))
-        iw = np.minimum(gx + gw_, px + pw_) - np.maximum(gx, px)
-        ih = np.minimum(gy + gh_, py + ph_) - np.maximum(gy, py)
-        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-        union = gw_ * gh_ + pw_ * ph_ - inter
-        iou3 = np.zeros(inter.shape, dtype=np.float64)
-        np.divide(inter, union, out=iou3, where=union > 0.0)
-        self.iou3 = iou3
+        # absent slots hold zero boxes and evaluate to iou 0
+        self.iou3 = iou_matrix(gb, pb)
 
 
 def match_unit_all_alphas(
@@ -224,8 +212,6 @@ def match_unit_all_alphas(
                 fn=total_gt,
                 fp=total_pred,
                 pair_tpa={},
-                gt_frame_counts={t: int(c) for t, c in zip(ua.gt_ids, g_count)},
-                pred_frame_counts={t: int(c) for t, c in zip(ua.pred_ids, p_count)},
             )
             for a in alphas
         ]
@@ -297,8 +283,6 @@ def match_unit_all_alphas(
                 ass_re_sum=float(ass_re[ai]),
                 ass_pr_sum=float(ass_pr[ai]),
                 pair_tpa=detail,
-                gt_frame_counts={t: int(c) for t, c in zip(ua.gt_ids, g_count)},
-                pred_frame_counts={t: int(c) for t, c in zip(ua.pred_ids, p_count)},
             )
         )
     return out

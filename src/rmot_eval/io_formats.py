@@ -21,7 +21,7 @@ expression) named ``<sequence_id>__<expression_id>.txt`` with lines
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -78,12 +78,70 @@ class DatasetBundle:
     warnings: Tuple[str, ...] = ()
 
 
+def _encoding_error(path: Path) -> ParseError:
+    # A multi-byte UTF-8 sequence never contains b"\n", so the file fails to
+    # decode iff one of its b"\n"-separated lines does.
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(
+                    "ENCODING", path, lineno,
+                    f"not valid UTF-8 at byte {exc.start} of the line: {exc.reason}",
+                )
+    return ParseError("ENCODING", path, None, "not valid UTF-8")
+
+
 def _lines(path: Path) -> Iterable[Tuple[int, str]]:
     with path.open("r", encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if line:
-                yield lineno, line
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\r\n")
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError:
+            raise _encoding_error(path) from None
+
+
+def _load_json(path: Path) -> object:
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError:
+        raise _encoding_error(path) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError("JSON_SYNTAX", path, exc.lineno, exc.msg) from None
+    except (ValueError, RecursionError) as exc:
+        # integers past the int-conversion digit limit, or nesting too deep
+        raise ParseError("JSON_SYNTAX", path, None, str(exc)) from None
+
+
+def _fields(node: object, keys: Sequence[str], path: Path, where: str) -> Mapping[str, object]:
+    """Check that a JSON node is an object holding ``keys``."""
+    if not isinstance(node, dict):
+        raise ParseError(
+            "DOC_SHAPE", path, None, f"{where} must be an object, got {type(node).__name__}"
+        )
+    for key in keys:
+        if key not in node:
+            raise ParseError("DOC_FIELD", path, None, f"{where} missing {key!r}")
+    return node
+
+
+def _typed(value: object, kind: type, path: Path, where: str):
+    """``value`` as ``kind``: a str must be one already, an int goes through
+    ``int()``; FIELD_TYPE otherwise."""
+    if kind is str and isinstance(value, str):
+        return value
+    if kind is int:
+        try:
+            return int(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ParseError(
+        "FIELD_TYPE", path, None, f"{where} must be {kind.__name__}, got {value!r}"
+    )
 
 
 def _is_number(token: str) -> bool:
@@ -277,22 +335,22 @@ def parse_expressions(
     track has no gt box are allowed but reported as warnings.
     """
     path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError("JSON_SYNTAX", path, exc.lineno, exc.msg) from None
+    doc = _load_json(path)
     if not isinstance(doc, list):
         raise ParseError("DOC_SHAPE", path, None, "top level must be a list of expressions")
 
     tasks: List[ExpressionTask] = []
     warnings: List[str] = []
     for i, entry in enumerate(doc):
-        for key in ("expression_id", "sequence_id", "text", "targets"):
-            if key not in entry:
-                raise ParseError("DOC_FIELD", path, None, f"entry {i} missing {key!r}")
-        seq_id = entry["sequence_id"]
-        expr_id = entry["expression_id"]
+        entry = _fields(
+            entry, ("expression_id", "sequence_id", "text", "targets"), path, f"entry {i}"
+        )
+        seq_id = _typed(entry["sequence_id"], str, path, f"entry {i} sequence_id")
+        expr_id = _typed(entry["expression_id"], str, path, f"entry {i} expression_id")
+        if not isinstance(entry["targets"], list):
+            raise ParseError(
+                "DOC_SHAPE", path, None, f"expression {expr_id}: targets must be a list"
+            )
         seq = sequences.get(seq_id)
         if seq is None:
             raise ParseError(
@@ -300,9 +358,12 @@ def parse_expressions(
                 f"expression {expr_id} references unknown sequence {seq_id}",
             )
         targets: Dict[int, Dict[str, BoundingBox]] = {}
-        for t in entry["targets"]:
+        for j, t in enumerate(entry["targets"]):
+            where = f"expression {expr_id} target {j}"
+            t = _fields(t, ("track_id", "start_frame", "end_frame"), path, where)
             track_id = str(t["track_id"])
-            start, end = int(t["start_frame"]), int(t["end_frame"])
+            start = _typed(t["start_frame"], int, path, f"{where} start_frame")
+            end = _typed(t["end_frame"], int, path, f"{where} end_frame")
             if start > end:
                 raise ParseError(
                     "INTERVAL_ORDER", path, None,
@@ -380,20 +441,22 @@ def load_bundle(root: Path | str) -> DatasetBundle:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise ParseError("NO_MANIFEST", manifest_path, None, "manifest.json not found")
-    try:
-        with manifest_path.open("r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError("JSON_SYNTAX", manifest_path, exc.lineno, exc.msg) from None
+    manifest = _fields(_load_json(manifest_path), (), manifest_path, "top level")
+    entries = manifest.get("sequences", [])
+    if not isinstance(entries, list):
+        raise ParseError("DOC_SHAPE", manifest_path, None, "sequences must be a list")
 
     sequences: Dict[str, SequenceData] = {}
-    for entry in manifest.get("sequences", []):
-        seq_id = entry["sequence_id"]
+    for i, entry in enumerate(entries):
+        where = f"sequence entry {i}"
+        entry = _fields(entry, ("sequence_id", "length"), manifest_path, where)
+        seq_id = _typed(entry["sequence_id"], str, manifest_path, f"{where} sequence_id")
+        length = _typed(entry["length"], int, manifest_path, f"{where} length")
         gt_path = root / seq_id / "gt.txt"
         tracks = parse_gt(gt_path) if gt_path.exists() else {}
         sequences[seq_id] = SequenceData(
             sequence_id=seq_id,
-            length=int(entry["length"]),
+            length=length,
             tracks=tracks,
             split=entry.get("split", "train"),
         )

@@ -6,7 +6,7 @@ All types are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,13 +155,14 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def iou_matrix(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (n, 4) arrays of [x, y, w, h] boxes.
+    """Pairwise IoU between (..., n, 4) and (..., m, 4) arrays of [x, y, w, h]
+    boxes; leading batch dimensions broadcast, giving (..., n, m).
 
     Bit-identical to looping :func:`iou` over all pairs; the engine relies on
     this to keep the vectorized fast path and the scalar definition in sync.
     """
-    gx, gy, gw, gh = (gt[:, None, i] for i in range(4))
-    px, py, pw, ph = (pred[None, :, i] for i in range(4))
+    gx, gy, gw, gh = (gt[..., :, None, i] for i in range(4))
+    px, py, pw, ph = (pred[..., None, :, i] for i in range(4))
     iw = np.minimum(gx + gw, px + pw) - np.maximum(gx, px)
     ih = np.minimum(gy + gh, py + ph) - np.maximum(gy, py)
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)

@@ -9,14 +9,15 @@ back.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .assignment import solve_max_weight
-from .attributes import AttributeReport, compose_report, restrict_to_attribute
+from .attributes import AttributeReport, attribute_report, restrict_to_attribute
 from .hota import (
+    AlphaMetrics,
     AlphaStats,
     MetricReport,
     Solver,
@@ -47,8 +48,6 @@ def _strip(stats: Sequence[AlphaStats]) -> List[AlphaStats]:
     # drop per-pair detail before IPC; pooling only needs the sums
     for s in stats:
         s.pair_tpa = None
-        s.gt_frame_counts = None
-        s.pred_frame_counts = None
     return list(stats)
 
 
@@ -61,15 +60,15 @@ def _eval_unit(index: int):
     frames = range(1, seq.length + 1)
     main = _strip(match_unit_all_alphas(task, dets, cfg.alpha_grid, frames, solver=solver))
 
-    per_attr: Dict[str, Optional[List[AlphaStats]]] = {}
-    labels = _CTX["labels"].get(task.sequence_id) if _CTX["with_attributes"] else None
+    # only attributes flagged somewhere in the sequence get an entry
+    per_attr: Dict[str, List[AlphaStats]] = {}
+    labels = _CTX["labels"].get(task.sequence_id)
     if labels is not None:
         for attr in Attribute:
             attr_frames = labels.frames_with(attr)
             if not attr_frames:
-                per_attr[attr.value] = None
                 continue
-            sub_task, sub_dets = restrict_to_attribute(task, dets, labels, attr)
+            sub_task, sub_dets = restrict_to_attribute(task, dets, attr_frames)
             per_attr[attr.value] = _strip(
                 match_unit_all_alphas(
                     sub_task, sub_dets, cfg.alpha_grid, attr_frames, solver=solver
@@ -83,10 +82,6 @@ def _empty_pool(cfg: EvalConfig) -> List[AlphaStats]:
 
 
 def _macro_average(reports: Sequence[MetricReport], cfg: EvalConfig) -> MetricReport:
-    import math
-
-    from .hota import AlphaMetrics
-
     n = len(reports)
 
     def mean(vals: Sequence[float]) -> float:
@@ -133,18 +128,15 @@ def evaluate(
     workers: Optional[int] = None,
     macro: bool = False,
     solver: Solver = solve_max_weight,
-    with_attributes: bool = True,
 ) -> Tuple[MetricReport, Optional[AttributeReport]]:
     """Filter, match, accumulate, and finalize a full evaluation run.
 
     ``predictions`` maps (sequence_id, expression_id) to raw detections;
     units without an entry are evaluated against empty output. The attribute
-    report is produced only when attribute labels exist (and
-    ``with_attributes`` is set).
+    report is produced exactly when ``bundle.attributes`` is non-empty.
     """
     global _CTX
     n_workers = resolve_workers(workers)
-    use_attrs = with_attributes and bool(bundle.attributes)
 
     units = []
     for task in bundle.tasks:
@@ -158,8 +150,7 @@ def evaluate(
         "cfg": cfg,
         "solver": solver,
         "sequences": bundle.sequences,
-        "labels": bundle.attributes if use_attrs else {},
-        "with_attributes": use_attrs,
+        "labels": bundle.attributes,
     }
 
     _CTX = ctx
@@ -176,9 +167,7 @@ def evaluate(
 
     main_stats = [r[0] for r in results]
     if macro:
-        unit_reports = [
-            finalize(stats) if stats else finalize(_empty_pool(cfg)) for stats in main_stats
-        ]
+        unit_reports = [finalize(stats) for stats in main_stats]
         if not unit_reports:
             report = finalize(_empty_pool(cfg))
         else:
@@ -187,25 +176,9 @@ def evaluate(
         pooled = accumulate(main_stats) if main_stats else _empty_pool(cfg)
         report = finalize(pooled)
 
-    attr_report: Optional[AttributeReport] = None
-    if use_attrs:
-        per_attr_value: Dict[str, Optional[float]] = {}
-        frame_counts = {
-            attr.value: sum(
-                len(lab.frames_with(attr)) for lab in bundle.attributes.values()
-            )
-            for attr in Attribute
-        }
-        for attr in Attribute:
-            stacks = [
-                r[1][attr.value]
-                for r in results
-                if r[1].get(attr.value) is not None
-            ]
-            if not stacks:
-                per_attr_value[attr.value] = None
-                continue
-            per_attr_value[attr.value] = finalize(accumulate(stacks)).hota
-        attr_report = compose_report(per_attr_value, frame_counts, cfg)
-
+    attr_report = (
+        attribute_report([r[1] for r in results], bundle.attributes, cfg)
+        if bundle.attributes
+        else None
+    )
     return report, attr_report

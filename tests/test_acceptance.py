@@ -188,7 +188,7 @@ def test_criterion_4_monotonicity_suite():
             )
             for key, dets in scenario.predictions.items()
         }
-        report, _ = evaluate(bundle, preds, cfg, with_attributes=False)
+        report, _ = evaluate(bundle, preds, cfg)
         return report
 
     reports = [run(miss_rate=r) for r in (0.0, 0.2, 0.5, 0.8)]

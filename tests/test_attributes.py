@@ -4,12 +4,8 @@ import math
 
 import pytest
 
-from rmot_eval.attributes import (
-    attribute_hota,
-    build_attribute_report,
-    compose_geometric,
-    restrict_to_attribute,
-)
+from rmot_eval.attributes import compose_geometric, restrict_to_attribute
+from rmot_eval.io_formats import DatasetBundle
 from rmot_eval.model import (
     Attribute,
     AttributeFrameLabels,
@@ -17,6 +13,7 @@ from rmot_eval.model import (
     ExpressionTask,
     SequenceData,
 )
+from rmot_eval.pipeline import evaluate
 
 from .conftest import box, det, perfect_predictions, task_from_tracks, track
 
@@ -35,6 +32,13 @@ def day_night_setup():
     return seq, task, labels
 
 
+def evaluated_attributes(sequences, tasks, preds, labels):
+    """The attribute report of a full evaluation run."""
+    bundle = DatasetBundle(sequences=sequences, tasks=tuple(tasks), attributes=labels)
+    _, attrs = evaluate(bundle, preds, EvalConfig())
+    return attrs
+
+
 class TestRestrictToAttribute:
     def test_all_frames_flagged_is_identity(self):
         _, task, labels = day_night_setup()
@@ -42,21 +46,23 @@ class TestRestrictToAttribute:
         all_lab = AttributeFrameLabels("s", {
             f: frozenset({Attribute.DAY}) for f in (1, 2, 3, 4)
         })
-        sub_task, sub_preds = restrict_to_attribute(task, preds, all_lab, Attribute.DAY)
+        sub_task, sub_preds = restrict_to_attribute(
+            task, preds, all_lab.frames_with(Attribute.DAY)
+        )
         assert sub_task.targets == dict(task.targets)
         assert sub_preds == preds
 
     def test_no_frames_flagged_is_empty(self):
         _, task, labels = day_night_setup()
         sub_task, sub_preds = restrict_to_attribute(
-            task, perfect_predictions(task), labels, Attribute.FAST_MOTION
+            task, perfect_predictions(task), labels.frames_with(Attribute.FAST_MOTION)
         )
         assert sub_task.targets == {} and sub_preds == []
 
     def test_subset_preserves_frame_indices(self):
         _, task, labels = day_night_setup()
         sub_task, sub_preds = restrict_to_attribute(
-            task, perfect_predictions(task), labels, Attribute.OCCLUSION
+            task, perfect_predictions(task), labels.frames_with(Attribute.OCCLUSION)
         )
         assert sorted(sub_task.targets) == [2, 4]
         assert sorted(d.frame for d in sub_preds) == [2, 4]
@@ -66,29 +72,24 @@ class TestAttributeHota:
     def test_perfect_prediction_scores_100_everywhere(self):
         seq, task, labels = day_night_setup()
         preds = {("s", "e"): perfect_predictions(task)}
-        cfg = EvalConfig()
+        attrs = evaluated_attributes({"s": seq}, [task], preds, {"s": labels})
         for attr in (Attribute.DAY, Attribute.NIGHT, Attribute.OCCLUSION):
-            value = attribute_hota({"s": seq}, [task], preds, {"s": labels}, attr, cfg)
-            assert value == 100.0
+            assert attrs.per_attribute[attr.value] == 100.0
 
     def test_day_perfect_night_empty(self):
         seq, task, labels = day_night_setup()
         preds = {
             ("s", "e"): [d for d in perfect_predictions(task) if d.frame <= 2]
         }
-        cfg = EvalConfig()
-        day = attribute_hota({"s": seq}, [task], preds, {"s": labels}, Attribute.DAY, cfg)
-        night = attribute_hota({"s": seq}, [task], preds, {"s": labels}, Attribute.NIGHT, cfg)
-        assert day == 100.0
-        assert night == 0.0
+        attrs = evaluated_attributes({"s": seq}, [task], preds, {"s": labels})
+        assert attrs.per_attribute[Attribute.DAY.value] == 100.0
+        assert attrs.per_attribute[Attribute.NIGHT.value] == 0.0
 
     def test_absent_attribute_returns_none(self):
         seq, task, labels = day_night_setup()
         preds = {("s", "e"): perfect_predictions(task)}
-        value = attribute_hota(
-            {"s": seq}, [task], preds, {"s": labels}, Attribute.ROTATION, EvalConfig()
-        )
-        assert value is None
+        attrs = evaluated_attributes({"s": seq}, [task], preds, {"s": labels})
+        assert attrs.per_attribute[Attribute.ROTATION.value] is None
 
 
 class TestComposeGeometric:
@@ -130,9 +131,7 @@ class TestBuildAttributeReport:
     def test_perfect_report(self):
         seq, task, labels = day_night_setup()
         preds = {("s", "e"): perfect_predictions(task)}
-        report = build_attribute_report(
-            {"s": seq}, [task], preds, {"s": labels}, EvalConfig()
-        )
+        report = evaluated_attributes({"s": seq}, [task], preds, {"s": labels})
         assert report.per_attribute[Attribute.DAY.value] == 100.0
         assert report.per_attribute[Attribute.ROTATION.value] is None
         # night and occlusion present among scene attributes, low_resolution not
@@ -144,9 +143,7 @@ class TestBuildAttributeReport:
 
     def test_frame_counts(self):
         seq, task, labels = day_night_setup()
-        report = build_attribute_report(
-            {"s": seq}, [task], {}, {"s": labels}, EvalConfig()
-        )
+        report = evaluated_attributes({"s": seq}, [task], {}, {"s": labels})
         assert report.frame_counts[Attribute.DAY.value] == 2
         assert report.frame_counts[Attribute.OCCLUSION.value] == 2
         assert report.frame_counts[Attribute.FAST_MOTION.value] == 0
@@ -155,12 +152,11 @@ class TestBuildAttributeReport:
         # predictions perfect everywhere except missing on occlusion frames 3-4
         task = mini_bundle.tasks[0]  # seq-a/e1, frames 1-10
         preds = [d for d in perfect_predictions(task) if d.frame not in (3, 4)]
-        report = build_attribute_report(
+        report = evaluated_attributes(
             mini_bundle.sequences,
             [task],
             {("seq-a", "e1"): preds},
             mini_bundle.attributes,
-            EvalConfig(),
         )
         assert report.per_attribute[Attribute.OCCLUSION.value] == 0.0
         assert report.per_attribute[Attribute.NIGHT.value] == 100.0

@@ -38,6 +38,30 @@ SYNTH_CONFIG = {
 }
 
 
+
+def _target_without_end(doc):
+    del doc[0]["targets"][0]["end_frame"]
+    return doc
+
+
+def _start_frame_not_int(doc):
+    doc[0]["targets"][0]["start_frame"] = "x"
+    return doc
+
+
+def _entry_not_object(doc):
+    return doc + [7]
+
+
+def _manifest_as_list(doc):
+    return doc["sequences"]
+
+
+def _sequence_without_length(doc):
+    del doc["sequences"][0]["length"]
+    return doc
+
+
 class TestEvaluateCommand:
     def test_perfect_run(self, runner, mini_dirs, tmp_path):
         gt_dir, pred_dir = mini_dirs
@@ -120,6 +144,51 @@ class TestEvaluateCommand:
         assert result.exit_code == EXIT_IO
         assert f"JSON_SYNTAX at {manifest}:" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "doc, edit, code",
+        [
+            ("expressions.json", _target_without_end, "DOC_FIELD"),
+            ("expressions.json", _start_frame_not_int, "FIELD_TYPE"),
+            ("expressions.json", _entry_not_object, "DOC_SHAPE"),
+            ("manifest.json", _manifest_as_list, "DOC_SHAPE"),
+            ("manifest.json", _sequence_without_length, "DOC_FIELD"),
+        ],
+    )
+    def test_malformed_document_exits_1(self, runner, mini_dirs, tmp_path, doc, edit, code):
+        gt_dir, pred_dir = mini_dirs
+        path = gt_dir / doc
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        result = runner.invoke(
+            main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == EXIT_IO
+        assert f"{code} at {path}" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+
+    def test_out_of_range_prediction_exits_1(self, runner, mini_dirs, tmp_path):
+        gt_dir, pred_dir = mini_dirs
+        f = pred_dir / "seq-a__e1.txt"
+        f.write_text(f.read_text() + "999,late,0,0,5,5,0.9,0.9\n")
+        result = runner.invoke(
+            main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == EXIT_IO
+        assert f"FRAME_OUT_OF_RANGE at {f}" in result.stderr
+        assert "frame 999 of track late" in result.stderr
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_non_utf8_prediction_exits_1(self, runner, mini_dirs, tmp_path):
+        gt_dir, pred_dir = mini_dirs
+        f = pred_dir / "seq-a__e1.txt"
+        f.write_bytes(f.read_bytes() + b"\xff\xfe\n")
+        n_lines = len(f.read_bytes().splitlines())
+        result = runner.invoke(
+            main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(tmp_path / "o")]
+        )
+        assert result.exit_code == EXIT_IO
+        assert f"ENCODING at {f}:{n_lines}" in result.stderr
+        assert isinstance(result.exception, SystemExit)
 
     def test_beta_ref_monotone_retention(self, runner, mini_dirs, tmp_path):
         gt_dir, pred_dir = mini_dirs

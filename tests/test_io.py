@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rmot_eval.io_formats import (
     ParseError,
@@ -273,6 +275,64 @@ class TestBundleRoundTrip:
             load_bundle(tmp_path)
         assert exc.value.code == "NO_SEQUENCES"
 
+
+
+# byte fragments of every input format, so joined draws reach past the first
+# field check more often than uniformly random bytes do
+_FRAGMENTS = [
+    b"0", b"1", b"7", b"-", b".", b"e", b"nan", b"inf", b",", b"\n", b"\r", b" ",
+    b"\xff", b"\xe2\x82", b"\xc3\xa9", b"[", b"]", b"{", b"}", b":", b'"',
+    b'"sequence_id"', b'"expression_id"', b'"text"', b'"targets"', b'"track_id"',
+    b'"start_frame"', b'"end_frame"', b'"seq-a"', b'"a1"', b"null", b"true",
+]
+_FUZZ_BYTES = st.binary(max_size=200) | st.lists(st.sampled_from(_FRAGMENTS), max_size=60).map(
+    b"".join
+)
+_FUZZ_SEQUENCES = build_mini_bundle().sequences
+_PARSERS = {
+    "gt": parse_gt,
+    "predictions": parse_predictions,
+    "attributes": lambda p: parse_attributes(p, "seq-a", 3),
+    "expressions": lambda p: parse_expressions(p, _FUZZ_SEQUENCES),
+}
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("fmt", sorted(_PARSERS))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_FUZZ_BYTES)
+    def test_bytes_parse_or_raise_parse_error(self, tmp_path, fmt, data):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        try:
+            _PARSERS[fmt](path)
+        except ParseError:
+            pass
+
+    def test_encoding_error_names_line(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_bytes(b"1,7,0,0,5,5\n2,7,0,0,5,5\r\n3,\xff\xfe,0,0,5,5\n")
+        with pytest.raises(ParseError) as exc:
+            parse_gt(p)
+        assert exc.value.code == "ENCODING" and exc.value.line == 3
+
+    def test_encoding_error_in_json(self, tmp_path):
+        p = tmp_path / "expressions.json"
+        p.write_bytes(b'[\n  {"text": "\xff"}\n]\n')
+        with pytest.raises(ParseError) as exc:
+            parse_expressions(p, _FUZZ_SEQUENCES)
+        assert exc.value.code == "ENCODING" and exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000, "[" + "1" * 5000 + "]"], ids=["deep-nesting", "long-integer"]
+    )
+    def test_json_past_parser_limits(self, tmp_path, text):
+        p = tmp_path / "expressions.json"
+        p.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            parse_expressions(p, _FUZZ_SEQUENCES)
+        assert exc.value.code == "JSON_SYNTAX"
 
 class TestReports:
     def perfect_report(self):

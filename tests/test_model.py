@@ -74,6 +74,30 @@ class TestIoUMatrix:
         p = np.zeros((2, 4))
         assert iou_matrix(g, p).shape == (3, 2)
 
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_batched_frames_match_scalar(self, n_frames, data):
+        frames = [
+            (data.draw(st.lists(box_strategy, min_size=1, max_size=4)),
+             data.draw(st.lists(box_strategy, min_size=1, max_size=4)))
+            for _ in range(n_frames)
+        ]
+        g, p = max(len(f[0]) for f in frames), max(len(f[1]) for f in frames)
+        # zero boxes pad the ragged frames, as in the per-unit tensors
+        gb = np.zeros((n_frames, g, 4))
+        pb = np.zeros((n_frames, p, 4))
+        for fi, (gts, preds) in enumerate(frames):
+            gb[fi, :len(gts)] = [[b.x, b.y, b.w, b.h] for b in gts]
+            pb[fi, :len(preds)] = [[b.x, b.y, b.w, b.h] for b in preds]
+        mat = iou_matrix(gb, pb)
+        assert mat.shape == (n_frames, g, p)
+        for fi, (gts, preds) in enumerate(frames):
+            for i in range(g):
+                for j in range(p):
+                    a = gts[i] if i < len(gts) else BoundingBox(0.0, 0.0, 0.0, 0.0)
+                    b = preds[j] if j < len(preds) else BoundingBox(0.0, 0.0, 0.0, 0.0)
+                    assert mat[fi, i, j] == iou(a, b)
+
 
 class TestFilterPredictions:
     def test_kept_with_defaults(self):

@@ -1,5 +1,6 @@
 """End-to-end evaluation orchestration: pooling, workers, macro mode."""
 
+import dataclasses
 import os
 
 import pytest
@@ -52,7 +53,8 @@ class TestEvaluate:
         assert attrs is not None and attrs.hota_s == 100.0
 
     def test_missing_units_are_empty_predictions(self, mini_bundle):
-        report, _ = evaluate(mini_bundle, {}, EvalConfig(), with_attributes=False)
+        no_attrs = dataclasses.replace(mini_bundle, attributes={})
+        report, _ = evaluate(no_attrs, {}, EvalConfig())
         # every gt box becomes a FN; the no-target unit contributes nothing
         assert report.per_alpha[0].fn == 29
         assert report.per_alpha[0].fp == 0
@@ -83,10 +85,9 @@ class TestEvaluate:
         good = det(1, task.targets[1]["a1"], "p1", confidence=0.9, referring_score=0.9)
         weak = det(2, task.targets[2]["a1"], "p2", confidence=0.9, referring_score=0.1)
         report, _ = evaluate(
-            mini_bundle,
+            dataclasses.replace(mini_bundle, attributes={}),
             {("seq-a", "e1"): [good, weak]},
             EvalConfig(),
-            with_attributes=False,
         )
         assert report.per_alpha[0].tp == 1  # weak referring score filtered out
 
@@ -110,15 +111,16 @@ class TestEvaluate:
     def test_macro_differs_from_pooled_on_unbalanced_units(self):
         bundle, preds = perturbed_setup(miss_rate=0.5)
         cfg = EvalConfig()
-        pooled, _ = evaluate(bundle, preds, cfg, with_attributes=False)
-        macro, _ = evaluate(bundle, preds, cfg, macro=True, with_attributes=False)
+        no_attrs = dataclasses.replace(bundle, attributes={})
+        pooled, _ = evaluate(no_attrs, preds, cfg)
+        macro, _ = evaluate(no_attrs, preds, cfg, macro=True)
         assert pooled.hota != macro.hota
 
     def test_oracle_solver_injection(self, mini_bundle, mini_predictions):
         from rmot_eval.assignment import solve_oracle
 
-        base, _ = evaluate(mini_bundle, mini_predictions, EvalConfig(),
-                           with_attributes=False)
-        via_oracle, _ = evaluate(mini_bundle, mini_predictions, EvalConfig(),
-                                 solver=solve_oracle, with_attributes=False)
+        no_attrs = dataclasses.replace(mini_bundle, attributes={})
+        base, _ = evaluate(no_attrs, mini_predictions, EvalConfig())
+        via_oracle, _ = evaluate(no_attrs, mini_predictions, EvalConfig(),
+                                 solver=solve_oracle)
         assert report_payload(base) == report_payload(via_oracle)

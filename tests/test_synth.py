@@ -79,7 +79,7 @@ class TestGenerateScenario:
             tasks=sc.tasks,
             attributes={},
         )
-        report, _ = evaluate(bundle, sc.predictions, EvalConfig(), with_attributes=False)
+        report, _ = evaluate(bundle, sc.predictions, EvalConfig())
         assert report.hota == 100.0
 
     def test_no_target_fraction_one(self):
