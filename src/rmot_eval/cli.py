@@ -1,7 +1,7 @@
 """Command-line front end: evaluate, stats, synth, validate.
 
-Exit codes: 0 success, 1 I/O or parse error, 2 validation violations
-(suppressed by --allow-violations where offered).
+Exit codes: 0 success, 1 I/O, parse or option error, 2 validation
+violations (suppressed by --allow-violations where offered).
 """
 
 from __future__ import annotations
@@ -85,7 +85,23 @@ def _parse_alphas(text: Optional[str]) -> Optional[Tuple[float, ...]]:
     return tuple(float(v) for v in text.split(","))
 
 
-@click.group()
+class CommandError(Exception):
+    """An input fault a command finds itself; reported like a ParseError."""
+
+
+class _Commands(click.Group):
+    """The command group; every command's input faults exit here, as
+    ``error: …`` and exit code 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (CommandError, ParseError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_IO)
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="rmot-eval")
 def main() -> None:
     """Referring multi-object tracking evaluation toolkit."""
@@ -126,79 +142,66 @@ def cmd_evaluate(
         if grid:
             cfg_kwargs["alpha_grid"] = grid
         cfg = EvalConfig(**cfg_kwargs)
-
-        bundle = load_bundle(gt_dir)
-        if attributes_dir is not None and attributes_dir != gt_dir:
-            attr_bundle = load_bundle(attributes_dir)
-            bundle = type(bundle)(
-                sequences=bundle.sequences,
-                tasks=bundle.tasks,
-                attributes=attr_bundle.attributes,
-                warnings=bundle.warnings,
-            )
-        for w in bundle.warnings:
-            click.echo(f"warning: {w}", err=True)
-
-        violations = validate_dataset(bundle.sequences, bundle.tasks, bundle.attributes)
-        if violations:
-            for v in violations:
-                click.echo(f"violation: {v.code} in {v.sequence_id}: {v.message}", err=True)
-            if not allow_violations:
-                sys.exit(EXIT_VIOLATIONS)
-
-        predictions = {}
-        for task in bundle.tasks:
-            pred_path = pred_dir / unit_filename(task.sequence_id, task.expression_id)
-            if not pred_path.exists():
-                if strict:
-                    click.echo(f"error: missing prediction file {pred_path}", err=True)
-                    sys.exit(EXIT_IO)
-                click.echo(
-                    f"warning: no prediction file for "
-                    f"{task.sequence_id}/{task.expression_id}; treating as empty",
-                    err=True,
-                )
-                continue
-            dets = parse_predictions(pred_path)
-            length = bundle.sequences[task.sequence_id].length
-            late = next((d for d in dets if d.frame > length), None)
-            if late is not None:
-                raise ParseError(
-                    "FRAME_OUT_OF_RANGE", pred_path, None,
-                    f"frame {late.frame} of track {late.track_id} lies outside "
-                    f"sequence {task.sequence_id} (frames 1-{length})",
-                )
-            predictions[(task.sequence_id, task.expression_id)] = dets
-
         n_workers = resolve_workers(workers)
-        report, attr_report = evaluate(
-            bundle, predictions, cfg, workers=n_workers, macro=macro
+    except ValueError as exc:
+        raise CommandError(f"invalid option: {exc}") from None
+
+    bundle = load_bundle(gt_dir)
+    if attributes_dir is not None and attributes_dir != gt_dir:
+        attr_bundle = load_bundle(attributes_dir)
+        bundle = type(bundle)(
+            sequences=bundle.sequences,
+            tasks=bundle.tasks,
+            attributes=attr_bundle.attributes,
+            warnings=bundle.warnings,
         )
-        out_dir.mkdir(parents=True, exist_ok=True)
-        payload = report_payload(
-            report,
-            attributes=attr_report,
-            config={
-                "score_threshold": cfg.score_threshold,
-                "beta_ref": cfg.beta_ref,
-                "alpha_grid": list(cfg.alpha_grid),
-                "aggregation": "macro" if macro else "pooled",
-            },
-        )
-        json_path, table_path = write_report(payload, out_dir)
-        _write_manifest(
-            out_dir, cfg,
-            {"gt_dir": gt_dir, "pred_dir": pred_dir},
-            time.monotonic() - started, n_workers,
-        )
-        click.echo(table_path.read_text().rstrip("\n"))
-        click.echo(f"report written to {json_path}")
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    for w in bundle.warnings:
+        click.echo(f"warning: {w}", err=True)
+
+    violations = validate_dataset(bundle.sequences, bundle.tasks, bundle.attributes)
+    if violations:
+        for v in violations:
+            click.echo(f"violation: {v.code} in {v.sequence_id}: {v.message}", err=True)
+        if not allow_violations:
+            sys.exit(EXIT_VIOLATIONS)
+
+    predictions = {}
+    for task in bundle.tasks:
+        pred_path = pred_dir / unit_filename(task.sequence_id, task.expression_id)
+        if not pred_path.exists():
+            if strict:
+                raise CommandError(f"missing prediction file {pred_path}")
+            click.echo(
+                f"warning: no prediction file for "
+                f"{task.sequence_id}/{task.expression_id}; treating as empty",
+                err=True,
+            )
+            continue
+        dets = parse_predictions(pred_path, bundle.sequences[task.sequence_id].length)
+        predictions[(task.sequence_id, task.expression_id)] = dets
+
+    report, attr_report = evaluate(
+        bundle, predictions, cfg, workers=n_workers, macro=macro
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    payload = report_payload(
+        report,
+        attributes=attr_report,
+        config={
+            "score_threshold": cfg.score_threshold,
+            "beta_ref": cfg.beta_ref,
+            "alpha_grid": list(cfg.alpha_grid),
+            "aggregation": "macro" if macro else "pooled",
+        },
+    )
+    json_path, table_path = write_report(payload, out_dir)
+    _write_manifest(
+        out_dir, cfg,
+        {"gt_dir": gt_dir, "pred_dir": pred_dir},
+        time.monotonic() - started, n_workers,
+    )
+    click.echo(table_path.read_text().rstrip("\n"))
+    click.echo(f"report written to {json_path}")
 
 
 @main.command("stats")
@@ -207,27 +210,20 @@ def cmd_evaluate(
               show_default=True)
 def cmd_stats(gt_dir: Path, out_dir: Path) -> None:
     """Compute dataset statistics and histograms for the bundle in GT_DIR."""
-    try:
-        bundle = load_bundle(gt_dir)
-        report = compute_stats(bundle.sequences, bundle.tasks)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        stats_path = out_dir / "stats.json"
-        with stats_path.open("w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        emit_histograms(report, out_dir)
-        click.echo(
-            f"videos={report.videos} frames={report.frames} "
-            f"expressions={report.expressions_total} "
-            f"temporal_ratio={report.temporal_ratio_mean:.3f}"
-        )
-        click.echo(f"stats written to {stats_path}")
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    bundle = load_bundle(gt_dir)
+    report = compute_stats(bundle.sequences, bundle.tasks)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stats_path = out_dir / "stats.json"
+    with stats_path.open("w", encoding="utf-8", newline="\n") as fh:
+        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    emit_histograms(report, out_dir)
+    click.echo(
+        f"videos={report.videos} frames={report.frames} "
+        f"expressions={report.expressions_total} "
+        f"temporal_ratio={report.temporal_ratio_mean:.3f}"
+    )
+    click.echo(f"stats written to {stats_path}")
 
 
 @main.command("synth")
@@ -238,10 +234,9 @@ def cmd_synth(config_file: Path, out_dir: Path) -> None:
     try:
         with config_file.open("r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        scenarios = doc.get("scenarios")
+        scenarios = doc.get("scenarios") if isinstance(doc, dict) else None
         if not scenarios:
-            click.echo("error: config must define a non-empty 'scenarios' list", err=True)
-            sys.exit(EXIT_IO)
+            raise CommandError("config must define a non-empty 'scenarios' list")
 
         sequences = {}
         tasks = []
@@ -285,11 +280,7 @@ def cmd_synth(config_file: Path, out_dir: Path) -> None:
         click.echo(f"bundle written to {bundle_dir}")
         click.echo(f"predictions written to {pred_dir}")
     except (TypeError, ValueError) as exc:
-        click.echo(f"error: invalid config: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+        raise CommandError(f"invalid config: {exc}") from None
 
 
 @main.command("validate")
@@ -298,28 +289,20 @@ def cmd_synth(config_file: Path, out_dir: Path) -> None:
               help="Write the violation report to this JSON file.")
 def cmd_validate(gt_dir: Path, out_path: Optional[Path]) -> None:
     """Validate the dataset bundle in GT_DIR; exit 2 if violations exist."""
-    try:
-        if not gt_dir.is_dir():
-            click.echo(f"error: {gt_dir} is not a readable directory", err=True)
-            sys.exit(EXIT_IO)
-        bundle = load_bundle(gt_dir)
-        violations = validate_dataset(bundle.sequences, bundle.tasks, bundle.attributes)
-        payload = [v.as_dict() for v in violations]
-        if out_path is not None:
-            with Path(out_path).open("w", encoding="utf-8", newline="\n") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        for v in violations:
-            click.echo(f"violation: {v.code} in {v.sequence_id}: {v.message}")
-        click.echo(f"{len(violations)} violation(s)")
-        if violations:
-            sys.exit(EXIT_VIOLATIONS)
-    except ParseError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_IO)
+    if not gt_dir.is_dir():
+        raise CommandError(f"{gt_dir} is not a readable directory")
+    bundle = load_bundle(gt_dir)
+    violations = validate_dataset(bundle.sequences, bundle.tasks, bundle.attributes)
+    payload = [v.as_dict() for v in violations]
+    if out_path is not None:
+        with Path(out_path).open("w", encoding="utf-8", newline="\n") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    for v in violations:
+        click.echo(f"violation: {v.code} in {v.sequence_id}: {v.message}")
+    click.echo(f"{len(violations)} violation(s)")
+    if violations:
+        sys.exit(EXIT_VIOLATIONS)
 
 
 if __name__ == "__main__":

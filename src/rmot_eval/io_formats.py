@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .attributes import AttributeReport
 from .hota import MetricReport
@@ -144,6 +144,18 @@ def _typed(value: object, kind: type, path: Path, where: str):
     )
 
 
+def _unit_id(value: object, path: Path, where: str) -> str:
+    """A sequence or expression id, which names a file or directory: a
+    string that is not empty, ``.`` or ``..`` and holds no ``/``, ``\\`` or
+    NUL; UNSAFE_ID otherwise."""
+    value = _typed(value, str, path, where)
+    if value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+        raise ParseError(
+            "UNSAFE_ID", path, None, f"{where} {value!r} cannot name a file or directory"
+        )
+    return value
+
+
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -152,38 +164,61 @@ def _is_number(token: str) -> bool:
         return False
 
 
-def _non_finite(path: Path, lineno: int, *coords: float) -> ParseError:
+def _records(
+    path: Path, n_fields: int, length: Optional[int] = None
+) -> Iterator[Tuple[int, int, List[str]]]:
+    """Yield ``(line, frame, fields)`` for each row of a line format whose
+    first field is the frame: the optional header is skipped, the field count
+    is checked, and the frame must be an integer >= 1 (and <= ``length`` when
+    given)."""
+    for lineno, line in _lines(path):
+        fields = line.split(",")
+        if lineno == 1 and not _is_number(fields[0]):
+            continue  # optional header
+        if len(fields) != n_fields:
+            raise ParseError(
+                "LINE_FIELD_COUNT", path, lineno,
+                f"expected {n_fields} comma-separated fields, got {len(fields)}",
+            )
+        try:
+            frame = int(fields[0])
+        except ValueError as exc:
+            raise ParseError("FIELD_TYPE", path, lineno, str(exc)) from None
+        if frame < 1:
+            raise ParseError("FRAME_INDEX", path, lineno, f"frame must be >= 1, got {frame}")
+        if length is not None and frame > length:
+            raise ParseError(
+                "FRAME_OUT_OF_RANGE", path, lineno,
+                f"frame {frame} lies after the sequence's last frame {length}",
+            )
+        yield lineno, frame, fields
+
+
+def _floats(path: Path, lineno: int, fields: Sequence[str]) -> Tuple[float, ...]:
+    """The fields after frame and track id as floats; the first four are the
+    box's x, y, w, h and must be finite."""
+    try:
+        values = tuple(map(float, fields[2:]))
+    except ValueError as exc:
+        raise ParseError("FIELD_TYPE", path, lineno, str(exc)) from None
     # each coordinate is checked on its own: a sum of large finite values
     # can overflow to inf
-    return ParseError(
-        "NON_FINITE", path, lineno,
-        "box coordinates x, y, w, h must be finite, got "
-        + ", ".join(repr(v) for v in coords),
-    )
+    x, y, w, h = values[:4]
+    if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+        raise ParseError(
+            "NON_FINITE", path, lineno,
+            "box coordinates x, y, w, h must be finite, got "
+            + ", ".join(repr(v) for v in (x, y, w, h)),
+        )
+    return values
 
 
 def parse_gt(path: Path | str) -> Dict[str, GroundTruthTrack]:
     """Parse a ground-truth box file into tracks."""
     path = Path(path)
     boxes: Dict[str, Dict[int, BoundingBox]] = {}
-    for lineno, line in _lines(path):
-        fields = line.split(",")
-        if lineno == 1 and fields and not _is_number(fields[0]):
-            continue  # optional header
-        if len(fields) != 6:
-            raise ParseError(
-                "LINE_FIELD_COUNT", path, lineno,
-                f"expected 6 comma-separated fields, got {len(fields)}",
-            )
-        try:
-            frame = int(fields[0])
-            x, y, w, h = (float(v) for v in fields[2:6])
-        except ValueError as exc:
-            raise ParseError("FIELD_TYPE", path, lineno, str(exc)) from None
-        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
-            raise _non_finite(path, lineno, x, y, w, h)
-        if frame < 1:
-            raise ParseError("FRAME_INDEX", path, lineno, f"frame must be >= 1, got {frame}")
+    for lineno, frame, fields in _records(path, 6):
+        x, y, w, h = _floats(path, lineno, fields)
         track_id = fields[1]
         per = boxes.setdefault(track_id, {})
         if frame in per:
@@ -218,19 +253,7 @@ def parse_attributes(path: Path | str, sequence_id: str, length: int) -> Attribu
     """Parse a per-frame attribute flag table; every frame row must exist."""
     path = Path(path)
     flags: Dict[int, frozenset] = {}
-    for lineno, line in _lines(path):
-        fields = line.split(",")
-        if lineno == 1 and fields and not _is_number(fields[0]):
-            continue
-        if len(fields) != 1 + len(ATTRIBUTE_COLUMNS):
-            raise ParseError(
-                "LINE_FIELD_COUNT", path, lineno,
-                f"expected {1 + len(ATTRIBUTE_COLUMNS)} fields, got {len(fields)}",
-            )
-        try:
-            frame = int(fields[0])
-        except ValueError as exc:
-            raise ParseError("FIELD_TYPE", path, lineno, str(exc)) from None
+    for lineno, frame, fields in _records(path, 1 + len(ATTRIBUTE_COLUMNS), length):
         active = set()
         for attr, cell in zip(ATTRIBUTE_COLUMNS, fields[1:]):
             if cell not in ("0", "1"):
@@ -262,29 +285,16 @@ def write_attributes(labels: AttributeFrameLabels, path: Path | str) -> None:
             fh.write(",".join([str(frame)] + cells) + "\n")
 
 
-def parse_predictions(path: Path | str) -> List[Detection]:
-    """Parse one per-unit prediction file; an empty file is a valid empty list."""
+def parse_predictions(path: Path | str, length: Optional[int] = None) -> List[Detection]:
+    """Parse one per-unit prediction file; an empty file is a valid empty list.
+
+    With ``length``, a prediction after the sequence's last frame is a
+    FRAME_OUT_OF_RANGE error instead of being returned."""
     path = Path(path)
     out: List[Detection] = []
     seen = set()
-    for lineno, line in _lines(path):
-        fields = line.split(",")
-        if lineno == 1 and fields and not _is_number(fields[0]):
-            continue
-        if len(fields) != 8:
-            raise ParseError(
-                "LINE_FIELD_COUNT", path, lineno,
-                f"expected 8 comma-separated fields, got {len(fields)}",
-            )
-        try:
-            frame = int(fields[0])
-            x, y, w, h, conf, ref = (float(v) for v in fields[2:8])
-        except ValueError as exc:
-            raise ParseError("FIELD_TYPE", path, lineno, str(exc)) from None
-        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
-            raise _non_finite(path, lineno, x, y, w, h)
-        if frame < 1:
-            raise ParseError("FRAME_INDEX", path, lineno, f"frame must be >= 1, got {frame}")
+    for lineno, frame, fields in _records(path, 8, length):
+        x, y, w, h, conf, ref = _floats(path, lineno, fields)
         if not (0.0 <= conf <= 1.0 and 0.0 <= ref <= 1.0):
             raise ParseError(
                 "SCORE_RANGE", path, lineno,
@@ -331,8 +341,9 @@ def parse_expressions(
 ) -> Tuple[List[ExpressionTask], List[str]]:
     """Parse the expression document and join target intervals against gt.
 
-    Intervals are inclusive. Frames inside an interval where the referenced
-    track has no gt box are allowed but reported as warnings.
+    Intervals are inclusive and must lie within the sequence. Frames inside
+    an interval where the referenced track has no gt box are allowed but
+    reported as warnings.
     """
     path = Path(path)
     doc = _load_json(path)
@@ -341,12 +352,21 @@ def parse_expressions(
 
     tasks: List[ExpressionTask] = []
     warnings: List[str] = []
+    units: Dict[str, str] = {}  # prediction file name -> the entry it belongs to
     for i, entry in enumerate(doc):
         entry = _fields(
             entry, ("expression_id", "sequence_id", "text", "targets"), path, f"entry {i}"
         )
-        seq_id = _typed(entry["sequence_id"], str, path, f"entry {i} sequence_id")
-        expr_id = _typed(entry["expression_id"], str, path, f"entry {i} expression_id")
+        seq_id = _unit_id(entry["sequence_id"], path, f"entry {i} sequence_id")
+        expr_id = _unit_id(entry["expression_id"], path, f"entry {i} expression_id")
+        unit = f"entry {i} ({seq_id!r}, {expr_id!r})"
+        name = unit_filename(seq_id, expr_id)
+        if name in units:
+            raise ParseError(
+                "UNIT_COLLISION", path, None,
+                f"{units[name]} and {unit} both map to prediction file {name}",
+            )
+        units[name] = unit
         if not isinstance(entry["targets"], list):
             raise ParseError(
                 "DOC_SHAPE", path, None, f"expression {expr_id}: targets must be a list"
@@ -368,6 +388,12 @@ def parse_expressions(
                 raise ParseError(
                     "INTERVAL_ORDER", path, None,
                     f"expression {expr_id}: start_frame {start} > end_frame {end}",
+                )
+            if start < 1 or end > seq.length:
+                raise ParseError(
+                    "FRAME_OUT_OF_RANGE", path, None,
+                    f"{where}: interval [{start}, {end}] lies outside sequence {seq_id} "
+                    f"(frames 1-{seq.length})",
                 )
             track = seq.tracks.get(track_id)
             if track is None:
@@ -450,7 +476,7 @@ def load_bundle(root: Path | str) -> DatasetBundle:
     for i, entry in enumerate(entries):
         where = f"sequence entry {i}"
         entry = _fields(entry, ("sequence_id", "length"), manifest_path, where)
-        seq_id = _typed(entry["sequence_id"], str, manifest_path, f"{where} sequence_id")
+        seq_id = _unit_id(entry["sequence_id"], manifest_path, f"{where} sequence_id")
         length = _typed(entry["length"], int, manifest_path, f"{where} length")
         gt_path = root / seq_id / "gt.txt"
         tracks = parse_gt(gt_path) if gt_path.exists() else {}

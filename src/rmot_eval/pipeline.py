@@ -40,7 +40,10 @@ def resolve_workers(workers: Optional[int]) -> int:
         return max(int(workers), 1)
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(int(env), 1)
+        try:
+            return max(int(env), 1)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return 1
 
 

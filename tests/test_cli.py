@@ -170,13 +170,75 @@ class TestEvaluateCommand:
         gt_dir, pred_dir = mini_dirs
         f = pred_dir / "seq-a__e1.txt"
         f.write_text(f.read_text() + "999,late,0,0,5,5,0.9,0.9\n")
+        n_lines = len(f.read_text().splitlines())
         result = runner.invoke(
             main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(tmp_path / "o")]
         )
         assert result.exit_code == EXIT_IO
-        assert f"FRAME_OUT_OF_RANGE at {f}" in result.stderr
-        assert "frame 999 of track late" in result.stderr
+        assert f"FRAME_OUT_OF_RANGE at {f}:{n_lines}: frame 999 " in result.stderr
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "frame, code", [(0, "FRAME_INDEX"), (-4, "FRAME_INDEX"), (99, "FRAME_OUT_OF_RANGE")]
+    )
+    def test_attribute_row_outside_sequence_exits_1(
+        self, runner, mini_dirs, tmp_path, frame, code
+    ):
+        gt_dir, pred_dir = mini_dirs
+        f = gt_dir / "seq-a" / "attributes.txt"  # seq-a has frames 1-10
+        f.write_text(f.read_text() + f"{frame},0,1,0,0,0,0,0,0\n")
+        n_lines = len(f.read_text().splitlines())
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(out)])
+        assert result.exit_code == EXIT_IO
+        assert f"{code} at {f}:{n_lines}" in result.stderr
+        assert isinstance(result.exception, SystemExit)
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "args, env",
+        [
+            (["--alphas", "a,b"], {}),
+            (["--alphas", "0.5,0.3"], {}),
+            (["--score-threshold", "2"], {}),
+            ([], {"RMOT_EVAL_WORKERS": "abc"}),
+        ],
+        ids=["alphas-not-numbers", "alphas-not-increasing", "threshold-above-1", "env-workers"],
+    )
+    def test_bad_option_exits_1(self, runner, mini_dirs, tmp_path, args, env):
+        gt_dir, pred_dir = mini_dirs
+        result = runner.invoke(
+            main,
+            ["evaluate", str(gt_dir), str(pred_dir), "--out", str(tmp_path / "o"), *args],
+            env=env,
+        )
+        assert result.exit_code == EXIT_IO
+        assert result.stderr.startswith("error: invalid option: ")
+        assert isinstance(result.exception, SystemExit)
+
+    def test_negative_workers_run_on_one(self, runner, mini_dirs, tmp_path):
+        gt_dir, pred_dir = mini_dirs
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["evaluate", str(gt_dir), str(pred_dir), "--workers", "-3", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads((out / "run_manifest.json").read_text())["workers"] == 1
+
+    def test_value_error_inside_evaluation_propagates(
+        self, runner, mini_dirs, tmp_path, monkeypatch
+    ):
+        # only option errors become ``error: …``; a fault in the evaluation
+        # itself is a bug and must surface as one
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("rmot_eval.cli.evaluate", broken)
+        gt_dir, pred_dir = mini_dirs
+        result = runner.invoke(
+            main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(tmp_path / "o")]
+        )
+        assert isinstance(result.exception, ValueError) and str(result.exception) == "boom"
 
     def test_non_utf8_prediction_exits_1(self, runner, mini_dirs, tmp_path):
         gt_dir, pred_dir = mini_dirs
@@ -270,6 +332,14 @@ class TestSynthCommand:
         assert result.exit_code == 0, result.output
         report = json.loads((out / "report.json").read_text())
         assert report["display"]["HOTA"] == "100.00"
+
+    def test_config_not_an_object_exits_1(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[]")
+        result = runner.invoke(main, ["synth", str(cfg), str(tmp_path / "gen")])
+        assert result.exit_code == EXIT_IO
+        assert "error: config must define a non-empty 'scenarios' list" in result.stderr
+        assert isinstance(result.exception, SystemExit)
 
     def test_invalid_config_exits_1(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"

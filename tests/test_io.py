@@ -1,6 +1,7 @@
 """File formats: parsers, writers, round-trips, error codes, reports."""
 
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -117,6 +118,17 @@ class TestAttributesFormat:
         with pytest.raises(ParseError) as exc:
             parse_attributes(p, "s", 1)
         assert exc.value.code == "NON_BINARY_CELL"
+
+    @pytest.mark.parametrize(
+        "frame, code", [(0, "FRAME_INDEX"), (-4, "FRAME_INDEX"), (99, "FRAME_OUT_OF_RANGE")]
+    )
+    def test_row_outside_sequence(self, tmp_path, frame, code):
+        p = tmp_path / "attributes.txt"
+        rows = [f"{f},1,0,0,0,0,0,0,0" for f in (1, 2, frame, 3)]
+        p.write_text("frame,day,night,vc,sv,occ,fm,rot,lr\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as exc:
+            parse_attributes(p, "s", 3)
+        assert exc.value.code == code and exc.value.line == 4
 
     def test_round_trip(self, tmp_path, mini_bundle):
         labels = mini_bundle.attributes["seq-a"]
@@ -236,6 +248,25 @@ class TestExpressionsFormat:
             parse_expressions(p, mini_bundle.sequences)
         assert exc.value.code == "INTERVAL_ORDER"
 
+    @pytest.mark.parametrize("start, end", [(0, 3), (1, 11), (1, 10**15)])
+    def test_interval_outside_sequence_rejected(self, mini_bundle, tmp_path, start, end):
+        # seq-a has frames 1-10; the interval is rejected before any frame loop
+        entries = [{
+            "expression_id": "e9", "sequence_id": "seq-a", "text": "x",
+            "targets": [
+                {"track_id": "a2", "start_frame": 3, "end_frame": 7},
+                {"track_id": "a1", "start_frame": start, "end_frame": end},
+            ],
+        }]
+        p = tmp_path / "expressions.json"
+        write_expressions(entries, p)
+        started = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_expressions(p, mini_bundle.sequences)
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.code == "FRAME_OUT_OF_RANGE"
+        assert "expression e9 target 1" in str(exc.value)
+
     def test_tasks_to_intervals_round_trip(self, mini_bundle, tmp_path):
         p = tmp_path / "expressions.json"
         write_expressions(tasks_to_intervals(mini_bundle.tasks), p)
@@ -275,6 +306,54 @@ class TestBundleRoundTrip:
             load_bundle(tmp_path)
         assert exc.value.code == "NO_SEQUENCES"
 
+
+
+_UNSAFE_IDS = ["", ".", "..", "a/b", "/abs", "a\\b", "a\0b"]
+
+
+class TestUnitIds:
+    @pytest.mark.parametrize("bad", _UNSAFE_IDS)
+    def test_manifest_sequence_id_rejected(self, tmp_path, bad):
+        manifest = {"sequences": [{"sequence_id": bad, "length": 3}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError) as exc:
+            load_bundle(tmp_path)
+        assert exc.value.code == "UNSAFE_ID"
+        assert "sequence entry 0 sequence_id" in str(exc.value)
+
+    @pytest.mark.parametrize("field", ["sequence_id", "expression_id"])
+    @pytest.mark.parametrize("bad", _UNSAFE_IDS)
+    def test_expression_ids_rejected(self, tmp_path, field, bad):
+        entry = {"expression_id": "e1", "sequence_id": "s", "text": "x", "targets": []}
+        entry[field] = bad
+        sequences = {sid: SequenceData(sid, 3, {}) for sid in ("s", bad)}
+        p = tmp_path / "expressions.json"
+        write_expressions([entry], p)
+        with pytest.raises(ParseError) as exc:
+            parse_expressions(p, sequences)
+        assert exc.value.code == "UNSAFE_ID"
+        assert f"entry 0 {field}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "units",
+        [[("a__b", "c"), ("a", "b__c")], [("a", "e1"), ("a", "e1")]],
+        ids=["separator-inside-id", "repeated-pair"],
+    )
+    def test_units_sharing_a_prediction_file_rejected(self, tmp_path, units):
+        sequences = {sid: SequenceData(sid, 3, {}) for sid, _ in units}
+        entries = [
+            {"expression_id": eid, "sequence_id": sid, "text": "x", "targets": []}
+            for sid, eid in units
+        ]
+        p = tmp_path / "expressions.json"
+        write_expressions(entries, p)
+        with pytest.raises(ParseError) as exc:
+            parse_expressions(p, sequences)
+        assert exc.value.code == "UNIT_COLLISION"
+        message = str(exc.value)
+        for i, (sid, eid) in enumerate(units):
+            assert f"entry {i} ({sid!r}, {eid!r})" in message
+        assert unit_filename(*units[0]) in message
 
 
 # byte fragments of every input format, so joined draws reach past the first
