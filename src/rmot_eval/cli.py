@@ -18,8 +18,8 @@ import click
 from . import __version__
 from .io_formats import (
     ParseError,
+    PredictionFiles,
     load_bundle,
-    parse_predictions,
     report_payload,
     unit_filename,
     write_bundle,
@@ -165,7 +165,8 @@ def cmd_evaluate(
         if not allow_violations:
             sys.exit(EXIT_VIOLATIONS)
 
-    predictions = {}
+    # each unit's file is parsed by the process that evaluates the unit
+    files = {}
     for task in bundle.tasks:
         pred_path = pred_dir / unit_filename(task.sequence_id, task.expression_id)
         if not pred_path.exists():
@@ -177,11 +178,12 @@ def cmd_evaluate(
                 err=True,
             )
             continue
-        dets = parse_predictions(pred_path, bundle.sequences[task.sequence_id].length)
-        predictions[(task.sequence_id, task.expression_id)] = dets
+        files[(task.sequence_id, task.expression_id)] = (
+            pred_path, bundle.sequences[task.sequence_id].length
+        )
 
     report, attr_report = evaluate(
-        bundle, predictions, cfg, workers=n_workers, macro=macro
+        bundle, PredictionFiles(files), cfg, workers=n_workers, macro=macro
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     payload = report_payload(

@@ -64,8 +64,13 @@ class ParseError(ValueError):
         self.code = code
         self.path = str(path)
         self.line = line
+        self.message = message
         loc = f"{self.path}:{line}" if line is not None else self.path
         super().__init__(f"{code} at {loc}: {message}")
+
+    def __reduce__(self):
+        # rebuilt from the four fields, so the error survives a worker pipe
+        return type(self), (self.code, self.path, self.line, self.message)
 
 
 @dataclass(frozen=True)
@@ -335,6 +340,32 @@ def unit_filename(sequence_id: str, expression_id: str) -> str:
     return f"{sequence_id}__{expression_id}.txt"
 
 
+class PredictionFiles(Mapping[Tuple[str, str], List[Detection]]):
+    """Per-unit prediction files, parsed on lookup.
+
+    ``files`` maps (sequence_id, expression_id) to the unit's prediction file
+    and its sequence length. Each lookup runs ``parse_predictions(path,
+    length)`` and keeps nothing, so a process holds only the detections of
+    the unit it is evaluating.
+    """
+
+    def __init__(self, files: Mapping[Tuple[str, str], Tuple[Path, int]]):
+        self._files = dict(files)
+
+    def __getitem__(self, key: Tuple[str, str]) -> List[Detection]:
+        path, length = self._files[key]
+        return parse_predictions(path, length)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._files  # without parsing, unlike Mapping's default
+
+    def __iter__(self) -> Iterator[Tuple[str, str]]:
+        return iter(self._files)
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+
 def parse_expressions(
     path: Path | str,
     sequences: Mapping[str, SequenceData],
@@ -418,7 +449,7 @@ def parse_expressions(
             ExpressionTask(
                 sequence_id=seq_id,
                 expression_id=expr_id,
-                text=str(entry["text"]),
+                text=_typed(entry["text"], str, path, f"expression {expr_id} text"),
                 targets=targets,
             )
         )
@@ -473,18 +504,26 @@ def load_bundle(root: Path | str) -> DatasetBundle:
         raise ParseError("DOC_SHAPE", manifest_path, None, "sequences must be a list")
 
     sequences: Dict[str, SequenceData] = {}
+    entry_of: Dict[str, str] = {}  # sequence_id -> the entry that lists it
     for i, entry in enumerate(entries):
         where = f"sequence entry {i}"
         entry = _fields(entry, ("sequence_id", "length"), manifest_path, where)
         seq_id = _unit_id(entry["sequence_id"], manifest_path, f"{where} sequence_id")
+        if seq_id in entry_of:
+            raise ParseError(
+                "DUPLICATE_SEQUENCE", manifest_path, None,
+                f"{entry_of[seq_id]} and {where} both list sequence_id {seq_id!r}",
+            )
+        entry_of[seq_id] = where
         length = _typed(entry["length"], int, manifest_path, f"{where} length")
+        split = _typed(entry.get("split", "train"), str, manifest_path, f"{where} split")
         gt_path = root / seq_id / "gt.txt"
         tracks = parse_gt(gt_path) if gt_path.exists() else {}
         sequences[seq_id] = SequenceData(
             sequence_id=seq_id,
             length=length,
             tracks=tracks,
-            split=entry.get("split", "train"),
+            split=split,
         )
     if not sequences:
         raise ParseError("NO_SEQUENCES", manifest_path, None, "manifest lists no sequences")

@@ -304,6 +304,16 @@ def validate_dataset(
                     )
                 )
         for frame, flags in labels.flags.items():
+            # the labels may come from another bundle than the sequences
+            if seq is not None and not 1 <= frame <= seq.length:
+                out.append(
+                    Violation(
+                        "FRAME_OUT_OF_BOUNDS",
+                        seq_id,
+                        f"attribute row for frame {frame} outside [1, {seq.length}]",
+                        frame=frame,
+                    )
+                )
             if Attribute.DAY in flags and Attribute.NIGHT in flags:
                 out.append(
                     Violation(

@@ -4,7 +4,10 @@ Work is partitioned per expression unit. Units are dispatched to a fork-based
 worker pool and reduced in the fixed unit order, so the result is identical
 for any worker count. Workers inherit the evaluation context through fork
 (no per-unit pickling of inputs); only the small per-alpha tallies travel
-back.
+back. Each unit's predictions are looked up in the process that evaluates
+the unit (a ``PredictionFiles`` parses the unit's file there) and dropped
+when the unit is done. Errors reach the caller in unit order: the first
+failing unit's error wins for any worker count.
 """
 
 from __future__ import annotations
@@ -56,8 +59,11 @@ def _strip(stats: Sequence[AlphaStats]) -> List[AlphaStats]:
 
 def _eval_unit(index: int):
     assert _CTX is not None
-    task, dets = _CTX["units"][index]
+    task = _CTX["tasks"][index]
     cfg: EvalConfig = _CTX["cfg"]
+    dets = filter_predictions(
+        _CTX["predictions"].get((task.sequence_id, task.expression_id), ()), cfg
+    )
     solver: Solver = _CTX["solver"]
     seq = _CTX["sequences"][task.sequence_id]
     frames = range(1, seq.length + 1)
@@ -135,36 +141,33 @@ def evaluate(
     """Filter, match, accumulate, and finalize a full evaluation run.
 
     ``predictions`` maps (sequence_id, expression_id) to raw detections;
-    units without an entry are evaluated against empty output. The attribute
+    units without an entry are evaluated against empty output. Each unit's
+    entry is looked up once, in the process that evaluates the unit, so a
+    lazy mapping such as ``PredictionFiles`` is read there. The attribute
     report is produced exactly when ``bundle.attributes`` is non-empty.
     """
     global _CTX
     n_workers = resolve_workers(workers)
+    n_units = len(bundle.tasks)
 
-    units = []
-    for task in bundle.tasks:
-        dets = filter_predictions(
-            list(predictions.get((task.sequence_id, task.expression_id), ())), cfg
-        )
-        units.append((task, dets))
-
-    ctx = {
-        "units": units,
+    _CTX = {
+        "tasks": bundle.tasks,
+        "predictions": predictions,
         "cfg": cfg,
         "solver": solver,
         "sequences": bundle.sequences,
         "labels": bundle.attributes,
     }
-
-    _CTX = ctx
     try:
-        if n_workers == 1 or len(units) <= 1:
-            results = [_eval_unit(i) for i in range(len(units))]
+        if n_workers == 1 or n_units <= 1:
+            results = [_eval_unit(i) for i in range(n_units)]
         else:
             mp = multiprocessing.get_context("fork")
-            chunk = max(len(units) // (n_workers * 4), 1)
+            chunk = max(n_units // (n_workers * 4), 1)
             with mp.Pool(processes=n_workers) as pool:
-                results = pool.map(_eval_unit, range(len(units)), chunksize=chunk)
+                # imap yields in unit order, so a failure surfaces as the
+                # first failing unit's, not the first to reach the parent
+                results = list(pool.imap(_eval_unit, range(n_units), chunksize=chunk))
     finally:
         _CTX = None
 

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from rmot_eval.cli import EXIT_IO, main
 from rmot_eval.io_formats import unit_filename, write_bundle, write_predictions
+from rmot_eval.model import Attribute, AttributeFrameLabels, SequenceData
 
 from .conftest import build_mini_bundle, perfect_predictions
 
@@ -59,6 +60,21 @@ def _manifest_as_list(doc):
 
 def _sequence_without_length(doc):
     del doc["sequences"][0]["length"]
+    return doc
+
+
+def _sequence_listed_twice(doc):
+    doc["sequences"].append(dict(doc["sequences"][0]))
+    return doc
+
+
+def _split_not_string(doc):
+    doc["sequences"][0]["split"] = ["x"]
+    return doc
+
+
+def _text_null(doc):
+    doc[0]["text"] = None
     return doc
 
 
@@ -177,6 +193,49 @@ class TestEvaluateCommand:
         assert result.exit_code == EXIT_IO
         assert f"FRAME_OUT_OF_RANGE at {f}:{n_lines}: frame 999 " in result.stderr
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_first_malformed_unit_in_order_reported(self, runner, mini_dirs, tmp_path, workers):
+        gt_dir, pred_dir = mini_dirs
+        # unit 0 (seq-a/e1, frames 1-10) fails on its last line, after 20k
+        # valid ones; unit 1 (seq-a/e2) fails on its first line, so with two
+        # workers unit 1's error is ready first
+        first = pred_dir / "seq-a__e1.txt"
+        rows = [f"{f},t{t},0,0,5,5,0.9,0.9" for f in range(1, 11) for t in range(2000)]
+        first.write_text("\n".join(rows + ["1,late,0,0,5,5,0.9,1.5"]) + "\n")
+        (pred_dir / "seq-a__e2.txt").write_text("3,a2,nan,0,5,5,0.9,0.9\n")
+        for _ in range(5):
+            out = tmp_path / "o"
+            result = runner.invoke(
+                main,
+                ["evaluate", str(gt_dir), str(pred_dir), "--workers", workers,
+                 "--out", str(out)],
+            )
+            assert result.exit_code == EXIT_IO
+            assert result.stderr.startswith(f"error: SCORE_RANGE at {first}:{len(rows) + 1}: ")
+            assert not (out / "report.json").exists()
+
+    def test_attribute_rows_past_gt_sequence_exit_2(self, runner, mini_dirs, tmp_path):
+        gt_dir, pred_dir = mini_dirs
+        # seq-c has 5 frames in GT_DIR but 9 in the --attributes bundle
+        attr_dir = tmp_path / "attrs"
+        night = AttributeFrameLabels(
+            "seq-c", {f: frozenset({Attribute.NIGHT}) for f in range(1, 10)}
+        )
+        write_bundle(attr_dir, {"seq-c": SequenceData("seq-c", 9, {})}, [], {"seq-c": night})
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["evaluate", str(gt_dir), str(pred_dir), "--attributes", str(attr_dir),
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        for frame in (6, 7, 8, 9):
+            assert (
+                f"violation: FRAME_OUT_OF_BOUNDS in seq-c: attribute row for frame {frame} "
+                "outside [1, 5]"
+            ) in result.stderr
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
         "frame, code", [(0, "FRAME_INDEX"), (-4, "FRAME_INDEX"), (99, "FRAME_OUT_OF_RANGE")]
@@ -303,6 +362,24 @@ class TestStatsCommand:
         empty.mkdir()
         result = runner.invoke(main, ["stats", str(empty)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "doc, edit, code",
+        [
+            ("manifest.json", _sequence_listed_twice, "DUPLICATE_SEQUENCE"),
+            ("manifest.json", _split_not_string, "FIELD_TYPE"),
+            ("expressions.json", _text_null, "FIELD_TYPE"),
+        ],
+    )
+    def test_mistyped_document_exits_1(self, runner, mini_dirs, tmp_path, doc, edit, code):
+        gt_dir, _ = mini_dirs
+        path = gt_dir / doc
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        out = tmp_path / "stats"
+        result = runner.invoke(main, ["stats", str(gt_dir), "--out", str(out)])
+        assert result.exit_code == EXIT_IO
+        assert result.stderr.startswith(f"error: {code} at {path}: ")
+        assert not (out / "stats.json").exists()
 
 
 class TestSynthCommand:

@@ -1,6 +1,7 @@
 """File formats: parsers, writers, round-trips, error codes, reports."""
 
 import json
+import pickle
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from rmot_eval.io_formats import (
     ParseError,
+    PredictionFiles,
     load_bundle,
     parse_attributes,
     parse_expressions,
@@ -193,6 +195,39 @@ class TestPredictionsFormat:
         assert unit_filename("seq-a", "e1") == "seq-a__e1.txt"
 
 
+class TestParseError:
+    @pytest.mark.parametrize("line", [3, None])
+    def test_pickle_round_trip(self, line):
+        exc = ParseError("FRAME_OUT_OF_RANGE", "p.txt", line, "frame 9 lies after 5")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is ParseError
+        assert (back.code, back.path, back.line, back.message) == (
+            "FRAME_OUT_OF_RANGE", "p.txt", line, "frame 9 lies after 5"
+        )
+        assert str(back) == str(exc)
+
+
+class TestPredictionFiles:
+    def test_lookup_parses_the_file_each_time(self, tmp_path):
+        p = tmp_path / "s__e.txt"
+        p.write_text("1,3,5,5,10,10,0.9,0.8\n")
+        files = PredictionFiles({("s", "e"): (p, 4)})
+        assert len(files) == 1 and list(files) == [("s", "e")]
+        assert files[("s", "e")] == parse_predictions(p)
+        p.write_text("2,3,5,5,10,10,0.9,0.8\n")  # nothing is cached
+        assert files[("s", "e")][0].frame == 2
+        assert files.get(("s", "x"), ()) == ()
+
+    def test_lookup_checks_the_sequence_length(self, tmp_path):
+        p = tmp_path / "s__e.txt"
+        p.write_text("5,3,5,5,10,10,0.9,0.8\n")
+        files = PredictionFiles({("s", "e"): (p, 4)})
+        assert ("s", "e") in files  # membership does not parse
+        with pytest.raises(ParseError) as exc:
+            files[("s", "e")]
+        assert exc.value.code == "FRAME_OUT_OF_RANGE" and exc.value.line == 1
+
+
 class TestExpressionsFormat:
     def test_inclusive_interval_join(self, mini_bundle, tmp_path):
         entries = [{
@@ -273,6 +308,16 @@ class TestExpressionsFormat:
         tasks, _ = parse_expressions(p, mini_bundle.sequences)
         assert tuple(tasks) == mini_bundle.tasks
 
+    @pytest.mark.parametrize("text", [None, 7, ["x"]])
+    def test_non_string_text_rejected(self, mini_bundle, tmp_path, text):
+        entries = [{"expression_id": "e9", "sequence_id": "seq-a", "text": text, "targets": []}]
+        p = tmp_path / "expressions.json"
+        write_expressions(entries, p)
+        with pytest.raises(ParseError) as exc:
+            parse_expressions(p, mini_bundle.sequences)
+        assert exc.value.code == "FIELD_TYPE"
+        assert "expression e9 text" in str(exc.value)
+
 
 class TestBundleRoundTrip:
     def test_write_then_load(self, tmp_path, mini_bundle):
@@ -305,6 +350,27 @@ class TestBundleRoundTrip:
         with pytest.raises(ParseError) as exc:
             load_bundle(tmp_path)
         assert exc.value.code == "NO_SEQUENCES"
+
+    def test_sequence_listed_twice_rejected(self, tmp_path):
+        manifest = {"sequences": [
+            {"sequence_id": "s", "length": 5},
+            {"sequence_id": "t", "length": 3},
+            {"sequence_id": "s", "length": 9},
+        ]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError) as exc:
+            load_bundle(tmp_path)
+        assert exc.value.code == "DUPLICATE_SEQUENCE"
+        assert "sequence entry 0 and sequence entry 2" in str(exc.value)
+
+    @pytest.mark.parametrize("split", [None, 3, ["x"]])
+    def test_non_string_split_rejected(self, tmp_path, split):
+        manifest = {"sequences": [{"sequence_id": "s", "length": 3, "split": split}]}
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ParseError) as exc:
+            load_bundle(tmp_path)
+        assert exc.value.code == "FIELD_TYPE"
+        assert "sequence entry 0 split" in str(exc.value)
 
 
 

@@ -197,6 +197,16 @@ class TestValidateDataset:
         assert [v.code for v in out] == ["ATTR_COVERAGE_GAP"]
         assert out[0].frame == 2
 
+    def test_attribute_row_past_sequence_end(self):
+        # labels checked against another bundle's, longer, sequence
+        seq = SequenceData("s", 2, {})
+        labels = AttributeFrameLabels("s", {f: frozenset({Attribute.NIGHT}) for f in (1, 2, 3, 4)})
+        out = validate_dataset({"s": seq}, [], {"s": labels})
+        assert [(v.code, v.sequence_id, v.frame) for v in out] == [
+            ("FRAME_OUT_OF_BOUNDS", "s", 3), ("FRAME_OUT_OF_BOUNDS", "s", 4),
+        ]
+        assert "frame 3 outside [1, 2]" in out[0].message
+
     def test_collects_all_violations(self):
         seq = SequenceData(
             "s", 2,

@@ -2,10 +2,12 @@
 
 import dataclasses
 import os
+import time
+from collections.abc import Mapping
 
 import pytest
 
-from rmot_eval.io_formats import DatasetBundle, report_payload
+from rmot_eval.io_formats import DatasetBundle, ParseError, report_payload
 from rmot_eval.model import EvalConfig
 from rmot_eval.pipeline import WORKERS_ENV, evaluate, resolve_workers
 from rmot_eval.synth import PerturbationConfig, ScenarioConfig, generate_scenario, perturb
@@ -124,3 +126,55 @@ class TestEvaluate:
         via_oracle, _ = evaluate(no_attrs, mini_predictions, EvalConfig(),
                                  solver=solve_oracle)
         assert report_payload(base) == report_payload(via_oracle)
+
+
+class LoggedLookups(Mapping):
+    """Predictions whose lookups append ``<unit> <pid>`` to a log file, so
+    lookups made in pool workers can be counted by the parent."""
+
+    def __init__(self, preds, log, fail=None):
+        self.preds, self.log, self.fail = preds, log, fail or {}
+
+    def __getitem__(self, key):
+        with open(self.log, "a") as fh:
+            fh.write(f"{'/'.join(key)} {os.getpid()}\n")
+        if key in self.fail:
+            delay, exc = self.fail[key]
+            time.sleep(delay)
+            raise exc
+        return self.preds[key]
+
+    def __iter__(self):
+        return iter(self.preds)
+
+    def __len__(self):
+        return len(self.preds)
+
+
+class TestPerUnitLookup:
+    def test_each_unit_looked_up_once_in_a_worker(self, tmp_path):
+        bundle, preds = perturbed_setup(miss_rate=0.2, fp_rate=0.4)
+        log = tmp_path / "lookups.log"
+        cfg = EvalConfig()
+        r2, a2 = evaluate(bundle, LoggedLookups(preds, log), cfg, workers=2)
+        lines = [line.split() for line in log.read_text().splitlines()]
+        units = sorted(unit for unit, _ in lines)
+        assert units == sorted(f"{t.sequence_id}/{t.expression_id}" for t in bundle.tasks)
+        assert all(int(pid) != os.getpid() for _, pid in lines)
+        r1, a1 = evaluate(bundle, preds, cfg, workers=1)
+        assert report_payload(r2, attributes=a2) == report_payload(r1, attributes=a1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_failing_unit_in_order_wins(self, tmp_path, workers):
+        bundle, preds = perturbed_setup()
+        keys = [(t.sequence_id, t.expression_id) for t in bundle.tasks]
+        # unit 1 fails slowly and unit 3 at once, so unit 3's error reaches
+        # the parent first when two workers run
+        fail = {
+            keys[1]: (0.5, ParseError("SCORE_RANGE", "unit1.txt", 7, "late")),
+            keys[3]: (0.0, ParseError("NON_FINITE", "unit3.txt", 1, "early")),
+        }
+        lookups = LoggedLookups(preds, tmp_path / "lookups.log", fail)
+        with pytest.raises(ParseError) as exc:
+            evaluate(bundle, lookups, EvalConfig(), workers=workers)
+        assert (exc.value.code, exc.value.path, exc.value.line) == ("SCORE_RANGE", "unit1.txt", 7)
