@@ -1,10 +1,13 @@
 """Attribute-conditioned HOTA and the geometric-mean composites.
 
 There is one attribute path, driven by :func:`rmot_eval.pipeline.evaluate`.
-For every unit and every attribute flagged on at least one frame of the
-unit's sequence, the pipeline restricts the unit to those frames with
-:func:`restrict_to_attribute` and matches the restriction as a
-self-contained HOTA problem. :func:`attribute_report` then pools each
+For every unit, the attributes flagged on at least one frame of the unit's
+sequence are passed with their frames as ``restrictions`` to the unit's one
+:func:`rmot_eval.hota.match_unit_all_alphas` call, which scores each
+restriction from the unit's single tensor build. Each restriction scores
+exactly like the unit cut to those frames by :func:`restrict_to_attribute`
+and matched as a self-contained HOTA problem; that function stays as the
+definition the tests check against. :func:`attribute_report` then pools each
 attribute's per-unit stats, finalizes the per-attribute HOTA and composes
 HOTA_S / HOTA_M as geometric means of the unrounded per-attribute scores;
 attributes absent from the whole evaluation are excluded with the effective

@@ -5,18 +5,27 @@ Frames whose feasibility graph has degree <= 1 on both sides have a forced,
 unique optimum and are matched without invoking the assignment solver; the
 remaining frames fall back to the exact solver (or the enumeration oracle in
 tests). Both paths produce bit-identical statistics.
+
+A unit's tensors are built once. Restrictions to frame subsets (the
+attribute scores) are cut from them: each takes its frames, orders its
+tracks by content over those frames, reuses the forced frames' matches
+(forcedness depends on the frame alone) and re-solves only its other frames
+with its own priors and tie-break scale. Every sum then runs in the order it
+would if the restricted unit were matched on its own, so the stats are
+bit-identical to that.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .assignment import Matching, WeightMatrix, solve_max_weight
-from .model import Detection, ExpressionTask, iou_matrix
+from .model import BoundingBox, Detection, ExpressionTask, iou_matrix
 
 Solver = Callable[[WeightMatrix], Matching]
 
@@ -101,107 +110,142 @@ class MetricReport:
         }
 
 
-def _track_sort_key(boxes: Dict[int, Tuple[float, float, float, float]], track_id: str):
-    """Content-based ordering so matrices are invariant under id relabeling."""
-    first = min(boxes)
-    fx, fy, fw, fh = boxes[first]
-    sx = sy = 0.0
-    for b in boxes.values():
-        sx += b[0]
-        sy += b[1]
-    return (first, fx, fy, fw, fh, len(boxes), sx, sy, track_id)
+class _Tracks:
+    """One side of a unit (GT or predictions): per-frame presence and boxes,
+    tracks in content order, plus what a restriction needs to reorder them.
+
+    A track's content key is (first frame, its box there, box count, sum of
+    x, sum of y, track id), all over the evaluated frames; the sums run left
+    to right in insertion order, which is file order for predictions. The
+    key makes matrices invariant under id relabeling.
+    """
+
+    __slots__ = ("ids", "present", "boxes", "_ins_frame", "_ins_xy", "_rank")
+
+    def __init__(self, rows: Sequence[Tuple[int, str, BoundingBox]], frames: Sequence[int]):
+        """``rows`` holds (frame index into ``frames``, track id, box) in
+        insertion order."""
+        n_frames = len(frames)
+        index: Dict[str, int] = {}
+        ti = np.fromiter((index.setdefault(r[1], len(index)) for r in rows), np.intp, len(rows))
+        fi = np.fromiter((r[0] for r in rows), np.intp, len(rows))
+        xywh = np.fromiter(
+            itertools.chain.from_iterable((b.x, b.y, b.w, b.h) for _, _, b in rows),
+            np.float64,
+            4 * len(rows),
+        ).reshape(len(rows), 4)
+        names = list(index)
+        n = len(names)
+
+        # each box's position within its track, in insertion order
+        counts = np.bincount(ti, minlength=n)
+        by_track = np.argsort(ti, kind="stable")
+        pos = np.empty_like(ti)
+        pos[by_track] = np.arange(ti.size) - (np.cumsum(counts) - counts)[ti[by_track]]
+
+        present = np.zeros((n_frames, n), dtype=bool)
+        present[fi, ti] = True
+        if np.count_nonzero(present) < len(rows):
+            seen = set()
+            for f, tid, _ in rows:
+                if (f, tid) in seen:
+                    raise ValueError(
+                        f"duplicate detection for track {tid!r} at frame {frames[f]}"
+                    )
+                seen.add((f, tid))
+        boxes = np.zeros((n_frames, n, 4), dtype=np.float64)
+        boxes[fi, ti] = xywh
+        # insertion-order layout; the padding frame index n_frames is never kept
+        ins_frame = np.full((n, int(counts.max(initial=0))), n_frames, dtype=np.intp)
+        ins_frame[ti, pos] = fi
+        ins_xy = np.zeros(ins_frame.shape + (2,), dtype=np.float64)
+        ins_xy[ti, pos] = xywh[:, :2]
+        rank = np.empty(n, dtype=np.intp)
+        rank[sorted(range(n), key=names.__getitem__)] = np.arange(n)
+
+        self.present, self.boxes = present, boxes
+        self._ins_frame, self._ins_xy, self._rank = ins_frame, ins_xy, rank
+        order = self.order(np.arange(n_frames))
+        self.ids = [names[i] for i in order]
+        self.present, self.boxes = present[:, order], boxes[:, order]
+        self._ins_frame, self._ins_xy, self._rank = ins_frame[order], ins_xy[order], rank[order]
+
+    def order(self, rows: np.ndarray) -> np.ndarray:
+        """Indices of the tracks with a box on frame indices ``rows`` (sorted
+        ascending), in content order over those frames."""
+        pres = self.present[rows]
+        count = pres.sum(0)
+        if not count.any():
+            return np.flatnonzero(count)
+        n = count.size
+        first = rows[pres.argmax(0)]
+        fx, fy, fw, fh = self.boxes[first, np.arange(n)].T
+        keep = np.zeros(self.present.shape[0] + 1, dtype=bool)
+        keep[rows] = True
+        # cumsum adds left to right, like the key's definition; np.sum would not
+        xy = np.where(keep[self._ins_frame][..., None], self._ins_xy, 0.0).cumsum(1)
+        sx, sy = xy[:, -1].T
+        perm = np.lexsort((self._rank, sy, sx, count, fh, fw, fy, fx, first))
+        return perm[count[perm] > 0]
 
 
 class UnitArrays:
     """Dense per-unit tensors shared by all alpha thresholds."""
 
-    __slots__ = (
-        "frames",
-        "gt_ids",
-        "pred_ids",
-        "gt_present",
-        "pred_present",
-        "iou3",
-        "n_frames",
-    )
+    __slots__ = ("frames", "n_frames", "gt", "pred", "iou3")
 
     def __init__(self, task: ExpressionTask, preds: Sequence[Detection], frames: Sequence[int]):
-        frame_list = sorted(set(frames))
-        frame_index = {f: i for i, f in enumerate(frame_list)}
-        nf = len(frame_list)
-
-        gt_boxes: Dict[str, Dict[int, Tuple[float, float, float, float]]] = {}
-        for f, by_track in task.targets.items():
-            if f not in frame_index:
-                continue
-            for tid, box in by_track.items():
-                gt_boxes.setdefault(tid, {})[f] = (box.x, box.y, box.w, box.h)
-
-        pred_boxes: Dict[str, Dict[int, Tuple[float, float, float, float]]] = {}
-        for d in preds:
-            if d.frame not in frame_index:
-                continue
-            per = pred_boxes.setdefault(d.track_id, {})
-            if d.frame in per:
-                raise ValueError(
-                    f"duplicate detection for track {d.track_id!r} at frame {d.frame}"
-                )
-            per[d.frame] = (d.box.x, d.box.y, d.box.w, d.box.h)
-
-        self.gt_ids = sorted(gt_boxes, key=lambda t: _track_sort_key(gt_boxes[t], t))
-        self.pred_ids = sorted(pred_boxes, key=lambda t: _track_sort_key(pred_boxes[t], t))
-        self.frames = frame_list
-        self.n_frames = nf
-
-        g, p = len(self.gt_ids), len(self.pred_ids)
-        gp = np.zeros((nf, g), dtype=bool)
-        pp = np.zeros((nf, p), dtype=bool)
-        gb = np.zeros((nf, g, 4), dtype=np.float64)
-        pb = np.zeros((nf, p, 4), dtype=np.float64)
-        for gi, tid in enumerate(self.gt_ids):
-            for f, b in gt_boxes[tid].items():
-                fi = frame_index[f]
-                gp[fi, gi] = True
-                gb[fi, gi] = b
-        for pi, tid in enumerate(self.pred_ids):
-            for f, b in pred_boxes[tid].items():
-                fi = frame_index[f]
-                pp[fi, pi] = True
-                pb[fi, pi] = b
-
-        self.gt_present = gp
-        self.pred_present = pp
+        self.frames = sorted(set(frames))
+        self.n_frames = len(self.frames)
+        frame_index = {f: i for i, f in enumerate(self.frames)}
+        gt_rows = [
+            (fi, tid, box)
+            for f, by_track in task.targets.items()
+            if (fi := frame_index.get(f)) is not None
+            for tid, box in by_track.items()
+        ]
+        pred_rows = [
+            (frame_index[d.frame], d.track_id, d.box) for d in preds if d.frame in frame_index
+        ]
+        self.gt = _Tracks(gt_rows, self.frames)
+        self.pred = _Tracks(pred_rows, self.frames)
         # absent slots hold zero boxes and evaluate to iou 0
-        self.iou3 = iou_matrix(gb, pb)
+        self.iou3 = iou_matrix(self.gt.boxes, self.pred.boxes)
+
+    @property
+    def gt_ids(self) -> List[str]:
+        return self.gt.ids
+
+    @property
+    def pred_ids(self) -> List[str]:
+        return self.pred.ids
 
 
-def match_unit_all_alphas(
-    task: ExpressionTask,
-    preds: Sequence[Detection],
+def _feasible(
+    alphas: np.ndarray, iou3: np.ndarray, gt_present: np.ndarray, pred_present: np.ndarray
+) -> np.ndarray:
+    """(A, F, G, P): both boxes present and their IoU at least alpha."""
+    pair_present = gt_present[:, :, None] & pred_present[:, None, :]
+    return (iou3[None, :, :, :] >= alphas[:, None, None, None]) & pair_present
+
+
+def _score(
     alphas: Sequence[float],
-    frames: Sequence[int],
-    solver: Solver = solve_max_weight,
-    force_solver: bool = False,
+    iou3: np.ndarray,
+    gt_present: np.ndarray,
+    pred_present: np.ndarray,
+    feas: np.ndarray,
+    forced: np.ndarray,
+    solver: Solver,
+    ids: Optional[Tuple[List[str], List[str]]],
 ) -> List[AlphaStats]:
-    """Run the two-pass HOTA matching for every alpha over one unit.
-
-    ``frames`` is the evaluation frame set (the whole sequence, or the
-    attribute-restricted subset). ``force_solver`` disables the forced-match
-    fast path; results must be identical either way.
-    """
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {a}")
-    ua = UnitArrays(task, preds, frames)
-    alphas_arr = np.asarray(alphas, dtype=np.float64)
-    na = len(alphas)
-    nf = ua.n_frames
-    g = len(ua.gt_ids)
-    p = len(ua.pred_ids)
-    f_total = max(nf, 1)
-
-    g_count = ua.gt_present.sum(0)  # (G,)
-    p_count = ua.pred_present.sum(0)  # (P,)
+    """Passes 1-3 on one layout: (F, G, P) IoUs, (F, G) and (F, P) presence,
+    (A, F, G, P) feasibility and the (A, F) forced mask. Forced frames keep
+    every feasible pair; the others are solved. ``ids`` (gt ids, pred ids)
+    fills ``pair_tpa``; without it the stats carry none."""
+    nf, g, p = iou3.shape
+    g_count = gt_present.sum(0)  # (G,)
+    p_count = pred_present.sum(0)  # (P,)
     total_gt = int(g_count.sum())
     total_pred = int(p_count.sum())
 
@@ -211,14 +255,10 @@ def match_unit_all_alphas(
                 alpha=float(a),
                 fn=total_gt,
                 fp=total_pred,
-                pair_tpa={},
+                pair_tpa={} if ids else None,
             )
             for a in alphas
         ]
-
-    pair_present = ua.gt_present[:, :, None] & ua.pred_present[:, None, :]
-    # (A, F, G, P)
-    feas = (ua.iou3[None, :, :, :] >= alphas_arr[:, None, None, None]) & pair_present
 
     # Pass 1: prior association scores per (alpha, gt, pred)
     n_pair = feas.sum(1)  # (A, G, P)
@@ -226,18 +266,9 @@ def match_unit_all_alphas(
     s_prior = np.zeros(n_pair.shape, dtype=np.float64)
     np.divide(n_pair, denom, out=s_prior, where=denom > 0)
 
-    # Pass 2: per-frame matching. Forced fast path where unambiguous.
-    matched = feas.copy()
-    row_ok = (feas.sum(3) <= 1).all(2)  # (A, F)
-    col_ok = (feas.sum(2) <= 1).all(2)  # (A, F)
-    forced = row_ok & col_ok
-    if force_solver:
-        forced[:] = False
-        matched[:] = False
-    else:
-        matched[~forced] = False
-
-    iou_tiebreak = ua.iou3 / (2.0 * f_total)
+    # Pass 2: per-frame matching; forced frames are already decided
+    matched = feas & forced[:, :, None, None]
+    iou_tiebreak = iou3 / (2.0 * nf)
     for ai, fi in zip(*np.nonzero(~forced)):
         feas_f = feas[ai, fi]
         rows = np.flatnonzero(feas_f.any(1))
@@ -253,7 +284,7 @@ def match_unit_all_alphas(
     # Pass 3: association quality with final matches fixed
     pair_tpa = matched.sum(1)  # (A, G, P)
     tp = pair_tpa.sum((1, 2))  # (A,)
-    iou_sums = (ua.iou3[None] * matched).sum((1, 2, 3))
+    iou_sums = (iou3[None] * matched).sum((1, 2, 3))
 
     pres_sum = g_count[None, :, None] + p_count[None, None, :]
     tpa = pair_tpa.astype(np.float64)
@@ -266,12 +297,15 @@ def match_unit_all_alphas(
     ass_re = (tpa * re_val).sum((1, 2))
     ass_pr = (tpa * pr_val).sum((1, 2))
 
+    details: List[Optional[Dict[Tuple[str, str], int]]] = [None] * len(alphas)
+    if ids:
+        details = [{} for _ in alphas]
+        nz = np.nonzero(pair_tpa)
+        for ai, gi, pi, n in zip(*(x.tolist() for x in nz), pair_tpa[nz].tolist()):
+            details[ai][ids[0][gi], ids[1][pi]] = n
+
     out: List[AlphaStats] = []
-    for ai, alpha in enumerate(alphas):
-        detail = {
-            (ua.gt_ids[gi], ua.pred_ids[pi]): int(pair_tpa[ai, gi, pi])
-            for gi, pi in zip(*np.nonzero(pair_tpa[ai]))
-        }
+    for ai, (alpha, detail) in enumerate(zip(alphas, details)):
         out.append(
             AlphaStats(
                 alpha=float(alpha),
@@ -286,6 +320,76 @@ def match_unit_all_alphas(
             )
         )
     return out
+
+
+def match_unit_all_alphas(
+    task: ExpressionTask,
+    preds: Sequence[Detection],
+    alphas: Sequence[float],
+    frames: Sequence[int],
+    solver: Solver = solve_max_weight,
+    force_solver: bool = False,
+    restrictions: Optional[Mapping[str, Sequence[int]]] = None,
+) -> Union[List[AlphaStats], Tuple[List[AlphaStats], Dict[str, List[AlphaStats]]]]:
+    """Run the two-pass HOTA matching for every alpha over one unit.
+
+    ``frames`` is the evaluation frame set. ``force_solver`` disables the
+    forced-match fast path; results must be identical either way. Returns
+    one ``AlphaStats`` per alpha.
+
+    ``restrictions`` maps a name to a subset of ``frames``. With it, the call
+    returns ``(stats, {name: stats})``, where each restriction's stats equal
+    those of the unit restricted to its frames and matched on its own
+    (``restrict_to_attribute``), except that they carry no ``pair_tpa``. A
+    restriction frame outside ``frames`` raises ``ValueError``.
+    """
+    for a in alphas:
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), got {a}")
+    ua = UnitArrays(task, preds, frames)
+    frame_pos = {f: i for i, f in enumerate(ua.frames)}
+    subsets: Dict[str, np.ndarray] = {}
+    for name, sub in (restrictions or {}).items():
+        outside = set(sub) - frame_pos.keys()
+        if outside:
+            raise ValueError(f"restriction {name!r}: frame {min(outside)} is not evaluated")
+        subsets[name] = np.array(sorted({frame_pos[f] for f in sub}), dtype=np.intp)
+
+    alphas_arr = np.asarray(alphas, dtype=np.float64)
+    gp, pp = ua.gt.present, ua.pred.present
+    feas = _feasible(alphas_arr, ua.iou3, gp, pp)
+    # A frame whose feasibility graph has degree <= 1 on both sides has one
+    # optimum for any positive weights, so its matches hold under every
+    # restriction that keeps the frame.
+    row_ok = (feas.sum(3) <= 1).all(2)  # (A, F)
+    col_ok = (feas.sum(2) <= 1).all(2)  # (A, F)
+    forced = row_ok & col_ok
+    if force_solver:
+        forced[:] = False
+    stats = _score(alphas, ua.iou3, gp, pp, feas, forced, solver, (ua.gt.ids, ua.pred.ids))
+    if restrictions is None:
+        return stats
+
+    restricted: Dict[str, List[AlphaStats]] = {}
+    for name, rows in subsets.items():
+        # the restriction's own layout: its frames, and its tracks in content
+        # order over those frames, so every sum and tie runs as it would alone
+        gi = ua.gt.order(rows)
+        pi = ua.pred.order(rows)
+        iou3 = ua.iou3.take(rows, 0).take(gi, 1).take(pi, 2)
+        gp_r = gp.take(rows, 0).take(gi, 1)
+        pp_r = pp.take(rows, 0).take(pi, 1)
+        restricted[name] = _score(
+            alphas,
+            iou3,
+            gp_r,
+            pp_r,
+            _feasible(alphas_arr, iou3, gp_r, pp_r),
+            forced.take(rows, 1),
+            solver,
+            None,
+        )
+    return stats, restricted
 
 
 def match_unit(

@@ -7,7 +7,8 @@ for any worker count. Workers inherit the evaluation context through fork
 back. Each unit's predictions are looked up in the process that evaluates
 the unit (a ``PredictionFiles`` parses the unit's file there) and dropped
 when the unit is done. Errors reach the caller in unit order: the first
-failing unit's error wins for any worker count.
+failing unit's error wins for any worker count. A worker's error that cannot
+be rebuilt in the parent arrives as a ``WorkerError`` naming its type.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import pickle
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .assignment import solve_max_weight
-from .attributes import AttributeReport, attribute_report, restrict_to_attribute
+from .attributes import AttributeReport, attribute_report
+from .attributes import restrict_to_attribute  # noqa: F401  unused; bench/tracing.py wraps it
 from .hota import (
     AlphaMetrics,
     AlphaStats,
@@ -57,6 +60,19 @@ def _strip(stats: Sequence[AlphaStats]) -> List[AlphaStats]:
     return list(stats)
 
 
+def _attribute_frames(bundle: DatasetBundle) -> Dict[str, Dict[str, List[int]]]:
+    """Per sequence, each attribute flagged on at least one of its frames and
+    those frames; only these attributes get an entry in a unit's results."""
+    out: Dict[str, Dict[str, List[int]]] = {}
+    for seq_id, labels in bundle.attributes.items():
+        out[seq_id] = {}
+        for attr in Attribute:
+            frames = labels.frames_with(attr)
+            if frames:
+                out[seq_id][attr.value] = frames
+    return out
+
+
 def _eval_unit(index: int):
     assert _CTX is not None
     task = _CTX["tasks"][index]
@@ -64,26 +80,43 @@ def _eval_unit(index: int):
     dets = filter_predictions(
         _CTX["predictions"].get((task.sequence_id, task.expression_id), ()), cfg
     )
-    solver: Solver = _CTX["solver"]
     seq = _CTX["sequences"][task.sequence_id]
-    frames = range(1, seq.length + 1)
-    main = _strip(match_unit_all_alphas(task, dets, cfg.alpha_grid, frames, solver=solver))
+    main, per_attr = match_unit_all_alphas(
+        task,
+        dets,
+        cfg.alpha_grid,
+        range(1, seq.length + 1),
+        solver=_CTX["solver"],
+        restrictions=_CTX["attribute_frames"].get(task.sequence_id, {}),
+    )
+    return _strip(main), per_attr
 
-    # only attributes flagged somewhere in the sequence get an entry
-    per_attr: Dict[str, List[AlphaStats]] = {}
-    labels = _CTX["labels"].get(task.sequence_id)
-    if labels is not None:
-        for attr in Attribute:
-            attr_frames = labels.frames_with(attr)
-            if not attr_frames:
-                continue
-            sub_task, sub_dets = restrict_to_attribute(task, dets, attr_frames)
-            per_attr[attr.value] = _strip(
-                match_unit_all_alphas(
-                    sub_task, sub_dets, cfg.alpha_grid, attr_frames, solver=solver
-                )
-            )
-    return main, per_attr
+
+class WorkerError(RuntimeError):
+    """An error from a pool worker whose own exception could not be rebuilt
+    in the parent; it keeps the original type's name and message."""
+
+    def __init__(self, type_name: str, message: str) -> None:
+        super().__init__(type_name, message)
+        self.type_name = type_name
+        self.message = message
+
+    def __str__(self) -> str:
+        return f"{self.type_name}: {self.message}"
+
+
+def _eval_unit_in_worker(index: int):
+    # The pool pickles a worker's exception back to the parent. One that does
+    # not survive the round trip (say, an __init__ with a required keyword)
+    # kills the pool's result thread, and the parent then waits forever.
+    try:
+        return _eval_unit(index)
+    except Exception as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            raise WorkerError(type(exc).__name__, str(exc)) from exc
+        raise
 
 
 def _empty_pool(cfg: EvalConfig) -> List[AlphaStats]:
@@ -156,7 +189,7 @@ def evaluate(
         "cfg": cfg,
         "solver": solver,
         "sequences": bundle.sequences,
-        "labels": bundle.attributes,
+        "attribute_frames": _attribute_frames(bundle),
     }
     try:
         if n_workers == 1 or n_units <= 1:
@@ -167,7 +200,9 @@ def evaluate(
             with mp.Pool(processes=n_workers) as pool:
                 # imap yields in unit order, so a failure surfaces as the
                 # first failing unit's, not the first to reach the parent
-                results = list(pool.imap(_eval_unit, range(n_units), chunksize=chunk))
+                results = list(
+                    pool.imap(_eval_unit_in_worker, range(n_units), chunksize=chunk)
+                )
     finally:
         _CTX = None
 

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmot_eval.assignment import solve_oracle
+from rmot_eval.attributes import restrict_to_attribute
 from rmot_eval.hota import (
     AlphaStats,
     accumulate,
@@ -176,6 +179,115 @@ class TestAllAlphasConsistency:
             assert (a.tp, a.fn, a.fp) == (b.tp, b.fn, b.fp)
             assert a.iou_sum == b.iou_sum
             assert a.ass_a_sum == b.ass_a_sum
+
+
+# a few overlapping boxes with non-integer corners, so ties and float sums
+# both depend on the layout
+RESTRICTION_BOXES = (
+    box(0, 0, 4, 4),
+    box(1, 0, 4, 4),
+    box(0, 0.5, 3.5, 4),
+    box(0.1, 0.2, 4, 4),
+    box(5, 5, 2, 2),
+)
+STAT_FIELDS = ("alpha", "tp", "fn", "fp", "iou_sum", "ass_a_sum", "ass_re_sum", "ass_pr_sum")
+
+
+@st.composite
+def restricted_units(draw):
+    """(task, predictions out of frame order, frames, restrictions)."""
+    frames = draw(st.lists(st.integers(1, 6), unique=True, max_size=6))
+    track = st.dictionaries(st.integers(1, 6), st.sampled_from(RESTRICTION_BOXES), max_size=6)
+    targets = {}
+    for gi, tr in enumerate(draw(st.lists(track, max_size=4))):
+        for f, b in tr.items():
+            targets.setdefault(f, {})[f"g{gi}"] = b
+    pred_tracks = draw(st.lists(track, max_size=4))
+    preds = draw(
+        st.permutations(
+            [det(f, b, f"p{pi}") for pi, tr in enumerate(pred_tracks) for f, b in tr.items()]
+        )
+    )
+    subset = st.lists(st.sampled_from(frames), max_size=6) if frames else st.just([])
+    restrictions = draw(st.dictionaries(st.sampled_from("abcdefgh"), subset, max_size=4))
+    return ExpressionTask("s", "e", "t", targets), preds, frames, restrictions
+
+
+def assert_restrictions_match_alone(task, preds, frames, restrictions, force_solver=False):
+    whole, restricted = match_unit_all_alphas(
+        task, preds, DEFAULT_ALPHA_GRID, frames,
+        force_solver=force_solver, restrictions=restrictions,
+    )
+    assert whole == match_unit_all_alphas(
+        task, preds, DEFAULT_ALPHA_GRID, frames, force_solver=force_solver
+    )
+    assert restricted.keys() == restrictions.keys()
+    for name, sub in restrictions.items():
+        alone = match_unit_all_alphas(
+            *restrict_to_attribute(task, preds, sub), DEFAULT_ALPHA_GRID, sub,
+            force_solver=force_solver,
+        )
+        assert len(restricted[name]) == len(alone)
+        for got, want in zip(restricted[name], alone):
+            assert got.pair_tpa is None
+            # floats too: the restriction must reproduce every sum to the bit
+            assert [getattr(got, f) for f in STAT_FIELDS] == [getattr(want, f) for f in STAT_FIELDS]
+
+
+class TestRestrictions:
+    """Each restriction scores exactly like the unit restricted to its frames
+    (``restrict_to_attribute``) and matched on its own."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(restricted_units(), st.booleans())
+    def test_restriction_equals_restricted_unit(self, unit, force_solver):
+        assert_restrictions_match_alone(*unit, force_solver=force_solver)
+
+    def test_restriction_orders_tracks_over_its_frames(self):
+        # On frame 2, ga and gb tie for p: equal IoU 0.6 and, over frames
+        # 2-5, equal priors 1/2 (ga: 1 of 1 + 2 - 1, gb: 2 of 4 + 2 - 2).
+        # Over 2-5 gb sorts first (both start at 2, gb's x is smaller) and
+        # wins; in whole-unit order ga (first seen at 1) would.
+        far = box(5, 5, 2, 2)
+        task = ExpressionTask("s", "e", "t", {
+            1: {"ga": box(2, 0, 4, 4)},
+            2: {"ga": box(2, 0, 4, 4), "gb": box(0, 0, 4, 4)},
+            3: {"gb": box(0, 0, 4, 4)},
+            4: {"gb": far},
+            5: {"gb": far},
+        })
+        preds = [det(3, box(0, 0, 4, 4), "p"), det(2, box(1, 0, 4, 4), "p")]
+        assert_restrictions_match_alone(task, preds, range(1, 6), {"r": [2, 3, 4, 5]})
+
+    def test_restriction_tiebreak_uses_its_own_frame_count(self):
+        # On frame 1, g1 (prior 1/3, IoU 1) beats g2 (prior 1/2, IoU 6/26)
+        # only while the IoU term is divided by 2 * 2 frames, not 2 * 6.
+        task = ExpressionTask("s", "e", "t", {
+            1: {"g1": box(0, 0, 4, 4), "g2": box(2.5, 0, 4, 4)},
+            2: {"g1": box(5, 5, 2, 2)},
+        })
+        preds = [det(1, box(0, 0, 4, 4), "p"), det(2, box(0, 0, 4, 4), "p")]
+        assert_restrictions_match_alone(task, preds, range(1, 7), {"r": [1, 2]})
+
+    def test_restriction_without_gt_or_predictions(self):
+        task = simple_task(2)
+        preds = [det(3, box(0, 0, 10, 10), "p1"), det(4, box(0, 0, 10, 10), "p1")]
+        restrictions = {"gt_only": [1, 2], "preds_only": [3, 4], "none": [], "both": [2, 3]}
+        assert_restrictions_match_alone(task, preds, range(1, 5), restrictions)
+
+    def test_empty_unit(self):
+        task = ExpressionTask("s", "e", "t", {})
+        for frames in ([], [1, 2, 3]):
+            restrictions = {"a": frames[:1], "b": []}
+            assert_restrictions_match_alone(task, [], frames, restrictions)
+            assert_restrictions_match_alone(task, [], frames, restrictions, force_solver=True)
+
+    def test_frame_outside_frames_rejected(self):
+        task = simple_task(3)
+        with pytest.raises(ValueError, match="restriction 'late': frame 4"):
+            match_unit_all_alphas(
+                task, [], DEFAULT_ALPHA_GRID, [1, 2, 3], restrictions={"ok": [1], "late": [2, 4]}
+            )
 
 
 class TestAccumulate:

@@ -2,8 +2,12 @@
 
 import dataclasses
 import os
+import signal
+import subprocess
+import sys
 import time
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
@@ -178,3 +182,69 @@ class TestPerUnitLookup:
         with pytest.raises(ParseError) as exc:
             evaluate(bundle, lookups, EvalConfig(), workers=workers)
         assert (exc.value.code, exc.value.path, exc.value.line) == ("SCORE_RANGE", "unit1.txt", 7)
+
+
+# Evaluates a 3-unit bundle whose prediction lookup raises an exception that
+# pickles but cannot be unpickled (its __init__ needs a keyword argument).
+UNPICKLABLE_ERROR_RUN = """
+import sys
+from collections.abc import Mapping
+
+from rmot_eval.io_formats import DatasetBundle
+from rmot_eval.model import EvalConfig
+from rmot_eval.pipeline import evaluate
+from rmot_eval.synth import ScenarioConfig, generate_scenario
+
+
+class Rejected(Exception):
+    def __init__(self, message, *, unit):
+        super().__init__(message)
+        self.unit = unit
+
+
+class Rejecting(Mapping):
+    def __getitem__(self, key):
+        raise Rejected("no predictions for " + "/".join(key), unit=key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self):
+        return 0
+
+
+sc = generate_scenario(ScenarioConfig(seed=3, sequence_length=10, n_tracks=2, n_expressions=3))
+bundle = DatasetBundle({sc.sequence.sequence_id: sc.sequence}, sc.tasks, {})
+try:
+    evaluate(bundle, Rejecting(), EvalConfig(), workers=int(sys.argv[1]))
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+class TestWorkerErrors:
+    @pytest.mark.parametrize(
+        "workers, expected",
+        [
+            (1, "Rejected no predictions for synth-0000/e000"),
+            (2, "WorkerError Rejected: no predictions for synth-0000/e000"),
+        ],
+    )
+    def test_unpicklable_error_reaches_the_caller(self, workers, expected):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        # its own session, so a hung run is killed together with its workers
+        proc = subprocess.Popen(
+            [sys.executable, "-c", UNPICKLABLE_ERROR_RUN, str(workers)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"evaluate with {workers} worker(s) hung on an unpicklable error")
+        assert proc.returncode == 0, err
+        assert out.strip() == expected
