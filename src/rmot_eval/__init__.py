@@ -26,6 +26,7 @@ from .model import (
     ExpressionTask,
     GroundTruthTrack,
     SequenceData,
+    UnitBoxes,
     Violation,
     filter_predictions,
     iou,
@@ -53,6 +54,7 @@ __all__ = [
     "ScenarioConfig",
     "SequenceData",
     "StatsReport",
+    "UnitBoxes",
     "Violation",
     "accumulate",
     "compose_geometric",

@@ -181,6 +181,11 @@ def cmd_evaluate(
         files[(task.sequence_id, task.expression_id)] = (
             pred_path, bundle.sequences[task.sequence_id].length
         )
+    units = {unit_filename(t.sequence_id, t.expression_id) for t in bundle.tasks}
+    for stray in sorted(p for p in pred_dir.glob("*.txt") if p.name not in units):
+        if strict:
+            raise CommandError(f"prediction file {stray} matches no unit")
+        click.echo(f"warning: prediction file {stray} matches no unit", err=True)
 
     report, attr_report = evaluate(
         bundle, PredictionFiles(files), cfg, workers=n_workers, macro=macro

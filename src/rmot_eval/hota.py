@@ -6,18 +6,20 @@ unique optimum and are matched without invoking the assignment solver; the
 remaining frames fall back to the exact solver (or the enumeration oracle in
 tests). Both paths produce bit-identical statistics.
 
-A unit's tensors are built once. Restrictions to frame subsets (the
-attribute scores) are cut from them: each takes its frames, orders its
-tracks by content over those frames, reuses the forced frames' matches
-(forcedness depends on the frame alone) and re-solves only its other frames
-with its own priors and tie-break scale. Every sum then runs in the order it
-would if the restricted unit were matched on its own, so the stats are
-bit-identical to that.
+A unit's tensors are built once, from columns: the predictions'
+``UnitBoxes`` (a list of detections is converted by
+``UnitBoxes.from_detections``) and the targets turned into the same
+columns; frames map to tensor rows by ``searchsorted``. Restrictions to
+frame subsets (the attribute scores) are cut from them: each takes its
+frames, orders its tracks by content over those frames, reuses the forced
+frames' matches (forcedness depends on the frame alone) and re-solves only
+its other frames with its own priors and tie-break scale. Every sum then
+runs in the order it would if the restricted unit were matched on its own,
+so the stats are bit-identical to that.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -25,7 +27,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .assignment import Matching, WeightMatrix, solve_max_weight
-from .model import BoundingBox, Detection, ExpressionTask, iou_matrix
+from .model import Detection, ExpressionTask, UnitBoxes, iou_matrix
 
 Solver = Callable[[WeightMatrix], Matching]
 
@@ -122,37 +124,40 @@ class _Tracks:
 
     __slots__ = ("ids", "present", "boxes", "_ins_frame", "_ins_xy", "_rank")
 
-    def __init__(self, rows: Sequence[Tuple[int, str, BoundingBox]], frames: Sequence[int]):
-        """``rows`` holds (frame index into ``frames``, track id, box) in
-        insertion order."""
+    def __init__(
+        self,
+        fi: np.ndarray,
+        ti: np.ndarray,
+        ids: Sequence[str],
+        xywh: np.ndarray,
+        frames: np.ndarray,
+    ):
+        """Box i lies on frame index ``fi[i]`` into ``frames``, belongs to
+        track ``ids[ti[i]]`` and is ``xywh[i]``; boxes are in insertion
+        order. Ids without a box are dropped."""
         n_frames = len(frames)
-        index: Dict[str, int] = {}
-        ti = np.fromiter((index.setdefault(r[1], len(index)) for r in rows), np.intp, len(rows))
-        fi = np.fromiter((r[0] for r in rows), np.intp, len(rows))
-        xywh = np.fromiter(
-            itertools.chain.from_iterable((b.x, b.y, b.w, b.h) for _, _, b in rows),
-            np.float64,
-            4 * len(rows),
-        ).reshape(len(rows), 4)
-        names = list(index)
+        counts = np.bincount(ti, minlength=len(ids))
+        has_box = counts > 0
+        names = [ids[i] for i in np.flatnonzero(has_box).tolist()]
         n = len(names)
+        ti = (np.cumsum(has_box) - 1)[ti]
+        counts = counts[has_box]
 
         # each box's position within its track, in insertion order
-        counts = np.bincount(ti, minlength=n)
         by_track = np.argsort(ti, kind="stable")
         pos = np.empty_like(ti)
         pos[by_track] = np.arange(ti.size) - (np.cumsum(counts) - counts)[ti[by_track]]
 
         present = np.zeros((n_frames, n), dtype=bool)
         present[fi, ti] = True
-        if np.count_nonzero(present) < len(rows):
+        if np.count_nonzero(present) < ti.size:
             seen = set()
-            for f, tid, _ in rows:
-                if (f, tid) in seen:
+            for f, t in zip(fi.tolist(), ti.tolist()):
+                if (f, t) in seen:
                     raise ValueError(
-                        f"duplicate detection for track {tid!r} at frame {frames[f]}"
+                        f"duplicate detection for track {names[t]!r} at frame {frames[f]}"
                     )
-                seen.add((f, tid))
+                seen.add((f, t))
         boxes = np.zeros((n_frames, n, 4), dtype=np.float64)
         boxes[fi, ti] = xywh
         # insertion-order layout; the padding frame index n_frames is never kept
@@ -189,26 +194,53 @@ class _Tracks:
         return perm[count[perm] > 0]
 
 
+def _target_columns(task: ExpressionTask) -> Tuple[np.ndarray, np.ndarray, List[str], np.ndarray]:
+    """``task.targets`` as (frame, track index, ids, xywh) columns, in the
+    targets' iteration order."""
+    index: Dict[str, int] = {}
+    frame: List[int] = []
+    track: List[int] = []
+    xywh: List[float] = []  # flat, four numbers per box
+    for f, by_track in task.targets.items():
+        for tid, b in by_track.items():
+            frame.append(f)
+            track.append(index.setdefault(tid, len(index)))
+            xywh += (b.x, b.y, b.w, b.h)
+    return (
+        np.array(frame, dtype=np.int64),
+        np.array(track, dtype=np.intp),
+        list(index),
+        np.array(xywh, dtype=np.float64).reshape(len(frame), 4),
+    )
+
+
+def _on_frames(
+    frames: np.ndarray, frame: np.ndarray, track: np.ndarray, ids: Sequence[str], xywh: np.ndarray
+) -> _Tracks:
+    """The tracks of the boxes that lie on ``frames`` (sorted ascending)."""
+    fi = np.searchsorted(frames, frame)
+    on = fi < frames.size
+    on[on] = frames[fi[on]] == frame[on]
+    return _Tracks(fi[on], track[on], ids, xywh[on], frames)
+
+
 class UnitArrays:
-    """Dense per-unit tensors shared by all alpha thresholds."""
+    """Dense per-unit tensors shared by all alpha thresholds.
+
+    ``preds`` may be a ``UnitBoxes``, whose columns are used as they are, or
+    any sequence of detections, converted by ``UnitBoxes.from_detections``.
+    Boxes on frames outside ``frames`` are left out.
+    """
 
     __slots__ = ("frames", "n_frames", "gt", "pred", "iou3")
 
     def __init__(self, task: ExpressionTask, preds: Sequence[Detection], frames: Sequence[int]):
         self.frames = sorted(set(frames))
         self.n_frames = len(self.frames)
-        frame_index = {f: i for i, f in enumerate(self.frames)}
-        gt_rows = [
-            (fi, tid, box)
-            for f, by_track in task.targets.items()
-            if (fi := frame_index.get(f)) is not None
-            for tid, box in by_track.items()
-        ]
-        pred_rows = [
-            (frame_index[d.frame], d.track_id, d.box) for d in preds if d.frame in frame_index
-        ]
-        self.gt = _Tracks(gt_rows, self.frames)
-        self.pred = _Tracks(pred_rows, self.frames)
+        preds = UnitBoxes.from_detections(preds)
+        frames_arr = np.asarray(self.frames, dtype=np.int64)
+        self.gt = _on_frames(frames_arr, *_target_columns(task))
+        self.pred = _on_frames(frames_arr, preds.frame, preds.track, preds.ids, preds.xywh)
         # absent slots hold zero boxes and evaluate to iou 0
         self.iou3 = iou_matrix(self.gt.boxes, self.pred.boxes)
 

@@ -15,7 +15,9 @@ On-disk layout of a dataset bundle::
 
 Predictions live in a separate directory, one file per (sequence,
 expression) named ``<sequence_id>__<expression_id>.txt`` with lines
-``frame,track_id,x,y,w,h,confidence,referring_score``.
+``frame,track_id,x,y,w,h,confidence,referring_score``. A prediction file
+parses into a ``model.UnitBoxes`` (columns, no per-line objects); the other
+formats parse into the ``model`` types.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .attributes import AttributeReport
 from .hota import MetricReport
@@ -36,6 +40,7 @@ from .model import (
     ExpressionTask,
     GroundTruthTrack,
     SequenceData,
+    UnitBoxes,
 )
 from .stats import StatsReport
 
@@ -49,6 +54,8 @@ ATTRIBUTE_COLUMNS: Tuple[Attribute, ...] = (
     Attribute.ROTATION,
     Attribute.LOW_RESOLUTION,
 )
+
+_INT64_MAX = 2**63 - 1  # the largest prediction frame a UnitBoxes column holds
 
 REPORT_SCHEMA = "rmot-eval-report/1"
 TABLE_COLUMNS = (
@@ -290,16 +297,26 @@ def write_attributes(labels: AttributeFrameLabels, path: Path | str) -> None:
             fh.write(",".join([str(frame)] + cells) + "\n")
 
 
-def parse_predictions(path: Path | str, length: Optional[int] = None) -> List[Detection]:
-    """Parse one per-unit prediction file; an empty file is a valid empty list.
+def parse_predictions(path: Path | str, length: Optional[int] = None) -> UnitBoxes:
+    """Parse one per-unit prediction file into a ``UnitBoxes``, the file's
+    detections as columns in file order; an empty file is a valid empty one.
 
     With ``length``, a prediction after the sequence's last frame is a
-    FRAME_OUT_OF_RANGE error instead of being returned."""
+    FRAME_OUT_OF_RANGE error instead of being returned. A frame past the
+    int64 range is a FIELD_TYPE error."""
     path = Path(path)
-    out: List[Detection] = []
+    frames: List[int] = []
+    tracks: List[int] = []
+    values: List[float] = []  # the six numbers of each line, flat
+    index: Dict[str, int] = {}  # track id -> its index, in first-appearance order
     seen = set()
     for lineno, frame, fields in _records(path, 8, length):
-        x, y, w, h, conf, ref = _floats(path, lineno, fields)
+        if frame > _INT64_MAX:
+            raise ParseError(
+                "FIELD_TYPE", path, lineno, f"frame {frame} does not fit in a 64-bit integer"
+            )
+        row = _floats(path, lineno, fields)
+        conf, ref = row[4], row[5]
         if not (0.0 <= conf <= 1.0 and 0.0 <= ref <= 1.0):
             raise ParseError(
                 "SCORE_RANGE", path, lineno,
@@ -312,16 +329,18 @@ def parse_predictions(path: Path | str, length: Optional[int] = None) -> List[De
                 f"duplicate (frame, track) = ({frame}, {fields[1]})",
             )
         seen.add(key)
-        out.append(
-            Detection(
-                frame=frame,
-                box=BoundingBox(x, y, w, h),
-                confidence=conf,
-                referring_score=ref,
-                track_id=fields[1],
-            )
-        )
-    return out
+        frames.append(frame)
+        tracks.append(index.setdefault(fields[1], len(index)))
+        values += row
+    cols = np.array(values, dtype=np.float64).reshape(len(frames), 6)
+    return UnitBoxes(
+        np.array(frames, dtype=np.int64),
+        np.array(tracks, dtype=np.intp),
+        list(index),
+        cols[:, :4],
+        cols[:, 4],
+        cols[:, 5],
+    )
 
 
 def write_predictions(dets: Sequence[Detection], path: Path | str) -> None:
@@ -340,19 +359,19 @@ def unit_filename(sequence_id: str, expression_id: str) -> str:
     return f"{sequence_id}__{expression_id}.txt"
 
 
-class PredictionFiles(Mapping[Tuple[str, str], List[Detection]]):
+class PredictionFiles(Mapping[Tuple[str, str], UnitBoxes]):
     """Per-unit prediction files, parsed on lookup.
 
     ``files`` maps (sequence_id, expression_id) to the unit's prediction file
     and its sequence length. Each lookup runs ``parse_predictions(path,
-    length)`` and keeps nothing, so a process holds only the detections of
-    the unit it is evaluating.
+    length)`` and returns its ``UnitBoxes``; nothing is kept, so a process
+    holds only the columns of the unit it is evaluating.
     """
 
     def __init__(self, files: Mapping[Tuple[str, str], Tuple[Path, int]]):
         self._files = dict(files)
 
-    def __getitem__(self, key: Tuple[str, str]) -> List[Detection]:
+    def __getitem__(self, key: Tuple[str, str]) -> UnitBoxes:
         path, length = self._files[key]
         return parse_predictions(path, length)
 

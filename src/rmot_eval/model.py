@@ -6,8 +6,9 @@ All types are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +71,109 @@ class Detection:
     confidence: float
     referring_score: float
     track_id: str
+
+
+class UnitBoxes(Sequence[Detection]):
+    """One unit's predictions as columns, in input order.
+
+    ``frame`` (int64), ``track`` (indices into ``ids``, the track ids in
+    first-appearance order), ``xywh`` ((n, 4) float64), ``confidence`` and
+    ``referring_score`` (float64) hold row i of each detection. As a
+    read-only ``Sequence[Detection]`` it builds a ``Detection`` only when one
+    is read, and compares equal to any sequence of equal detections.
+    """
+
+    __slots__ = ("frame", "track", "ids", "xywh", "confidence", "referring_score")
+
+    def __init__(
+        self,
+        frame: np.ndarray,
+        track: np.ndarray,
+        ids: Sequence[str],
+        xywh: np.ndarray,
+        confidence: np.ndarray,
+        referring_score: np.ndarray,
+    ) -> None:
+        self.frame = frame
+        self.track = track
+        self.ids = tuple(ids)
+        self.xywh = xywh
+        self.confidence = confidence
+        self.referring_score = referring_score
+
+    @classmethod
+    def from_detections(cls, dets: Iterable[Detection]) -> "UnitBoxes":
+        """The columns of ``dets``, in their order; a ``UnitBoxes`` is
+        returned as it is. A frame that is not an integer is a ``TypeError``;
+        one past the int64 range a ``ValueError``."""
+        if isinstance(dets, UnitBoxes):
+            return dets
+        dets = list(dets)
+        n = len(dets)
+        frames = [operator.index(d.frame) for d in dets]
+        try:
+            frame = np.array(frames, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(
+                f"frame {max(frames, key=abs)} does not fit in a 64-bit integer"
+            ) from None
+        index: Dict[str, int] = {}
+        return cls(
+            frame,
+            np.fromiter((index.setdefault(d.track_id, len(index)) for d in dets), np.intp, n),
+            list(index),
+            np.array(
+                [(d.box.x, d.box.y, d.box.w, d.box.h) for d in dets], np.float64
+            ).reshape(n, 4),
+            np.fromiter((d.confidence for d in dets), np.float64, n),
+            np.fromiter((d.referring_score for d in dets), np.float64, n),
+        )
+
+    def take(self, rows) -> "UnitBoxes":
+        """The rows selected by a slice, index array or boolean mask, in
+        order; the id table is shared."""
+        return UnitBoxes(
+            self.frame[rows],
+            self.track[rows],
+            self.ids,
+            self.xywh[rows],
+            self.confidence[rows],
+            self.referring_score[rows],
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        x, y, w, h = self.xywh[i].tolist()
+        return Detection(
+            frame=int(self.frame[i]),
+            box=BoundingBox(x, y, w, h),
+            confidence=float(self.confidence[i]),
+            referring_score=float(self.referring_score[i]),
+            track_id=self.ids[self.track[i]],
+        )
+
+    def __iter__(self) -> Iterator[Detection]:
+        ids = self.ids
+        for f, t, (x, y, w, h), c, r in zip(
+            self.frame.tolist(),
+            self.track.tolist(),
+            self.xywh.tolist(),
+            self.confidence.tolist(),
+            self.referring_score.tolist(),
+        ):
+            yield Detection(f, BoundingBox(x, y, w, h), c, r, ids[t])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"UnitBoxes({len(self)} detections, {len(self.ids)} track ids)"
 
 
 @dataclass(frozen=True)
@@ -172,12 +276,17 @@ def iou_matrix(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return out
 
 
-def filter_predictions(dets: Sequence[Detection], cfg: EvalConfig) -> List[Detection]:
+def filter_predictions(dets: Sequence[Detection], cfg: EvalConfig) -> Sequence[Detection]:
     """Keep detections passing both the class-score and referring thresholds.
 
     Relative order is preserved; the filter is idempotent and monotone in
-    both thresholds.
+    both thresholds. A ``UnitBoxes`` gives a ``UnitBoxes`` of the kept rows;
+    any other sequence gives a list of its own kept ``Detection`` objects.
     """
+    if isinstance(dets, UnitBoxes):
+        return dets.take(
+            (dets.confidence >= cfg.score_threshold) & (dets.referring_score >= cfg.beta_ref)
+        )
     return [
         d
         for d in dets

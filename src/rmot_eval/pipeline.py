@@ -5,10 +5,13 @@ worker pool and reduced in the fixed unit order, so the result is identical
 for any worker count. Workers inherit the evaluation context through fork
 (no per-unit pickling of inputs); only the small per-alpha tallies travel
 back. Each unit's predictions are looked up in the process that evaluates
-the unit (a ``PredictionFiles`` parses the unit's file there) and dropped
-when the unit is done. Errors reach the caller in unit order: the first
-failing unit's error wins for any worker count. A worker's error that cannot
-be rebuilt in the parent arrives as a ``WorkerError`` naming its type.
+the unit (a ``PredictionFiles`` parses the unit's file there into a
+``UnitBoxes``; a list of detections is converted to one) and dropped when
+the unit is done. A prediction outside its sequence's frames is a
+``ValueError``, never silently ignored. Errors reach the caller in unit
+order: the first failing unit's error wins for any worker count. A worker's
+error that cannot be rebuilt in the parent arrives as a ``WorkerError``
+naming its type.
 """
 
 from __future__ import annotations
@@ -32,7 +35,14 @@ from .hota import (
     match_unit_all_alphas,
 )
 from .io_formats import DatasetBundle
-from .model import Attribute, Detection, EvalConfig, filter_predictions
+from .model import (
+    Attribute,
+    Detection,
+    EvalConfig,
+    ExpressionTask,
+    UnitBoxes,
+    filter_predictions,
+)
 
 WORKERS_ENV = "RMOT_EVAL_WORKERS"
 
@@ -73,17 +83,34 @@ def _attribute_frames(bundle: DatasetBundle) -> Dict[str, Dict[str, List[int]]]:
     return out
 
 
+def _unit_boxes(task: ExpressionTask, preds: Sequence[Detection], length: int) -> UnitBoxes:
+    """The unit's predictions as columns; a ``ValueError`` naming the unit
+    when one does not lie on the sequence's frames 1..``length``."""
+    unit = f"unit {task.sequence_id}/{task.expression_id}"
+    try:
+        boxes = UnitBoxes.from_detections(preds)
+    except ValueError as exc:
+        raise ValueError(f"{unit}: {exc}") from None
+    outside = boxes.frame[(boxes.frame < 1) | (boxes.frame > length)]
+    if outside.size:
+        raise ValueError(
+            f"{unit}: a prediction lies on frame {outside[0]}, "
+            f"outside the sequence's frames 1-{length}"
+        )
+    return boxes
+
+
 def _eval_unit(index: int):
     assert _CTX is not None
     task = _CTX["tasks"][index]
     cfg: EvalConfig = _CTX["cfg"]
-    dets = filter_predictions(
-        _CTX["predictions"].get((task.sequence_id, task.expression_id), ()), cfg
-    )
     seq = _CTX["sequences"][task.sequence_id]
+    boxes = _unit_boxes(
+        task, _CTX["predictions"].get((task.sequence_id, task.expression_id), ()), seq.length
+    )
     main, per_attr = match_unit_all_alphas(
         task,
-        dets,
+        filter_predictions(boxes, cfg),
         cfg.alpha_grid,
         range(1, seq.length + 1),
         solver=_CTX["solver"],
@@ -173,11 +200,14 @@ def evaluate(
 ) -> Tuple[MetricReport, Optional[AttributeReport]]:
     """Filter, match, accumulate, and finalize a full evaluation run.
 
-    ``predictions`` maps (sequence_id, expression_id) to raw detections;
-    units without an entry are evaluated against empty output. Each unit's
-    entry is looked up once, in the process that evaluates the unit, so a
-    lazy mapping such as ``PredictionFiles`` is read there. The attribute
-    report is produced exactly when ``bundle.attributes`` is non-empty.
+    ``predictions`` maps (sequence_id, expression_id) to raw detections, a
+    ``UnitBoxes`` or any sequence of ``Detection``; units without an entry
+    are evaluated against empty output. A detection on a frame outside
+    ``[1, length]`` of its sequence raises ``ValueError`` naming the unit
+    and the frame, whatever its scores. Each unit's entry is looked up once,
+    in the process that evaluates the unit, so a lazy mapping such as
+    ``PredictionFiles`` is read there. The attribute report is produced
+    exactly when ``bundle.attributes`` is non-empty.
     """
     global _CTX
     n_workers = resolve_workers(workers)

@@ -111,6 +111,36 @@ class TestEvaluateCommand:
         )
         assert result.exit_code == 1
 
+    def test_stray_prediction_file_warns(self, runner, mini_dirs, tmp_path):
+        gt_dir, pred_dir = mini_dirs
+        strays = [pred_dir / "seq-a__e9.txt", pred_dir / "notes.txt"]
+        for stray in strays:
+            stray.write_text("1,x,0,0,5,5,0.9,0.9\n")
+        (pred_dir / "README.md").write_text("not a prediction file\n")
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        warned = [line for line in result.stderr.splitlines() if "matches no unit" in line]
+        assert warned == [
+            f"warning: prediction file {p} matches no unit" for p in sorted(strays)
+        ]
+        # the strays are not scored: the perfect units still give 100
+        assert json.loads((out / "report.json").read_text())["display"]["HOTA"] == "100.00"
+
+    def test_stray_prediction_file_strict_errors(self, runner, mini_dirs, tmp_path):
+        gt_dir, pred_dir = mini_dirs
+        stray = pred_dir / "seq-a__e9.txt"
+        stray.write_text("")
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["evaluate", str(gt_dir), str(pred_dir), "--strict", "--out", str(out)]
+        )
+        assert result.exit_code == EXIT_IO
+        assert result.stderr == f"error: prediction file {stray} matches no unit\n"
+        assert not (out / "report.json").exists()
+
     def test_validation_violation_exits_2(self, runner, mini_dirs, tmp_path):
         gt_dir, pred_dir = mini_dirs
         # corrupt one gt box with a negative extent

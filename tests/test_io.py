@@ -4,8 +4,9 @@ import json
 import pickle
 import time
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from rmot_eval.io_formats import (
@@ -193,6 +194,111 @@ class TestPredictionsFormat:
 
     def test_unit_filename(self):
         assert unit_filename("seq-a", "e1") == "seq-a__e1.txt"
+
+
+_PRED_HEADER = "frame,track_id,x,y,w,h,confidence,referring_score"
+_INT64_MAX = 2**63 - 1
+_FAULT_KINDS = (
+    "field_count", "non_integer", "int64_overflow", "below_one", "after_length",
+    "non_finite", "score", "duplicate",
+)
+
+
+def _pred_row(length):
+    """A valid prediction row: (frame, track id, x, y, w, h, conf, ref)."""
+    coord = st.floats(allow_nan=False, allow_infinity=False)
+    score = st.floats(0.0, 1.0)
+    return st.tuples(
+        st.integers(1, length or _INT64_MAX),
+        st.text(alphabet="ab7-_é ", max_size=3),
+        coord, coord, coord, coord, score, score,
+    )
+
+
+def _pred_fields(row):
+    return [str(row[0]), row[1]] + [repr(v) for v in row[2:]]
+
+
+@st.composite
+def _prediction_files(draw):
+    """(file text, length, valid rows in file order, first fault's (code,
+    line) or None): valid rows, an optional header, LF or CRLF, blank lines,
+    and 0-2 faulty lines of different kinds."""
+    length = draw(st.none() | st.integers(1, 30))
+    rows = draw(st.lists(_pred_row(length), max_size=12, unique_by=lambda r: r[:2]))
+    body = [(",".join(_pred_fields(r)), None) for r in rows]
+    kinds = [k for k in _FAULT_KINDS if k != "after_length" or length is not None]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=2, unique=True)):
+        fields = _pred_fields(draw(_pred_row(length)))
+        at = draw(st.integers(0, len(body)))
+        code = {
+            "field_count": "LINE_FIELD_COUNT",
+            "non_integer": "FIELD_TYPE",
+            "int64_overflow": "FIELD_TYPE" if length is None else "FRAME_OUT_OF_RANGE",
+            "below_one": "FRAME_INDEX",
+            "after_length": "FRAME_OUT_OF_RANGE",
+            "non_finite": "NON_FINITE",
+            "score": "SCORE_RANGE",
+            "duplicate": "DUPLICATE_BOX",
+        }[kind]
+        if kind == "field_count":
+            n = draw(st.sampled_from([1, 2, 6, 7, 9]))
+            fields = (fields + ["0"])[:n]
+        elif kind == "non_integer":
+            fields[0] = draw(st.sampled_from(["1.5", "2e3", "nan", "inf"]))
+        elif kind == "int64_overflow":
+            fields[0] = str(_INT64_MAX + draw(st.integers(1, 10**6)))
+        elif kind == "below_one":
+            fields[0] = str(draw(st.integers(-5, 0)))
+        elif kind == "after_length":
+            fields[0] = str(length + draw(st.integers(1, 5)))
+        elif kind == "non_finite":
+            bad = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+            fields[draw(st.integers(2, 5))] = bad
+        elif kind == "score":
+            bad = draw(st.sampled_from(["1.5", "-0.25", "nan", "inf"]))
+            fields[draw(st.integers(6, 7))] = bad
+        else:
+            valid_before = [i for i, (_, c) in enumerate(body) if c is None]
+            if not valid_before:
+                continue
+            at = draw(st.integers(valid_before[0] + 1, len(body)))
+            earlier = draw(st.sampled_from([i for i in valid_before if i < at]))
+            fields[:2] = body[earlier][0].split(",")[:2]
+        body.insert(at, (",".join(fields), code))
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), ("", None))
+    if draw(st.booleans()):
+        body.insert(0, (_PRED_HEADER, None))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + eol for line, _ in body)
+    faults = [(c, i) for i, (_, c) in enumerate(body, start=1) if c is not None]
+    return text, length, rows, faults[0] if faults else None
+
+
+class TestPredictionsFirstError:
+    # without the explain phase, which takes minutes on this strategy
+    @settings(max_examples=300, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_prediction_files())
+    def test_columns_or_first_faulty_line(self, tmp_path, case):
+        text, length, rows, fault = case
+        p = tmp_path / "pred.txt"
+        p.write_bytes(text.encode("utf-8"))
+        if fault is not None:
+            with pytest.raises(ParseError) as exc:
+                parse_predictions(p, length)
+            assert (exc.value.code, exc.value.line) == fault
+            return
+        boxes = parse_predictions(p, length)
+        assert boxes.frame.dtype == np.int64
+        assert boxes.frame.tolist() == [r[0] for r in rows]
+        assert [boxes.ids[t] for t in boxes.track] == [r[1] for r in rows]
+        assert list(boxes.ids) == list(dict.fromkeys(r[1] for r in rows))
+        assert boxes.xywh.tolist() == [list(r[2:6]) for r in rows]
+        assert boxes.confidence.tolist() == [r[6] for r in rows]
+        assert boxes.referring_score.tolist() == [r[7] for r in rows]
 
 
 class TestParseError:

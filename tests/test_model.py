@@ -14,6 +14,7 @@ from rmot_eval.model import (
     ExpressionTask,
     GroundTruthTrack,
     SequenceData,
+    UnitBoxes,
     filter_predictions,
     iou,
     iou_matrix,
@@ -134,6 +135,39 @@ class TestFilterPredictions:
         assert filter_predictions(once, cfg) == once
         positions = [dets.index(d) for d in once]
         assert positions == sorted(positions)
+
+
+class TestUnitBoxes:
+    @given(
+        st.lists(st.tuples(
+            st.integers(1, 2**63 - 1), st.sampled_from(["a", "b", "c"]),
+            st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1))),
+        st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_columns_read_and_filter_like_the_list(self, rows, thr, beta):
+        dets = [
+            det(f, box(i, -i, 0.5 * i, 2), tid, confidence=c, referring_score=r)
+            for i, (f, tid, c, r) in enumerate(rows)
+        ]
+        boxes = UnitBoxes.from_detections(dets)
+        assert boxes == dets and dets == boxes and len(boxes) == len(dets)
+        assert list(boxes.ids) == list(dict.fromkeys(d.track_id for d in dets))
+        if dets:
+            assert boxes[-1] == dets[-1] and boxes[0] == dets[0]
+        assert boxes[1:3] == dets[1:3]
+        cfg = EvalConfig(score_threshold=thr, beta_ref=beta)
+        kept = filter_predictions(boxes, cfg)
+        assert isinstance(kept, UnitBoxes) and kept == filter_predictions(dets, cfg)
+
+    def test_non_integer_frame_rejected(self):
+        with pytest.raises(TypeError):
+            UnitBoxes.from_detections([det(2.5, box(0, 0, 1, 1), "a")])
+
+    def test_frame_past_int64_rejected(self):
+        dets = [det(3, box(0, 0, 1, 1), "a"), det(2**64, box(0, 0, 1, 1), "a")]
+        with pytest.raises(ValueError, match=f"frame {2**64} does not fit"):
+            UnitBoxes.from_detections(dets)
 
 
 class TestEvalConfig:

@@ -11,8 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from rmot_eval.io_formats import DatasetBundle, ParseError, report_payload
-from rmot_eval.model import EvalConfig
+from rmot_eval.hota import match_unit_all_alphas
+from rmot_eval.io_formats import (
+    DatasetBundle,
+    ParseError,
+    PredictionFiles,
+    report_payload,
+    unit_filename,
+    write_predictions,
+)
+from rmot_eval.model import EvalConfig, UnitBoxes, filter_predictions
 from rmot_eval.pipeline import WORKERS_ENV, evaluate, resolve_workers
 from rmot_eval.synth import PerturbationConfig, ScenarioConfig, generate_scenario, perturb
 
@@ -122,6 +130,34 @@ class TestEvaluate:
         macro, _ = evaluate(no_attrs, preds, cfg, macro=True)
         assert pooled.hota != macro.hota
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("frame", [0, 11, 999])
+    def test_prediction_outside_the_sequence_rejected(
+        self, mini_bundle, mini_predictions, workers, frame
+    ):
+        # seq-a has 10 frames; the detection is rejected even though its
+        # scores would have it filtered out
+        preds = dict(mini_predictions)
+        preds[("seq-a", "e2")] = preds[("seq-a", "e2")] + [
+            det(frame, box(0, 0, 5, 5), "late", confidence=0.1, referring_score=0.1)
+        ]
+        with pytest.raises(ValueError) as exc:
+            evaluate(mini_bundle, preds, EvalConfig(), workers=workers)
+        assert str(exc.value) == (
+            f"unit seq-a/e2: a prediction lies on frame {frame}, "
+            "outside the sequence's frames 1-10"
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_prediction_past_int64_rejected(self, mini_bundle, mini_predictions, workers):
+        preds = dict(mini_predictions)
+        preds[("seq-a", "e2")] = [det(2**64, box(0, 0, 5, 5), "late")]
+        with pytest.raises(ValueError) as exc:
+            evaluate(mini_bundle, preds, EvalConfig(), workers=workers)
+        assert str(exc.value) == (
+            f"unit seq-a/e2: frame {2**64} does not fit in a 64-bit integer"
+        )
+
     def test_oracle_solver_injection(self, mini_bundle, mini_predictions):
         from rmot_eval.assignment import solve_oracle
 
@@ -130,6 +166,40 @@ class TestEvaluate:
         via_oracle, _ = evaluate(no_attrs, mini_predictions, EvalConfig(),
                                  solver=solve_oracle)
         assert report_payload(base) == report_payload(via_oracle)
+
+
+class TestInputForms:
+    """Predictions read from files (``PredictionFiles``, columns) and the same
+    detections passed as lists score identically."""
+
+    @pytest.mark.parametrize("seed", [3, 21, 58])
+    def test_files_and_detection_lists_agree(self, tmp_path, seed):
+        bundle, preds = perturbed_setup(
+            seed=seed, miss_rate=0.2, fp_rate=0.6, idswitch_rate=0.05, jitter=3,
+            confidence_range=(0.0, 1.0), referring_range=(0.0, 1.0),
+        )
+        cfg = EvalConfig()
+        files = {}
+        for task in bundle.tasks:
+            key = (task.sequence_id, task.expression_id)
+            path = tmp_path / unit_filename(*key)
+            write_predictions(preds.get(key, []), path)
+            files[key] = (path, bundle.sequences[task.sequence_id].length)
+            # the file holds the detections in (frame, track id) order
+            preds[key] = sorted(preds.get(key, []), key=lambda d: (d.frame, d.track_id))
+        from_files = PredictionFiles(files)
+        assert evaluate(bundle, from_files, cfg) == evaluate(bundle, preds, cfg)
+        for task in bundle.tasks:
+            key = (task.sequence_id, task.expression_id)
+            columns = from_files[key]
+            assert isinstance(columns, UnitBoxes) and columns == preds[key]
+            frames = range(1, bundle.sequences[task.sequence_id].length + 1)
+            whole = [
+                match_unit_all_alphas(task, filter_predictions(d, cfg), cfg.alpha_grid, frames)
+                for d in (columns, preds[key])
+            ]
+            assert whole[0] == whole[1]
+            assert any(s.pair_tpa for s in whole[0]) or not task.targets
 
 
 class LoggedLookups(Mapping):
