@@ -1,10 +1,29 @@
 """HOTA computation: per-unit matching, pooled accumulation, alpha-averaged report.
 
-The per-unit matcher runs all alpha thresholds at once over numpy tensors.
-Frames whose feasibility graph has degree <= 1 on both sides have a forced,
-unique optimum and are matched without invoking the assignment solver; the
-remaining frames fall back to the exact solver (or the enumeration oracle in
-tests). Both paths produce bit-identical statistics.
+The per-unit matcher runs all alpha thresholds at once. Feasibility at alpha
+is ``iou >= alpha``, so one small integer per (frame, gt, pred) holds it for
+every alpha: the pair's level ``k``, the number of alphas (sorted ascending)
+at most its IoU, 0 where either box is absent; the pair is feasible at sorted
+alpha index ``a`` exactly when ``a < k``. Frames whose feasibility graph has
+degree <= 1 on both sides have a forced, unique optimum and are matched
+without invoking the assignment solver: frame f is forced from its threshold
+``t[f]`` up, the largest second-largest level over its rows and columns. The
+remaining (alpha, frame)s fall back to the exact solver (or the enumeration
+oracle in tests). Both paths produce bit-identical statistics.
+
+The integer tallies (pairs per (gt, pred), matches, TPA) are exact in any
+order and come from the candidate pairs (level > 0) by ``bincount`` and
+``cumsum``. The float sums are numpy's pairwise sums, whose result depends
+on the array they run over, so they keep the dense arrays of a single-alpha
+evaluation: per alpha, the layout's (frame, gt, pred) IoUs of its matches in
+C order, and its (gt, pred) association terms. These arrays, the IoU build
+and the level build are cut into alpha and frame blocks of a fixed cell
+budget, so a long, crowded unit holds about two float64 per (frame, gt,
+pred) cell, not one per cell and alpha. An alpha whose matches are the
+previous alpha's (no pair's level and no forced threshold lies between
+them) has the same arrays, so it takes that alpha's sums without building
+them again. The stats come back in the order of the alphas given, each as a
+call with that alpha alone gives it.
 
 A unit's tensors are built once, from columns: the predictions'
 ``UnitBoxes`` (a list of detections is converted by
@@ -224,6 +243,20 @@ def _on_frames(
     return _Tracks(fi[on], track[on], ids, xywh[on], frames)
 
 
+# Cells per dense temporary: the IoU build, the level build and each block of
+# the IoU-sum products and association sums are cut to about this many cells
+# (4 MB of float64), so a long, crowded unit holds about two float64 per
+# (frame, gt, pred) cell instead of one per cell and alpha.
+_CELL_BUDGET = 1 << 19
+
+
+def _blocks(n: int, cells_per_item: int) -> List[slice]:
+    """``range(n)`` cut into slices of at most ``_CELL_BUDGET`` cells (at
+    least one item each)."""
+    step = max(1, _CELL_BUDGET // max(cells_per_item, 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
 class UnitArrays:
     """Dense per-unit tensors shared by all alpha thresholds.
 
@@ -241,8 +274,12 @@ class UnitArrays:
         frames_arr = np.asarray(self.frames, dtype=np.int64)
         self.gt = _on_frames(frames_arr, *_target_columns(task))
         self.pred = _on_frames(frames_arr, preds.frame, preds.track, preds.ids, preds.xywh)
-        # absent slots hold zero boxes and evaluate to iou 0
-        self.iou3 = iou_matrix(self.gt.boxes, self.pred.boxes)
+        # absent slots hold zero boxes and evaluate to iou 0; built in frame
+        # blocks so iou_matrix's temporaries stay small
+        gb, pb = self.gt.boxes, self.pred.boxes
+        self.iou3 = np.empty((self.n_frames, gb.shape[1], pb.shape[1]), dtype=np.float64)
+        for fs in _blocks(self.n_frames, gb.shape[1] * pb.shape[1]):
+            self.iou3[fs] = iou_matrix(gb[fs], pb[fs])
 
     @property
     def gt_ids(self) -> List[str]:
@@ -253,38 +290,95 @@ class UnitArrays:
         return self.pred.ids
 
 
-def _feasible(
+def _levels(
     alphas: np.ndarray, iou3: np.ndarray, gt_present: np.ndarray, pred_present: np.ndarray
 ) -> np.ndarray:
-    """(A, F, G, P): both boxes present and their IoU at least alpha."""
-    pair_present = gt_present[:, :, None] & pred_present[:, None, :]
-    return (iou3[None, :, :, :] >= alphas[:, None, None, None]) & pair_present
+    """(F, G, P) level of each pair: the number of ``alphas`` (sorted
+    ascending) at most its IoU, 0 where either box is absent. The pair is
+    feasible at sorted alpha index ``a`` exactly when ``a < k``."""
+    nf, g, p = iou3.shape
+    k = np.empty(iou3.shape, dtype=np.min_scalar_type(alphas.size))
+    for fs in _blocks(nf, g * p):
+        k[fs] = np.searchsorted(alphas, iou3[fs], side="right")
+        k[fs] *= gt_present[fs, :, None] & pred_present[fs, None, :]
+    return k
+
+
+def _forced_from(k: np.ndarray) -> np.ndarray:
+    """(F,) forced threshold: the largest second-largest level over a
+    frame's rows and over its columns. At sorted alpha index ``a`` every row
+    and column of frame f has at most one feasible pair exactly when
+    ``a >= t[f]``."""
+    nf, g, p = k.shape
+    t = np.zeros(nf, dtype=np.intp)
+    if p >= 2:
+        np.maximum(t, np.partition(k, p - 2, axis=2)[:, :, p - 2].max(1, initial=0), out=t)
+    if g >= 2:
+        np.maximum(t, np.partition(k, g - 2, axis=1)[:, g - 2].max(1, initial=0), out=t)
+    return t
+
+
+def _solve(
+    todo_a: np.ndarray,
+    todo_f: np.ndarray,
+    k: np.ndarray,
+    iou3: np.ndarray,
+    n_pair: np.ndarray,
+    g_count: np.ndarray,
+    p_count: np.ndarray,
+    solver: Solver,
+) -> np.ndarray:
+    """Passes 1 and 2 on the unforced (alpha, frame)s ``(todo_a, todo_f)``
+    of one layout, given its (A, G, P) feasible-pair counts: the solver's
+    matches as (4, n) alpha, frame, gt and pred indices."""
+    # Pass 1: prior association scores per (alpha, gt, pred)
+    denom = g_count[None, :, None] + p_count[None, None, :] - n_pair
+    s_prior = np.zeros(n_pair.shape, dtype=np.float64)
+    np.divide(n_pair, denom, out=s_prior, where=denom > 0)
+
+    # Pass 2: per-frame matching; forced frames are already decided
+    solved: List[List[int]] = [[], [], [], []]
+    for ai, fi in zip(todo_a.tolist(), todo_f.tolist()):
+        feas_f = k[fi] > ai
+        rows = np.flatnonzero(feas_f.any(1))
+        cols = np.flatnonzero(feas_f.any(0))
+        if rows.size == 0 or cols.size == 0:
+            continue
+        ix = np.ix_(rows, cols)
+        sub_w = s_prior[ai][ix] + iou3[fi][ix] / (2.0 * iou3.shape[0])
+        result = solver(WeightMatrix(weights=sub_w, mask=feas_f[ix]))
+        rl, cl = rows.tolist(), cols.tolist()
+        solved[0] += [ai] * len(result.pairs)
+        solved[1] += [fi] * len(result.pairs)
+        solved[2] += [rl[r] for r, _ in result.pairs]
+        solved[3] += [cl[c] for _, c in result.pairs]
+    return np.array(solved, dtype=np.intp).reshape(4, -1)
 
 
 def _score(
     alphas: Sequence[float],
     iou3: np.ndarray,
-    gt_present: np.ndarray,
-    pred_present: np.ndarray,
-    feas: np.ndarray,
-    forced: np.ndarray,
+    k: np.ndarray,
+    t: np.ndarray,
+    g_count: np.ndarray,
+    p_count: np.ndarray,
     solver: Solver,
     ids: Optional[Tuple[List[str], List[str]]],
 ) -> List[AlphaStats]:
-    """Passes 1-3 on one layout: (F, G, P) IoUs, (F, G) and (F, P) presence,
-    (A, F, G, P) feasibility and the (A, F) forced mask. Forced frames keep
-    every feasible pair; the others are solved. ``ids`` (gt ids, pred ids)
-    fills ``pair_tpa``; without it the stats carry none."""
+    """Passes 1-3 on one layout, one ``AlphaStats`` per alpha of ``alphas``
+    (sorted ascending): (F, G, P) IoUs and levels, (F,) forced thresholds
+    and the (G,) and (P,) box counts. Forced (alpha, frame)s keep every
+    feasible pair; the others are solved. ``ids`` (gt ids, pred ids) fills
+    ``pair_tpa``; without it the stats carry none."""
     nf, g, p = iou3.shape
-    g_count = gt_present.sum(0)  # (G,)
-    p_count = pred_present.sum(0)  # (P,)
+    n_alpha = len(alphas)
     total_gt = int(g_count.sum())
     total_pred = int(p_count.sum())
 
-    if g == 0 or p == 0 or nf == 0:
+    if iou3.size == 0 or n_alpha == 0:
         return [
             AlphaStats(
-                alpha=float(a),
+                alpha=a,
                 fn=total_gt,
                 fp=total_pred,
                 pair_tpa={} if ids else None,
@@ -292,66 +386,114 @@ def _score(
             for a in alphas
         ]
 
-    # Pass 1: prior association scores per (alpha, gt, pred)
-    n_pair = feas.sum(1)  # (A, G, P)
-    denom = g_count[None, :, None] + p_count[None, None, :] - n_pair
-    s_prior = np.zeros(n_pair.shape, dtype=np.float64)
-    np.divide(n_pair, denom, out=s_prior, where=denom > 0)
+    # The integer tallies are exact in any order, so they come from the
+    # candidate pairs (level > 0): each (gt, pred) cell holding one gets a
+    # row of n_alpha + 1 counts at offset ``at``.
+    flat = np.flatnonzero(k)
+    ck = k.ravel()[flat].astype(np.intp)
+    cf, cell = np.divmod(flat, g * p)
+    width = n_alpha + 1
+    at = np.zeros(g * p, dtype=np.intp)
+    at[cell] = 1
+    used = np.flatnonzero(at)
+    at[used] = np.arange(0, used.size * width, width)
+    at = at[cell]
 
-    # Pass 2: per-frame matching; forced frames are already decided
-    matched = feas & forced[:, :, None, None]
-    iou_tiebreak = iou3 / (2.0 * nf)
-    for ai, fi in zip(*np.nonzero(~forced)):
-        feas_f = feas[ai, fi]
-        rows = np.flatnonzero(feas_f.any(1))
-        cols = np.flatnonzero(feas_f.any(0))
-        if rows.size == 0 or cols.size == 0:
-            continue
-        sub_feas = feas_f[np.ix_(rows, cols)]
-        sub_w = s_prior[ai][np.ix_(rows, cols)] + iou_tiebreak[fi][np.ix_(rows, cols)]
-        result = solver(WeightMatrix(weights=sub_w, mask=sub_feas))
-        for r, c in result.pairs:
-            matched[ai, fi, rows[r], cols[c]] = True
+    def tally(lo: Union[int, np.ndarray], hi: np.ndarray) -> np.ndarray:
+        """(A, G, P): per cell, the candidates with lo <= a < hi."""
+        n = used.size * width
+        counts = np.bincount(at + np.minimum(lo, hi), minlength=n)
+        counts -= np.bincount(at + hi, minlength=n)
+        counts = counts.reshape(used.size, width)
+        np.cumsum(counts, axis=1, out=counts)
+        out = np.zeros((n_alpha, g * p), dtype=np.int64)
+        out[:, used] = counts[:, :n_alpha].T
+        return out.reshape(n_alpha, g, p)
+
+    todo_a, todo_f = np.nonzero(np.arange(n_alpha)[:, None] < t)  # unforced (alpha, frame)s
+    sa, sf, sg, sp = (
+        _solve(todo_a, todo_f, k, iou3, tally(0, ck), g_count, p_count, solver)
+        if todo_a.size
+        else np.empty((4, 0), dtype=np.intp)
+    )
 
     # Pass 3: association quality with final matches fixed
-    pair_tpa = matched.sum(1)  # (A, G, P)
+    pair_tpa = tally(t[cf], ck)  # forced matches: t[f] <= a < k
+    if sa.size:
+        np.add.at(pair_tpa, (sa, sg, sp), 1)
     tp = pair_tpa.sum((1, 2))  # (A,)
-    iou_sums = (iou3[None] * matched).sum((1, 2, 3))
 
-    pres_sum = g_count[None, :, None] + p_count[None, None, :]
-    tpa = pair_tpa.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_den = pres_sum - tpa
-        a_val = np.where(pair_tpa > 0, tpa / np.where(a_den > 0, a_den, 1.0), 0.0)
-        re_val = np.where(pair_tpa > 0, tpa / g_count[None, :, None], 0.0)
-        pr_val = np.where(pair_tpa > 0, tpa / p_count[None, None, :], 0.0)
-    ass_a = (tpa * a_val).sum((1, 2))
-    ass_re = (tpa * re_val).sum((1, 2))
-    ass_pr = (tpa * pr_val).sum((1, 2))
+    # The float sums run over dense arrays in C order, as in a single-alpha
+    # evaluation of the layout: per alpha, the (F, G, P) IoUs of its matches
+    # (filled in frame blocks) and the (G, P) association terms. Only the
+    # alphas whose matches can differ from the previous alpha's get arrays of
+    # their own: the first, those up to the largest forced threshold (solved
+    # pairs) and the candidate levels (a forced pair stops being feasible).
+    # Any other alpha has the same matches as the one before it, so the same
+    # arrays and the same sums.
+    fresh = np.zeros(n_alpha, dtype=bool)
+    fresh[: t.max() + 1] = True
+    fresh[ck[ck < n_alpha]] = True
+    fresh_a = np.flatnonzero(fresh)
+    slot = np.cumsum(fresh) - 1  # each alpha's fresh index
+    todo_s, solved_s = slot[todo_a], slot[sa]
 
-    details: List[Optional[Dict[Tuple[str, str], int]]] = [None] * len(alphas)
+    iou_sums = np.empty(fresh_a.size, dtype=np.float64)
+    level = fresh_a.astype(k.dtype).reshape(-1, 1, 1, 1)
+    alpha_blocks = _blocks(fresh_a.size, nf * g * p)
+    buf = np.empty((alpha_blocks[0].stop,) + iou3.shape, dtype=np.float64)
+    for ab in alpha_blocks:
+        prod = buf[: ab.stop - ab.start]
+        for fs in _blocks(nf, prod.shape[0] * g * p):
+            block = prod[:, fs]
+            np.greater(k[fs], level[ab], out=block)  # 1.0 where feasible
+            block *= iou3[fs]
+        if todo_a.size:
+            # an unforced frame keeps only its solved pairs
+            sel = (todo_s >= ab.start) & (todo_s < ab.stop)
+            prod[todo_s[sel] - ab.start, todo_f[sel]] = 0.0
+            sel = (solved_s >= ab.start) & (solved_s < ab.stop)
+            prod[solved_s[sel] - ab.start, sf[sel], sg[sel], sp[sel]] = iou3[sf[sel], sg[sel], sp[sel]]
+        iou_sums[ab] = prod.sum((1, 2, 3))
+
+    # sum over TPs of TPA/(TPA+FNA+FPA), TPA/(TPA+FNA) and TPA/(TPA+FPA)
+    pair_fresh = pair_tpa[fresh_a]
+    pres_sum = g_count[:, None] + p_count
+    ass = np.empty((3, fresh_a.size), dtype=np.float64)
+    for ab in _blocks(fresh_a.size, 3 * g * p):
+        n = pair_fresh[ab]
+        tpa = n.astype(np.float64)
+        pos = n > 0
+        terms = np.zeros((3,) + n.shape, dtype=np.float64)
+        np.divide(tpa, pres_sum - tpa, out=terms[0], where=pos)
+        np.divide(tpa, g_count[:, None], out=terms[1], where=pos)
+        np.divide(tpa, p_count, out=terms[2], where=pos)
+        terms *= tpa
+        ass[:, ab] = terms.sum((2, 3))
+
+    details: List[Optional[Dict[Tuple[str, str], int]]] = [None] * n_alpha
     if ids:
-        details = [{} for _ in alphas]
+        details = [{} for _ in range(n_alpha)]
         nz = np.nonzero(pair_tpa)
         for ai, gi, pi, n in zip(*(x.tolist() for x in nz), pair_tpa[nz].tolist()):
             details[ai][ids[0][gi], ids[1][pi]] = n
 
-    out: List[AlphaStats] = []
-    for ai, (alpha, detail) in enumerate(zip(alphas, details)):
-        out.append(
-            AlphaStats(
-                alpha=float(alpha),
-                tp=int(tp[ai]),
-                fn=total_gt - int(tp[ai]),
-                fp=total_pred - int(tp[ai]),
-                iou_sum=float(iou_sums[ai]),
-                ass_a_sum=float(ass_a[ai]),
-                ass_re_sum=float(ass_re[ai]),
-                ass_pr_sum=float(ass_pr[ai]),
-                pair_tpa=detail,
-            )
+    return [
+        AlphaStats(
+            alpha=alpha,
+            tp=n_tp,
+            fn=total_gt - n_tp,
+            fp=total_pred - n_tp,
+            iou_sum=iou_sum,
+            ass_a_sum=a_sum,
+            ass_re_sum=re_sum,
+            ass_pr_sum=pr_sum,
+            pair_tpa=detail,
         )
-    return out
+        for alpha, n_tp, iou_sum, a_sum, re_sum, pr_sum, detail in zip(
+            alphas, tp.tolist(), iou_sums[slot].tolist(), *ass[:, slot].tolist(), details
+        )
+    ]
 
 
 def match_unit_all_alphas(
@@ -367,7 +509,8 @@ def match_unit_all_alphas(
 
     ``frames`` is the evaluation frame set. ``force_solver`` disables the
     forced-match fast path; results must be identical either way. Returns
-    one ``AlphaStats`` per alpha.
+    one ``AlphaStats`` per alpha, in the order of ``alphas``; each equals
+    what a call with that alpha alone gives.
 
     ``restrictions`` maps a name to a subset of ``frames``. With it, the call
     returns ``(stats, {name: stats})``, where each restriction's stats equal
@@ -387,18 +530,22 @@ def match_unit_all_alphas(
             raise ValueError(f"restriction {name!r}: frame {min(outside)} is not evaluated")
         subsets[name] = np.array(sorted({frame_pos[f] for f in sub}), dtype=np.intp)
 
+    # the layouts are scored at the sorted alphas, then put back in order
     alphas_arr = np.asarray(alphas, dtype=np.float64)
+    order = np.argsort(alphas_arr, kind="stable")
+    back = np.argsort(order).tolist()
+    grid = [float(alphas[i]) for i in order.tolist()]
+
     gp, pp = ua.gt.present, ua.pred.present
-    feas = _feasible(alphas_arr, ua.iou3, gp, pp)
+    k = _levels(alphas_arr[order], ua.iou3, gp, pp)
     # A frame whose feasibility graph has degree <= 1 on both sides has one
     # optimum for any positive weights, so its matches hold under every
     # restriction that keeps the frame.
-    row_ok = (feas.sum(3) <= 1).all(2)  # (A, F)
-    col_ok = (feas.sum(2) <= 1).all(2)  # (A, F)
-    forced = row_ok & col_ok
-    if force_solver:
-        forced[:] = False
-    stats = _score(alphas, ua.iou3, gp, pp, feas, forced, solver, (ua.gt.ids, ua.pred.ids))
+    t = np.full(ua.n_frames, order.size, dtype=np.intp) if force_solver else _forced_from(k)
+    stats = _score(
+        grid, ua.iou3, k, t, gp.sum(0), pp.sum(0), solver, (ua.gt.ids, ua.pred.ids)
+    )
+    stats = [stats[i] for i in back]
     if restrictions is None:
         return stats
 
@@ -408,19 +555,17 @@ def match_unit_all_alphas(
         # order over those frames, so every sum and tie runs as it would alone
         gi = ua.gt.order(rows)
         pi = ua.pred.order(rows)
-        iou3 = ua.iou3.take(rows, 0).take(gi, 1).take(pi, 2)
-        gp_r = gp.take(rows, 0).take(gi, 1)
-        pp_r = pp.take(rows, 0).take(pi, 1)
-        restricted[name] = _score(
-            alphas,
-            iou3,
-            gp_r,
-            pp_r,
-            _feasible(alphas_arr, iou3, gp_r, pp_r),
-            forced.take(rows, 1),
+        sub = _score(
+            grid,
+            ua.iou3.take(rows, 0).take(gi, 1).take(pi, 2),
+            k.take(rows, 0).take(gi, 1).take(pi, 2),
+            t[rows],
+            gp.take(rows, 0).take(gi, 1).sum(0),
+            pp.take(rows, 0).take(pi, 1).sum(0),
             solver,
             None,
         )
+        restricted[name] = [sub[i] for i in back]
     return stats, restricted
 
 

@@ -37,6 +37,7 @@ from .hota import (
 from .io_formats import DatasetBundle
 from .model import (
     Attribute,
+    AttributeFrameLabels,
     Detection,
     EvalConfig,
     ExpressionTask,
@@ -70,14 +71,31 @@ def _strip(stats: Sequence[AlphaStats]) -> List[AlphaStats]:
     return list(stats)
 
 
-def _attribute_frames(bundle: DatasetBundle) -> Dict[str, Dict[str, List[int]]]:
+def _attribute_labels(bundle: DatasetBundle) -> Dict[str, AttributeFrameLabels]:
+    """The attribute labels on the frames that are evaluated: a known
+    sequence's rows outside 1..length (``FRAME_OUT_OF_BOUNDS`` violations,
+    evaluated only under ``--allow-violations``) are left out."""
+    out: Dict[str, AttributeFrameLabels] = {}
+    for seq_id, labels in bundle.attributes.items():
+        seq = bundle.sequences.get(seq_id)
+        if seq is not None and any(not 1 <= f <= seq.length for f in labels.flags):
+            labels = AttributeFrameLabels(
+                seq_id, {f: s for f, s in labels.flags.items() if 1 <= f <= seq.length}
+            )
+        out[seq_id] = labels
+    return out
+
+
+def _attribute_frames(
+    labels: Mapping[str, AttributeFrameLabels]
+) -> Dict[str, Dict[str, List[int]]]:
     """Per sequence, each attribute flagged on at least one of its frames and
     those frames; only these attributes get an entry in a unit's results."""
     out: Dict[str, Dict[str, List[int]]] = {}
-    for seq_id, labels in bundle.attributes.items():
+    for seq_id, seq_labels in labels.items():
         out[seq_id] = {}
         for attr in Attribute:
-            frames = labels.frames_with(attr)
+            frames = seq_labels.frames_with(attr)
             if frames:
                 out[seq_id][attr.value] = frames
     return out
@@ -207,11 +225,14 @@ def evaluate(
     and the frame, whatever its scores. Each unit's entry is looked up once,
     in the process that evaluates the unit, so a lazy mapping such as
     ``PredictionFiles`` is read there. The attribute report is produced
-    exactly when ``bundle.attributes`` is non-empty.
+    exactly when ``bundle.attributes`` is non-empty; attribute rows outside
+    their sequence's frames (a validation violation) are neither scored nor
+    counted.
     """
     global _CTX
     n_workers = resolve_workers(workers)
     n_units = len(bundle.tasks)
+    labels = _attribute_labels(bundle)
 
     _CTX = {
         "tasks": bundle.tasks,
@@ -219,7 +240,7 @@ def evaluate(
         "cfg": cfg,
         "solver": solver,
         "sequences": bundle.sequences,
-        "attribute_frames": _attribute_frames(bundle),
+        "attribute_frames": _attribute_frames(labels),
     }
     try:
         if n_workers == 1 or n_units <= 1:
@@ -248,7 +269,7 @@ def evaluate(
         report = finalize(pooled)
 
     attr_report = (
-        attribute_report([r[1] for r in results], bundle.attributes, cfg)
+        attribute_report([r[1] for r in results], labels, cfg)
         if bundle.attributes
         else None
     )

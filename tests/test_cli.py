@@ -267,6 +267,31 @@ class TestEvaluateCommand:
             ) in result.stderr
         assert not (out / "report.json").exists()
 
+    def test_attribute_rows_past_gt_sequence_allowed(self, runner, mini_dirs, tmp_path):
+        gt_dir, pred_dir = mini_dirs
+        # seq-b has 20 frames in GT_DIR but 30 in the --attributes bundle
+        attr_dir = tmp_path / "attrs"
+        day = AttributeFrameLabels("seq-b", {f: frozenset({Attribute.DAY}) for f in range(1, 31)})
+        write_bundle(attr_dir, {"seq-b": SequenceData("seq-b", 30, {})}, [], {"seq-b": day})
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["evaluate", str(gt_dir), str(pred_dir), "--attributes", str(attr_dir),
+             "--allow-violations", "--out", str(out)],
+        )
+        assert result.exception is None, result.output
+        assert result.exit_code == 0
+        assert "Traceback" not in result.output
+        for frame in range(21, 31):
+            assert (
+                f"violation: FRAME_OUT_OF_BOUNDS in seq-b: attribute row for frame {frame} "
+                "outside [1, 20]"
+            ) in result.stderr
+        # the rows past the sequence are neither evaluated nor counted
+        attrs = json.loads((out / "report.json").read_text())["attributes"]
+        assert attrs["frame_counts"]["day"] == 20
+        assert attrs["per_attribute"]["day"] == 100.0
+
     @pytest.mark.parametrize(
         "frame, code", [(0, "FRAME_INDEX"), (-4, "FRAME_INDEX"), (99, "FRAME_OUT_OF_RANGE")]
     )

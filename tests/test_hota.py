@@ -1,6 +1,11 @@
 """HOTA engine: unit matching, pooling, finalization, fast-path equivalence."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from rmot_eval.assignment import solve_oracle
 from rmot_eval.attributes import restrict_to_attribute
 from rmot_eval.hota import (
     AlphaStats,
+    _forced_from,
+    _levels,
     accumulate,
     finalize,
     match_unit,
@@ -288,6 +295,118 @@ class TestRestrictions:
             match_unit_all_alphas(
                 task, [], DEFAULT_ALPHA_GRID, [1, 2, 3], restrictions={"ok": [1], "late": [2, 4]}
             )
+
+
+class TestLevels:
+    """The level tensor and the forced threshold against brute force."""
+
+    def test_levels_and_forced_threshold(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            # a sorted grid, repeats allowed
+            alphas = np.sort(rng.choice(DEFAULT_ALPHA_GRID, size=int(rng.integers(1, 8))))
+            nf, g, p = (int(x) for x in rng.integers(0, 5, size=3))
+            # IoUs equal to grid values (exact ties), 0, 1 and values between
+            values = np.concatenate([alphas, [0.0, 1.0], rng.random(3)])
+            iou3 = rng.choice(values, size=(nf, g, p))
+            # duplicate boxes: the last gt row and pred column repeat the first
+            if g > 1:
+                iou3[:, -1] = iou3[:, 0]
+            if p > 1:
+                iou3[:, :, -1] = iou3[:, :, 0]
+            # absent slots, whatever IoU they carry
+            gt_present = rng.random((nf, g)) < 0.8
+            pred_present = rng.random((nf, p)) < 0.8
+            k = _levels(alphas, iou3, gt_present, pred_present)
+            t = _forced_from(k)
+            assert k.shape == iou3.shape and t.shape == (nf,)
+            for a, alpha in enumerate(alphas.tolist()):
+                feas = (iou3 >= alpha) & gt_present[:, :, None] & pred_present[:, None, :]
+                assert np.array_equal(a < k, feas)
+                for f in range(nf):
+                    degrees = [sum(feas[f, gi, pi] for pi in range(p)) for gi in range(g)]
+                    degrees += [sum(feas[f, gi, pi] for gi in range(g)) for pi in range(p)]
+                    assert (a >= t[f]) == all(d <= 1 for d in degrees)
+
+
+class TestAlphaOrder:
+    """Stats come back in the order of the alphas given, each as a call with
+    that alpha alone gives it, though the layouts are scored at the sorted
+    alphas."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        restricted_units(),
+        st.lists(st.sampled_from(DEFAULT_ALPHA_GRID[::3] + (0.33,)), min_size=1, max_size=8),
+        st.booleans(),
+    )
+    def test_unsorted_and_repeated_alphas(self, unit, alphas, force_solver):
+        task, preds, frames, restrictions = unit
+        whole, restricted = match_unit_all_alphas(
+            task, preds, alphas, frames, force_solver=force_solver, restrictions=restrictions
+        )
+        assert len(whole) == len(alphas)
+        for i, alpha in enumerate(alphas):
+            alone = match_unit(task, preds, alpha, frames=frames)
+            assert [getattr(whole[i], f) for f in STAT_FIELDS] == [
+                getattr(alone, f) for f in STAT_FIELDS
+            ]
+            assert whole[i].pair_tpa == alone.pair_tpa
+            for name, sub in restrictions.items():
+                alone = match_unit(*restrict_to_attribute(task, preds, sub), alpha, frames=sub)
+                assert [getattr(restricted[name][i], f) for f in STAT_FIELDS] == [
+                    getattr(alone, f) for f in STAT_FIELDS
+                ]
+
+
+# One match_unit_all_alphas call on a dense unit: 74 GT tracks over 50
+# frames whose prediction ids change every 7 frames (592 ids), in a process
+# of its own; prints its peak RSS in MB and the call's time in seconds.
+DENSE_UNIT_RUN = """
+import json, resource, sys, time
+from rmot_eval.hota import match_unit_all_alphas
+from rmot_eval.model import DEFAULT_ALPHA_GRID, BoundingBox, Detection, ExpressionTask
+
+n_frames, n_gt = int(sys.argv[1]), 74
+targets = {
+    f: {f"g{g}": BoundingBox(60.0 * (g % 10) + f, 60.0 * (g // 10), 40.0, 40.0) for g in range(n_gt)}
+    for f in range(1, n_frames + 1)
+}
+preds = [
+    Detection(f, BoundingBox(b.x + 1.0, b.y, 40.0, 40.0), 1.0, 1.0, f"p{g}-{(f + g) // 7}")
+    for f in range(1, n_frames + 1)
+    for g, b in enumerate(targets[f].values())
+]
+task = ExpressionTask("s", "e", "t", targets)
+start = time.perf_counter()
+stats = match_unit_all_alphas(task, preds, DEFAULT_ALPHA_GRID, range(1, n_frames + 1))
+seconds = time.perf_counter() - start
+print(json.dumps({
+    "pred_ids": len({d.track_id for d in preds}),
+    "tp": [s.tp for s in stats],
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "seconds": seconds,
+}))
+"""
+
+
+class TestDenseUnit:
+    def test_memory_and_time_stay_bounded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run(
+            [sys.executable, "-c", DENSE_UNIT_RUN, "50"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        run = json.loads(done.stdout)
+        assert run["pred_ids"] == 592
+        # every GT box is matched to its prediction at every alpha (IoU 39/41)
+        assert run["tp"] == [50 * 74] * len(DEFAULT_ALPHA_GRID)
+        # a dense (alpha, frame, gt, pred) core peaks at about 500 MB here
+        assert run["peak_rss_mb"] < 250
+        assert run["seconds"] < 10
 
 
 class TestAccumulate:

@@ -20,7 +20,13 @@ from rmot_eval.io_formats import (
     unit_filename,
     write_predictions,
 )
-from rmot_eval.model import EvalConfig, UnitBoxes, filter_predictions
+from rmot_eval.model import (
+    Attribute,
+    AttributeFrameLabels,
+    EvalConfig,
+    UnitBoxes,
+    filter_predictions,
+)
 from rmot_eval.pipeline import WORKERS_ENV, evaluate, resolve_workers
 from rmot_eval.synth import PerturbationConfig, ScenarioConfig, generate_scenario, perturb
 
@@ -157,6 +163,24 @@ class TestEvaluate:
         assert str(exc.value) == (
             f"unit seq-a/e2: frame {2**64} does not fit in a 64-bit integer"
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_attribute_rows_past_the_sequence_left_out(
+        self, mini_bundle, mini_predictions, workers
+    ):
+        # seq-a has 10 frames; rows 11-15 (a FRAME_OUT_OF_BOUNDS violation)
+        # change neither the attribute scores nor the frame counts
+        flags = dict(mini_bundle.attributes["seq-a"].flags)
+        late = frozenset({Attribute.NIGHT, Attribute.OCCLUSION})
+        flags.update({f: late for f in range(11, 16)})
+        longer = dataclasses.replace(
+            mini_bundle, attributes={"seq-a": AttributeFrameLabels("seq-a", flags)}
+        )
+        cfg = EvalConfig()
+        expected = report_payload(*evaluate(mini_bundle, mini_predictions, cfg, workers=workers))
+        got = report_payload(*evaluate(longer, mini_predictions, cfg, workers=workers))
+        assert got == expected
+        assert got["attributes"]["frame_counts"]["night"] == 5
 
     def test_oracle_solver_injection(self, mini_bundle, mini_predictions):
         from rmot_eval.assignment import solve_oracle
