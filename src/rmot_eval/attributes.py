@@ -8,10 +8,10 @@ restriction from the unit's single tensor build. Each restriction scores
 exactly like the unit cut to those frames by :func:`restrict_to_attribute`
 and matched as a self-contained HOTA problem; that function stays as the
 definition the tests check against. :func:`attribute_report` then pools each
-attribute's per-unit stats, finalizes the per-attribute HOTA and composes
-HOTA_S / HOTA_M as geometric means of the unrounded per-attribute scores;
-attributes absent from the whole evaluation are excluded with the effective
-count reported.
+attribute's per-unit tally arrays with :func:`rmot_eval.hota.pool_tallies`,
+finalizes the per-attribute HOTA and composes HOTA_S / HOTA_M as geometric
+means of the unrounded per-attribute scores; attributes absent from the
+whole evaluation are excluded with the effective count reported.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .hota import AlphaStats, accumulate, finalize
+import numpy as np
+
+from .hota import finalize, pool_tallies
 from .model import Attribute, AttributeFrameLabels, Detection, EvalConfig, ExpressionTask
 
 
@@ -92,23 +94,26 @@ def compose_geometric(values: Sequence[float]) -> float:
 
 
 def attribute_report(
-    per_unit: Sequence[Mapping[str, Sequence[AlphaStats]]],
+    tallies: Mapping[str, Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
     labels: Mapping[str, AttributeFrameLabels],
     cfg: EvalConfig,
 ) -> AttributeReport:
     """Pool the attribute-restricted unit stats and compose HOTA_S / HOTA_M.
 
-    ``per_unit`` holds one mapping per unit, from attribute name to the
-    unit's stats on that attribute's frames; an attribute flagged on no frame
-    of the unit's sequence has no entry. ``labels`` covers the whole
-    evaluation and gives the per-attribute frame counts.
+    ``tallies`` maps an attribute name to the (alpha, 3) int and (alpha, 4)
+    float tally arrays (``hota.pool_tallies``'s inputs) of each unit on that
+    attribute's frames; an attribute flagged on no frame of any unit's
+    sequence has no entry. ``labels`` covers the whole evaluation and gives
+    the per-attribute frame counts.
     """
     per_attr: Dict[str, Optional[float]] = {}
     frame_counts: Dict[str, int] = {}
     for attr in Attribute:
         frame_counts[attr.value] = sum(len(lab.frames_with(attr)) for lab in labels.values())
-        stacks = [u[attr.value] for u in per_unit if attr.value in u]
-        per_attr[attr.value] = finalize(accumulate(stacks)).hota if stacks else None
+        if attr.value in tallies:
+            per_attr[attr.value] = finalize(pool_tallies(cfg.alpha_grid, *tallies[attr.value])).hota
+        else:
+            per_attr[attr.value] = None
 
     warnings: List[str] = [
         f"attribute {name} absent from evaluation"

@@ -583,8 +583,42 @@ def match_unit(
     return match_unit_all_alphas(task, preds, [alpha], frames, solver=solver)[0]
 
 
+def tally_arrays(layouts: Sequence[Sequence[AlphaStats]]) -> Tuple[np.ndarray, np.ndarray]:
+    """The tallies of per-alpha stats lists of one length as a (layouts,
+    alpha, 3) int64 array of tp, fn, fp and a (layouts, alpha, 4) float64
+    array of iou_sum, ass_a_sum, ass_re_sum, ass_pr_sum."""
+    stats = [s for layout in layouts for s in layout]
+    shape = (len(layouts), len(layouts[0]) if layouts else 0)
+    ints = np.array([(s.tp, s.fn, s.fp) for s in stats], dtype=np.int64)
+    floats = np.array(
+        [(s.iou_sum, s.ass_a_sum, s.ass_re_sum, s.ass_pr_sum) for s in stats], dtype=np.float64
+    )
+    return ints.reshape(shape + (3,)), floats.reshape(shape + (4,))
+
+
+def pool_tallies(
+    alphas: Sequence[float], ints: Sequence[np.ndarray], floats: Sequence[np.ndarray]
+) -> List[AlphaStats]:
+    """Pool per-unit tallies, one (alpha, 3) ``ints`` and one (alpha, 4)
+    ``floats`` array per unit as ``tally_arrays`` lays them out, into one
+    ``AlphaStats`` per alpha.
+
+    The integer columns are summed exactly and the float columns with the
+    exactly rounded ``math.fsum``, so the pooled result is bit-identical for
+    any ordering of the units.
+    """
+    shape = (len(ints), len(alphas))
+    tp_fn_fp = np.array(ints, dtype=np.int64).reshape(shape + (3,)).sum(0).tolist()
+    columns = np.array(floats, dtype=np.float64).reshape(shape + (4,)).transpose(1, 2, 0)
+    return [
+        AlphaStats(alpha, *counts, *map(math.fsum, sums))
+        for alpha, counts, sums in zip(alphas, tp_fn_fp, columns.tolist())
+    ]
+
+
 def accumulate(per_unit: Iterable[Sequence[AlphaStats]]) -> List[AlphaStats]:
-    """Pool per-unit stats across units by summing counts componentwise.
+    """Pool per-unit stats across units by summing counts componentwise
+    (``pool_tallies`` over their ``tally_arrays``).
 
     Float components are combined with exactly rounded summation, so the
     pooled result is bit-identical for any ordering of the units.
@@ -596,22 +630,7 @@ def accumulate(per_unit: Iterable[Sequence[AlphaStats]]) -> List[AlphaStats]:
     for unit_stats in units[1:]:
         if tuple(s.alpha for s in unit_stats) != grid:
             raise ValueError("mismatched alpha grids across units")
-    pooled: List[AlphaStats] = []
-    for i, alpha in enumerate(grid):
-        rows = [u[i] for u in units]
-        pooled.append(
-            AlphaStats(
-                alpha=alpha,
-                tp=sum(r.tp for r in rows),
-                fn=sum(r.fn for r in rows),
-                fp=sum(r.fp for r in rows),
-                iou_sum=math.fsum(r.iou_sum for r in rows),
-                ass_a_sum=math.fsum(r.ass_a_sum for r in rows),
-                ass_re_sum=math.fsum(r.ass_re_sum for r in rows),
-                ass_pr_sum=math.fsum(r.ass_pr_sum for r in rows),
-            )
-        )
-    return pooled
+    return pool_tallies(grid, *tally_arrays(units))
 
 
 def _ratio(num: float, den: float) -> float:

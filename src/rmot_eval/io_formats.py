@@ -2,8 +2,9 @@
 and reports.
 
 All parsers reject malformed input with file and line context instead of
-repairing it silently. Line-based formats accept LF and CRLF; writers always
-emit LF. Round-tripping any format preserves logical content exactly.
+repairing it silently. Line-based formats accept LF, CRLF and lone CR line
+ends; writers always emit LF. Round-tripping any format preserves logical
+content exactly.
 
 On-disk layout of a dataset bundle::
 
@@ -16,14 +17,19 @@ On-disk layout of a dataset bundle::
 Predictions live in a separate directory, one file per (sequence,
 expression) named ``<sequence_id>__<expression_id>.txt`` with lines
 ``frame,track_id,x,y,w,h,confidence,referring_score``. A prediction file
-parses into a ``model.UnitBoxes`` (columns, no per-line objects); the other
-formats parse into the ``model`` types.
+parses into a ``model.UnitBoxes`` (columns, no per-line objects), a block of
+lines at a time: each block is split into columns, its fields converted by
+Python's ``int`` and ``float`` and its rows checked in numpy. Only a file
+that fails a check is read again row by row, by the same ``_records`` reader
+the other line formats use, to raise its first error in line order. The
+other formats parse into the ``model`` types.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice, repeat
 from math import isfinite
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -56,6 +62,7 @@ ATTRIBUTE_COLUMNS: Tuple[Attribute, ...] = (
 )
 
 _INT64_MAX = 2**63 - 1  # the largest prediction frame a UnitBoxes column holds
+_BLOCK_LINES = 1 << 14  # prediction lines read, split and converted at a time
 
 REPORT_SCHEMA = "rmot-eval-report/1"
 TABLE_COLUMNS = (
@@ -303,12 +310,73 @@ def parse_predictions(path: Path | str, length: Optional[int] = None) -> UnitBox
 
     With ``length``, a prediction after the sequence's last frame is a
     FRAME_OUT_OF_RANGE error instead of being returned. A frame past the
-    int64 range is a FIELD_TYPE error."""
+    int64 range is a FIELD_TYPE error.
+
+    The file is read ``_BLOCK_LINES`` lines at a time; each block is split
+    into columns, its fields converted by ``int`` and ``float`` and checked
+    in numpy. When a check fails anywhere, ``_check_rows`` reads the file
+    again row by row and raises the first error in line order.
+    """
     path = Path(path)
-    frames: List[int] = []
-    tracks: List[int] = []
-    values: List[float] = []  # the six numbers of each line, flat
+    try:
+        boxes = _prediction_blocks(path, length)
+    except (ValueError, OverflowError):  # a field int() or float() rejects, or bad UTF-8
+        boxes = None
+    if boxes is None:
+        _check_rows(path, length)
+        raise AssertionError(f"{path}: a block check failed but no row check does")
+    return boxes
+
+
+def _prediction_blocks(path: Path, length: Optional[int]) -> Optional[UnitBoxes]:
+    """The file's columns, or None when some row would fail a check."""
+    frames = [np.empty(0, np.int64)]
+    tracks = [np.empty(0, np.intp)]
+    values = [np.empty((0, 6))]  # the six numbers of each line
     index: Dict[str, int] = {}  # track id -> its index, in first-appearance order
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        for at, block in enumerate(iter(lambda: list(islice(fh, _BLOCK_LINES)), [])):
+            if at == 0:
+                head = block[0].rstrip("\r\n")
+                if head and not _is_number(head.split(",", 1)[0]):
+                    block[0] = ""  # optional header
+            lines = list(filter(None, map(str.rstrip, block, repeat("\r\n"))))
+            if not lines:
+                continue
+            n = len(lines)
+            if list(map(str.count, lines, repeat(","))).count(7) != n:
+                return None
+            tokens = ",".join(lines).split(",")
+            frame = np.fromiter(map(int, tokens[0::8]), np.int64, n)
+            ids = tokens[1::8]
+            del tokens[0::8], tokens[0::7]  # frame, then track id
+            row = np.fromiter(map(float, tokens), np.float64, 6 * n).reshape(n, 6)
+            scores = row[:, 4:]
+            if (
+                frame.min() < 1
+                or (length is not None and frame.max() > length)
+                or not np.isfinite(row[:, :4]).all()
+                or not ((scores >= 0.0) & (scores <= 1.0)).all()
+            ):
+                return None
+            fresh = [t for t in dict.fromkeys(ids) if t not in index]
+            index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+            frames.append(frame)
+            tracks.append(np.fromiter(map(index.__getitem__, ids), np.intp, n))
+            values.append(row)
+    frame, track, cols = np.concatenate(frames), np.concatenate(tracks), np.concatenate(values)
+    # a repeated (frame, track) sits next to its twin once sorted
+    order = np.lexsort((track, frame))
+    f, t = frame[order], track[order]
+    if ((f[1:] == f[:-1]) & (t[1:] == t[:-1])).any():
+        return None
+    return UnitBoxes(frame, track, list(index), cols[:, :4], cols[:, 4], cols[:, 5])
+
+
+def _check_rows(path: Path, length: Optional[int]) -> None:
+    """Check a prediction file row by row; the first failing row raises its
+    ``ParseError``. The block checks fail on a file exactly when one of
+    these does."""
     seen = set()
     for lineno, frame, fields in _records(path, 8, length):
         if frame > _INT64_MAX:
@@ -329,18 +397,6 @@ def parse_predictions(path: Path | str, length: Optional[int] = None) -> UnitBox
                 f"duplicate (frame, track) = ({frame}, {fields[1]})",
             )
         seen.add(key)
-        frames.append(frame)
-        tracks.append(index.setdefault(fields[1], len(index)))
-        values += row
-    cols = np.array(values, dtype=np.float64).reshape(len(frames), 6)
-    return UnitBoxes(
-        np.array(frames, dtype=np.int64),
-        np.array(tracks, dtype=np.intp),
-        list(index),
-        cols[:, :4],
-        cols[:, 4],
-        cols[:, 5],
-    )
 
 
 def write_predictions(dets: Sequence[Detection], path: Path | str) -> None:

@@ -399,8 +399,18 @@ def validate_dataset(
                     )
 
     for seq_id, labels in (attributes or {}).items():
+        # the labels may come from another bundle than the sequences
         seq = sequences.get(seq_id)
-        if seq is not None:
+        if seq is None:
+            out.append(
+                Violation(
+                    "UNKNOWN_SEQUENCE",
+                    seq_id,
+                    f"attribute labels for {len(labels.flags)} frame(s) reference "
+                    "unknown sequence",
+                )
+            )
+        else:
             missing = [f for f in range(1, seq.length + 1) if f not in labels.flags]
             if missing:
                 out.append(
@@ -413,7 +423,6 @@ def validate_dataset(
                     )
                 )
         for frame, flags in labels.flags.items():
-            # the labels may come from another bundle than the sequences
             if seq is not None and not 1 <= frame <= seq.length:
                 out.append(
                     Violation(

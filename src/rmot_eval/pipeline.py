@@ -3,15 +3,19 @@
 Work is partitioned per expression unit. Units are dispatched to a fork-based
 worker pool and reduced in the fixed unit order, so the result is identical
 for any worker count. Workers inherit the evaluation context through fork
-(no per-unit pickling of inputs); only the small per-alpha tallies travel
-back. Each unit's predictions are looked up in the process that evaluates
-the unit (a ``PredictionFiles`` parses the unit's file there into a
-``UnitBoxes``; a list of detections is converted to one) and dropped when
-the unit is done. A prediction outside its sequence's frames is a
-``ValueError``, never silently ignored. Errors reach the caller in unit
-order: the first failing unit's error wins for any worker count. A worker's
-error that cannot be rebuilt in the parent arrives as a ``WorkerError``
-naming its type.
+(no per-unit pickling of inputs). Each unit's result travels back as two
+arrays, its (layouts, alpha, 3) integer tallies and (layouts, alpha, 4)
+float sums for the whole sequence (layout 0) and each attribute it was
+restricted to, plus those attribute names (``hota.tally_arrays``); the
+parent pools them with ``hota.pool_tallies``, integer sums and
+``math.fsum``, the same pooling ``hota.accumulate`` does. Each unit's
+predictions are looked up in the process that evaluates the unit (a
+``PredictionFiles`` parses the unit's file there into a ``UnitBoxes``; a
+list of detections is converted to one) and dropped when the unit is done.
+A prediction outside its sequence's frames is a ``ValueError``, never
+silently ignored. Errors reach the caller in unit order: the first failing
+unit's error wins for any worker count. A worker's error that cannot be
+rebuilt in the parent arrives as a ``WorkerError`` naming its type.
 """
 
 from __future__ import annotations
@@ -22,17 +26,19 @@ import os
 import pickle
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .assignment import solve_max_weight
 from .attributes import AttributeReport, attribute_report
 from .attributes import restrict_to_attribute  # noqa: F401  unused; bench/tracing.py wraps it
 from .hota import (
     AlphaMetrics,
-    AlphaStats,
     MetricReport,
     Solver,
-    accumulate,
     finalize,
     match_unit_all_alphas,
+    pool_tallies,
+    tally_arrays,
 )
 from .io_formats import DatasetBundle
 from .model import (
@@ -46,6 +52,10 @@ from .model import (
 )
 
 WORKERS_ENV = "RMOT_EVAL_WORKERS"
+
+# one unit's result: its restriction names, and its (layouts, alpha, 3) int
+# and (layouts, alpha, 4) float tally arrays (see hota.tally_arrays)
+UnitTallies = Tuple[Tuple[str, ...], np.ndarray, np.ndarray]
 
 # fork-inherited evaluation context; set in the parent right before the pool
 # is created, read-only in workers
@@ -64,21 +74,17 @@ def resolve_workers(workers: Optional[int]) -> int:
     return 1
 
 
-def _strip(stats: Sequence[AlphaStats]) -> List[AlphaStats]:
-    # drop per-pair detail before IPC; pooling only needs the sums
-    for s in stats:
-        s.pair_tpa = None
-    return list(stats)
-
-
 def _attribute_labels(bundle: DatasetBundle) -> Dict[str, AttributeFrameLabels]:
-    """The attribute labels on the frames that are evaluated: a known
-    sequence's rows outside 1..length (``FRAME_OUT_OF_BOUNDS`` violations,
-    evaluated only under ``--allow-violations``) are left out."""
+    """The attribute labels on the frames that are evaluated: the labels of
+    a sequence the bundle lacks (``UNKNOWN_SEQUENCE``) and a sequence's rows
+    outside 1..length (``FRAME_OUT_OF_BOUNDS``), violations evaluated only
+    under ``--allow-violations``, are left out."""
     out: Dict[str, AttributeFrameLabels] = {}
     for seq_id, labels in bundle.attributes.items():
         seq = bundle.sequences.get(seq_id)
-        if seq is not None and any(not 1 <= f <= seq.length for f in labels.flags):
+        if seq is None:
+            continue
+        if any(not 1 <= f <= seq.length for f in labels.flags):
             labels = AttributeFrameLabels(
                 seq_id, {f: s for f, s in labels.flags.items() if 1 <= f <= seq.length}
             )
@@ -118,7 +124,9 @@ def _unit_boxes(task: ExpressionTask, preds: Sequence[Detection], length: int) -
     return boxes
 
 
-def _eval_unit(index: int):
+def _eval_unit(index: int) -> UnitTallies:
+    """Match one unit; its whole-sequence stats are layout 0 of the tally
+    arrays, the stats on restriction ``names[i]``'s frames layout ``i + 1``."""
     assert _CTX is not None
     task = _CTX["tasks"][index]
     cfg: EvalConfig = _CTX["cfg"]
@@ -134,7 +142,21 @@ def _eval_unit(index: int):
         solver=_CTX["solver"],
         restrictions=_CTX["attribute_frames"].get(task.sequence_id, {}),
     )
-    return _strip(main), per_attr
+    return (tuple(per_attr), *tally_arrays([main, *per_attr.values()]))
+
+
+def _attribute_tallies(
+    results: Sequence[UnitTallies],
+) -> Dict[str, Tuple[List[np.ndarray], List[np.ndarray]]]:
+    """Per attribute name, the int and float tallies of each unit that was
+    restricted to it, in unit order."""
+    out: Dict[str, Tuple[List[np.ndarray], List[np.ndarray]]] = {}
+    for names, ints, floats in results:
+        for i, name in enumerate(names, start=1):
+            unit_ints, unit_floats = out.setdefault(name, ([], []))
+            unit_ints.append(ints[i])
+            unit_floats.append(floats[i])
+    return out
 
 
 class WorkerError(RuntimeError):
@@ -162,10 +184,6 @@ def _eval_unit_in_worker(index: int):
         except Exception:
             raise WorkerError(type(exc).__name__, str(exc)) from exc
         raise
-
-
-def _empty_pool(cfg: EvalConfig) -> List[AlphaStats]:
-    return [AlphaStats(alpha=a) for a in cfg.alpha_grid]
 
 
 def _macro_average(reports: Sequence[MetricReport], cfg: EvalConfig) -> MetricReport:
@@ -226,8 +244,8 @@ def evaluate(
     in the process that evaluates the unit, so a lazy mapping such as
     ``PredictionFiles`` is read there. The attribute report is produced
     exactly when ``bundle.attributes`` is non-empty; attribute rows outside
-    their sequence's frames (a validation violation) are neither scored nor
-    counted.
+    their sequence's frames and the labels of a sequence the bundle lacks
+    (validation violations) are neither scored nor counted.
     """
     global _CTX
     n_workers = resolve_workers(workers)
@@ -257,20 +275,18 @@ def evaluate(
     finally:
         _CTX = None
 
-    main_stats = [r[0] for r in results]
-    if macro:
-        unit_reports = [finalize(stats) for stats in main_stats]
-        if not unit_reports:
-            report = finalize(_empty_pool(cfg))
-        else:
-            report = _macro_average(unit_reports, cfg)
+    alphas = cfg.alpha_grid
+    if macro and results:
+        report = _macro_average(
+            [finalize(pool_tallies(alphas, ints[:1], floats[:1])) for _, ints, floats in results],
+            cfg,
+        )
     else:
-        pooled = accumulate(main_stats) if main_stats else _empty_pool(cfg)
-        report = finalize(pooled)
+        report = finalize(
+            pool_tallies(alphas, [r[1][0] for r in results], [r[2][0] for r in results])
+        )
 
     attr_report = (
-        attribute_report([r[1] for r in results], labels, cfg)
-        if bundle.attributes
-        else None
+        attribute_report(_attribute_tallies(results), labels, cfg) if bundle.attributes else None
     )
     return report, attr_report

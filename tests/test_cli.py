@@ -292,6 +292,65 @@ class TestEvaluateCommand:
         assert attrs["frame_counts"]["day"] == 20
         assert attrs["per_attribute"]["day"] == 100.0
 
+    @staticmethod
+    def _labels_with_unknown_sequence(mini_bundle, attr_dir):
+        # GT_DIR's own seq-a labels, plus a 50-frame seq-z that GT_DIR lacks
+        night = AttributeFrameLabels(
+            "seq-z", {f: frozenset({Attribute.NIGHT}) for f in range(1, 51)}
+        )
+        write_bundle(
+            attr_dir,
+            {"seq-a": mini_bundle.sequences["seq-a"], "seq-z": SequenceData("seq-z", 50, {})},
+            [],
+            {"seq-a": mini_bundle.attributes["seq-a"], "seq-z": night},
+        )
+        return (
+            "violation: UNKNOWN_SEQUENCE in seq-z: attribute labels for 50 frame(s) "
+            "reference unknown sequence"
+        )
+
+    def test_attribute_labels_for_unknown_sequence_exit_2(
+        self, runner, mini_dirs, mini_bundle, tmp_path
+    ):
+        gt_dir, pred_dir = mini_dirs
+        attr_dir = tmp_path / "attrs"
+        violation = self._labels_with_unknown_sequence(mini_bundle, attr_dir)
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main,
+            ["evaluate", str(gt_dir), str(pred_dir), "--attributes", str(attr_dir),
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert violation in result.stderr
+        assert not (out / "report.json").exists()
+
+    def test_attribute_labels_for_unknown_sequence_allowed(
+        self, runner, mini_dirs, mini_bundle, tmp_path
+    ):
+        gt_dir, pred_dir = mini_dirs
+        attr_dir = tmp_path / "attrs"
+        violation = self._labels_with_unknown_sequence(mini_bundle, attr_dir)
+        result = runner.invoke(
+            main,
+            ["evaluate", str(gt_dir), str(pred_dir), "--attributes", str(attr_dir),
+             "--allow-violations", "--out", str(tmp_path / "o")],
+        )
+        assert result.exit_code == 0, result.output
+        assert violation in result.stderr
+        # seq-z's labels are neither evaluated nor counted: the attribute
+        # report is GT_DIR's own
+        result = runner.invoke(
+            main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(tmp_path / "own")]
+        )
+        assert result.exit_code == 0, result.output
+        attrs, own = (
+            json.loads((tmp_path / d / "report.json").read_text())["attributes"]
+            for d in ("o", "own")
+        )
+        assert attrs["frame_counts"]["night"] == 5
+        assert attrs == own
+
     @pytest.mark.parametrize(
         "frame, code", [(0, "FRAME_INDEX"), (-4, "FRAME_INDEX"), (99, "FRAME_OUT_OF_RANGE")]
     )

@@ -22,6 +22,8 @@ from rmot_eval.hota import (
     finalize,
     match_unit,
     match_unit_all_alphas,
+    pool_tallies,
+    tally_arrays,
 )
 from rmot_eval.model import DEFAULT_ALPHA_GRID, ExpressionTask
 
@@ -461,6 +463,73 @@ class TestAccumulate:
             assert a.ass_a_sum == b.ass_a_sum
             assert a.ass_re_sum == b.ass_re_sum
             assert a.ass_pr_sum == b.ass_pr_sum
+
+
+class TestPoolTallies:
+    ALPHAS = (0.25, 0.5, 0.75)
+
+    def units(self, n, seed):
+        """``n`` units of stats with random tallies; unit u's iou_sum at the
+        first alpha is [1e16, 1.0, -1e16, 1.0][u % 4], a column on which a
+        float64 ``np.sum`` and ``math.fsum`` differ."""
+        rng = np.random.default_rng(seed)
+        cancel = [1e16, 1.0, -1e16, 1.0]
+        out = []
+        for u in range(n):
+            stats = []
+            for i, a in enumerate(self.ALPHAS):
+                tp, fn, fp = (int(v) for v in rng.integers(0, 1000, 3))
+                sums = rng.standard_normal(4) * 10.0 ** rng.integers(-8, 17, 4)
+                stats.append(AlphaStats(a, tp, fn, fp, *sums.tolist()))
+            stats[0].iou_sum = cancel[u % 4]
+            out.append(stats)
+        return out
+
+    @staticmethod
+    def bits(stats):
+        return [
+            (s.alpha, s.tp, s.fn, s.fp)
+            + tuple(float(v).hex() for v in (s.iou_sum, s.ass_a_sum, s.ass_re_sum, s.ass_pr_sum))
+            for s in stats
+        ]
+
+    def test_cancelling_column_is_exactly_rounded(self):
+        column = np.array([1e16, 1.0, -1e16, 1.0])
+        assert math.fsum(column) == 2.0 and float(np.sum(column)) != 2.0
+        pooled = pool_tallies(self.ALPHAS, *tally_arrays(self.units(4, seed=1)))
+        assert pooled[0].iou_sum == 2.0
+
+    @pytest.mark.parametrize("n_units", [1, 2, 4, 9])
+    def test_equals_accumulate_and_exact_sums_bitwise(self, n_units):
+        units = self.units(n_units, seed=n_units)
+        ints, floats = tally_arrays(units)
+        assert ints.shape == (n_units, len(self.ALPHAS), 3) and ints.dtype == np.int64
+        assert floats.shape == (n_units, len(self.ALPHAS), 4) and floats.dtype == np.float64
+        pooled = pool_tallies(self.ALPHAS, ints, floats)
+        exact = [
+            AlphaStats(
+                a,
+                sum(u[i].tp for u in units),
+                sum(u[i].fn for u in units),
+                sum(u[i].fp for u in units),
+                math.fsum(u[i].iou_sum for u in units),
+                math.fsum(u[i].ass_a_sum for u in units),
+                math.fsum(u[i].ass_re_sum for u in units),
+                math.fsum(u[i].ass_pr_sum for u in units),
+            )
+            for i, a in enumerate(self.ALPHAS)
+        ]
+        assert self.bits(pooled) == self.bits(exact) == self.bits(accumulate(units))
+        # per-unit arrays in any order pool to the same bits
+        order = list(reversed(range(n_units)))
+        assert self.bits(
+            pool_tallies(self.ALPHAS, [ints[u] for u in order], [floats[u] for u in order])
+        ) == self.bits(pooled)
+        assert all(type(v) is int for s in pooled for v in (s.tp, s.fn, s.fp))
+
+    def test_no_units_pool_to_zero(self):
+        pooled = pool_tallies(self.ALPHAS, [], [])
+        assert pooled == [AlphaStats(alpha=a) for a in self.ALPHAS]
 
 
 class TestFinalize:

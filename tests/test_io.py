@@ -1,8 +1,12 @@
 """File formats: parsers, writers, round-trips, error codes, reports."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,14 +223,43 @@ def _pred_fields(row):
     return [str(row[0]), row[1]] + [repr(v) for v in row[2:]]
 
 
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _spelled(token, how):
+    """``token`` spelled another way that ``int``/``float`` read as the same
+    number: a leading space or ``+``, a ``_`` between two digits, or
+    Arabic-Indic digits (U+0660-U+0669)."""
+    if how == "space":
+        return " " + token
+    if how == "plus" and not token.startswith("-"):
+        return "+" + token
+    if how == "underscore":
+        for i in range(1, len(token)):
+            if token[i - 1].isdigit() and token[i].isdigit():
+                return token[:i] + "_" + token[i:]
+    if how == "arabic":
+        return token.translate(_ARABIC_INDIC)
+    return token
+
+
+_SPELLINGS = ("plain", "space", "plus", "underscore", "arabic")
+
+
 @st.composite
 def _prediction_files(draw):
     """(file text, length, valid rows in file order, first fault's (code,
-    line) or None): valid rows, an optional header, LF or CRLF, blank lines,
-    and 0-2 faulty lines of different kinds."""
+    line) or None): valid rows with their numbers spelled in any way
+    ``int``/``float`` accept, an optional header, LF, CRLF or lone CR line
+    ends, blank lines, and 0-2 faulty lines of different kinds."""
     length = draw(st.none() | st.integers(1, 30))
     rows = draw(st.lists(_pred_row(length), max_size=12, unique_by=lambda r: r[:2]))
-    body = [(",".join(_pred_fields(r)), None) for r in rows]
+    body = []
+    for r in rows:
+        fields = _pred_fields(r)
+        for i in (0, 2, 3, 4, 5, 6, 7):  # every field but the track id
+            fields[i] = _spelled(fields[i], draw(st.sampled_from(_SPELLINGS)))
+        body.append((",".join(fields), None))
     kinds = [k for k in _FAULT_KINDS if k != "after_length" or length is not None]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=2, unique=True)):
         fields = _pred_fields(draw(_pred_row(length)))
@@ -270,7 +303,7 @@ def _prediction_files(draw):
         body.insert(draw(st.integers(0, len(body))), ("", None))
     if draw(st.booleans()):
         body.insert(0, (_PRED_HEADER, None))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = "".join(line + eol for line, _ in body)
     faults = [(c, i) for i, (_, c) in enumerate(body, start=1) if c is not None]
     return text, length, rows, faults[0] if faults else None
@@ -299,6 +332,49 @@ class TestPredictionsFirstError:
         assert boxes.xywh.tolist() == [list(r[2:6]) for r in rows]
         assert boxes.confidence.tolist() == [r[6] for r in rows]
         assert boxes.referring_score.tolist() == [r[7] for r in rows]
+
+
+LARGE_FILE_PARSE = """
+import json, resource, sys, time
+from rmot_eval.io_formats import parse_predictions
+
+start = time.perf_counter()
+boxes = parse_predictions(sys.argv[1])
+seconds = time.perf_counter() - start
+print(json.dumps({
+    "rows": len(boxes.frame),
+    "ids": len(boxes.ids),
+    "last_frame": int(boxes.frame[-1]),
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "seconds": seconds,
+}))
+"""
+
+
+class TestLargePredictionFile:
+    def test_memory_and_time_stay_bounded(self, tmp_path):
+        # 500k lines: 50 tracks on each of 10k frames
+        pred = tmp_path / "pred.txt"
+        with pred.open("w", encoding="utf-8", newline="\n") as fh:
+            for frame in range(1, 10_001):
+                fh.write("".join(
+                    f"{frame},t{t},{37 * t % 1900}.5,{13 * frame % 1000}.25,{40 + t % 7},"
+                    f"{30 + frame % 11},0.{(frame * t) % 997:03d},0.{(frame + t) % 991:03d}\n"
+                    for t in range(50)
+                ))
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run(
+            [sys.executable, "-c", LARGE_FILE_PARSE, str(pred)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        run = json.loads(done.stdout)
+        assert (run["rows"], run["ids"], run["last_frame"]) == (500_000, 50, 10_000)
+        # a row-by-row parse with a float object per field peaks at about 270 MB
+        assert run["peak_rss_mb"] < 180
+        assert run["seconds"] < 20
 
 
 class TestParseError:

@@ -241,6 +241,13 @@ class TestValidateDataset:
         ]
         assert "frame 3 outside [1, 2]" in out[0].message
 
+    def test_attribute_labels_for_unknown_sequence(self):
+        # labels from another bundle, for a sequence this one lacks
+        labels = AttributeFrameLabels("z", {f: frozenset({Attribute.NIGHT}) for f in (1, 2, 3)})
+        out = validate_dataset({"s": SequenceData("s", 2, {})}, [], {"z": labels})
+        assert [(v.code, v.sequence_id) for v in out] == [("UNKNOWN_SEQUENCE", "z")]
+        assert out[0].message == "attribute labels for 3 frame(s) reference unknown sequence"
+
     def test_collects_all_violations(self):
         seq = SequenceData(
             "s", 2,

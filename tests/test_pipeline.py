@@ -1,6 +1,7 @@
 """End-to-end evaluation orchestration: pooling, workers, macro mode."""
 
 import dataclasses
+import json
 import os
 import signal
 import subprocess
@@ -84,9 +85,19 @@ class TestEvaluate:
         bundle, preds = perturbed_setup(miss_rate=0.2, fp_rate=0.4, jitter=2,
                                         idswitch_rate=0.03)
         cfg = EvalConfig()
-        r1, a1 = evaluate(bundle, preds, cfg, workers=1)
-        r3, a3 = evaluate(bundle, preds, cfg, workers=3)
-        assert report_payload(r1, attributes=a1) == report_payload(r3, attributes=a3)
+        for macro in (False, True):
+            # the units' tally arrays come back from 1, 2 or 3 processes
+            payloads = [
+                json.dumps(
+                    report_payload(*evaluate(bundle, preds, cfg, workers=w, macro=macro)),
+                    sort_keys=True,
+                )
+                for w in (1, 2, 3)
+            ]
+            assert payloads[0] == payloads[1] == payloads[2]
+            payload = json.loads(payloads[0])
+            assert ("MACRO_AGGREGATION" in payload["metrics"]["flags"]) is macro
+            assert any(v is not None for v in payload["attributes"]["per_attribute"].values())
 
     def test_unit_order_invariance_bitwise(self):
         bundle, preds = perturbed_setup(miss_rate=0.3, fp_rate=0.5, jitter=3)
