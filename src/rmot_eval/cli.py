@@ -54,7 +54,7 @@ def _digest_tree(root: Path) -> Dict[str, str]:
 
 def _write_manifest(
     out_dir: Path,
-    cfg: EvalConfig,
+    config: Dict[str, object],
     inputs: Dict[str, Path],
     elapsed: float,
     workers: int,
@@ -64,11 +64,7 @@ def _write_manifest(
         "version": __version__,
         "workers": workers,
         "elapsed_seconds": elapsed,
-        "config": {
-            "score_threshold": cfg.score_threshold,
-            "beta_ref": cfg.beta_ref,
-            "alpha_grid": list(cfg.alpha_grid),
-        },
+        "config": config,
         "inputs": {
             name: {"path": str(path), "digests": _digest_tree(path)}
             for name, path in inputs.items()
@@ -146,8 +142,10 @@ def cmd_evaluate(
     except ValueError as exc:
         raise CommandError(f"invalid option: {exc}") from None
 
+    inputs = {"gt_dir": gt_dir, "pred_dir": pred_dir}
     bundle = load_bundle(gt_dir)
     if attributes_dir is not None and attributes_dir != gt_dir:
+        inputs["attributes_dir"] = attributes_dir
         attr_bundle = load_bundle(attributes_dir)
         bundle = type(bundle)(
             sequences=bundle.sequences,
@@ -191,22 +189,16 @@ def cmd_evaluate(
         bundle, PredictionFiles(files), cfg, workers=n_workers, macro=macro
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = report_payload(
-        report,
-        attributes=attr_report,
-        config={
-            "score_threshold": cfg.score_threshold,
-            "beta_ref": cfg.beta_ref,
-            "alpha_grid": list(cfg.alpha_grid),
-            "aggregation": "macro" if macro else "pooled",
-        },
+    config = {
+        "score_threshold": cfg.score_threshold,
+        "beta_ref": cfg.beta_ref,
+        "alpha_grid": list(cfg.alpha_grid),
+        "aggregation": "macro" if macro else "pooled",
+    }
+    json_path, table_path = write_report(
+        report_payload(report, attributes=attr_report, config=config), out_dir
     )
-    json_path, table_path = write_report(payload, out_dir)
-    _write_manifest(
-        out_dir, cfg,
-        {"gt_dir": gt_dir, "pred_dir": pred_dir},
-        time.monotonic() - started, n_workers,
-    )
+    _write_manifest(out_dir, config, inputs, time.monotonic() - started, n_workers)
     click.echo(table_path.read_text().rstrip("\n"))
     click.echo(f"report written to {json_path}")
 

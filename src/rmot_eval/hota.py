@@ -11,30 +11,36 @@ without invoking the assignment solver: frame f is forced from its threshold
 remaining (alpha, frame)s fall back to the exact solver (or the enumeration
 oracle in tests). Both paths produce bit-identical statistics.
 
+A unit is scored on its layouts together: layout 0 is the whole unit, and
+each restriction to a frame subset (the attribute scores) is a layout of its
+own, with its frames and its tracks in content order over those frames. The
+candidate pairs (level > 0) of every layout are stacked with a layout index
+and the layout's own frame, gt and pred ranks; a restriction takes exactly
+the unit's candidates on its frames. Forcedness depends on the frame alone,
+so the forced thresholds are shared, and only the unforced (layout, alpha,
+frame)s go to the solver, each with its layout's priors and tie-break scale.
+
 The integer tallies (pairs per (gt, pred), matches, TPA) are exact in any
-order and come from the candidate pairs (level > 0) by ``bincount`` and
+order and come from the stacked candidates by ``bincount`` and
 ``cumsum``. The float sums are numpy's pairwise sums, whose result depends
-on the array they run over, so they keep the dense arrays of a single-alpha
-evaluation: per alpha, the layout's (frame, gt, pred) IoUs of its matches in
-C order, and its (gt, pred) association terms. These arrays, the IoU build
-and the level build are cut into alpha and frame blocks of a fixed cell
-budget, so a long, crowded unit holds about two float64 per (frame, gt,
-pred) cell, not one per cell and alpha. An alpha whose matches are the
-previous alpha's (no pair's level and no forced threshold lies between
-them) has the same arrays, so it takes that alpha's sums without building
-them again. The stats come back in the order of the alphas given, each as a
-call with that alpha alone gives it.
+on the array they run over, so they run over the dense arrays a
+single-alpha evaluation of the layout alone would build: per alpha, the
+layout's (frame, gt, pred) IoUs of its matches in C order, and its (gt,
+pred) association terms. The matched values are scattered into one zeroed
+buffer, and each layout's rows are reduced by one ``sum``, cut into chunks of
+a fixed cell budget, as are the IoU and level builds; so a long, crowded
+unit holds about two float64 per (frame, gt, pred) cell, not one per cell,
+alpha and layout. An alpha whose matches are the previous alpha's (no
+pair's level and no forced threshold lies between them) has the same
+arrays, so it takes that alpha's sums without a row of its own. The stats
+come back in the order of the alphas given, each bit-identical to a call
+with that alpha alone and, for a restriction, to matching the restricted
+unit on its own.
 
 A unit's tensors are built once, from columns: the predictions'
 ``UnitBoxes`` (a list of detections is converted by
 ``UnitBoxes.from_detections``) and the targets turned into the same
-columns; frames map to tensor rows by ``searchsorted``. Restrictions to
-frame subsets (the attribute scores) are cut from them: each takes its
-frames, orders its tracks by content over those frames, reuses the forced
-frames' matches (forcedness depends on the frame alone) and re-solves only
-its other frames with its own priors and tie-break scale. Every sum then
-runs in the order it would if the restricted unit were matched on its own,
-so the stats are bit-identical to that.
+columns; frames map to tensor rows by ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -189,18 +195,19 @@ class _Tracks:
 
         self.present, self.boxes = present, boxes
         self._ins_frame, self._ins_xy, self._rank = ins_frame, ins_xy, rank
-        order = self.order(np.arange(n_frames))
+        order, _ = self.order(np.arange(n_frames))
         self.ids = [names[i] for i in order]
         self.present, self.boxes = present[:, order], boxes[:, order]
         self._ins_frame, self._ins_xy, self._rank = ins_frame[order], ins_xy[order], rank[order]
 
-    def order(self, rows: np.ndarray) -> np.ndarray:
+    def order(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Indices of the tracks with a box on frame indices ``rows`` (sorted
-        ascending), in content order over those frames."""
+        ascending), in content order over those frames, and their box counts
+        there."""
         pres = self.present[rows]
         count = pres.sum(0)
         if not count.any():
-            return np.flatnonzero(count)
+            return np.flatnonzero(count), count[:0]
         n = count.size
         first = rows[pres.argmax(0)]
         fx, fy, fw, fh = self.boxes[first, np.arange(n)].T
@@ -210,7 +217,8 @@ class _Tracks:
         xy = np.where(keep[self._ins_frame][..., None], self._ins_xy, 0.0).cumsum(1)
         sx, sy = xy[:, -1].T
         perm = np.lexsort((self._rank, sy, sx, count, fh, fw, fy, fx, first))
-        return perm[count[perm] > 0]
+        perm = perm[count[perm] > 0]
+        return perm, count[perm]
 
 
 def _target_columns(task: ExpressionTask) -> Tuple[np.ndarray, np.ndarray, List[str], np.ndarray]:
@@ -243,10 +251,11 @@ def _on_frames(
     return _Tracks(fi[on], track[on], ids, xywh[on], frames)
 
 
-# Cells per dense temporary: the IoU build, the level build and each block of
-# the IoU-sum products and association sums are cut to about this many cells
-# (4 MB of float64), so a long, crowded unit holds about two float64 per
-# (frame, gt, pred) cell instead of one per cell and alpha.
+# Cells per dense temporary: the IoU build, the level build and the float-sum
+# buffer are cut to about this many cells (4 MB of float64), or to one row of
+# a layout's float sums where that is longer, so a long, crowded unit holds
+# about two float64 per (frame, gt, pred) cell instead of one per cell, alpha
+# and layout.
 _CELL_BUDGET = 1 << 19
 
 
@@ -318,182 +327,274 @@ def _forced_from(k: np.ndarray) -> np.ndarray:
     return t
 
 
+# A layout of a unit: its frame rows (sorted), its gt indices in its order and
+# their box counts over those rows, its pred indices and their box counts.
+Layout = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _ranks(index: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """(len(index), n): entry (i, index[i][j]) holds j, the others -1."""
+    sizes = np.array([x.size for x in index], dtype=np.intp)
+    group = np.repeat(np.arange(sizes.size), sizes)
+    out = np.full((sizes.size, n), -1, dtype=np.intp)
+    out[group, np.concatenate(index)] = np.arange(group.size) - (np.cumsum(sizes) - sizes)[group]
+    return out
+
+
 def _solve(
-    todo_a: np.ndarray,
-    todo_f: np.ndarray,
-    k: np.ndarray,
-    iou3: np.ndarray,
-    n_pair: np.ndarray,
-    g_count: np.ndarray,
-    p_count: np.ndarray,
+    todo: np.ndarray,
+    ck: np.ndarray,
+    g: np.ndarray,
+    p: np.ndarray,
+    u: np.ndarray,
+    s_prior: np.ndarray,
+    tie: np.ndarray,
     solver: Solver,
-) -> np.ndarray:
-    """Passes 1 and 2 on the unforced (alpha, frame)s ``(todo_a, todo_f)``
-    of one layout, given its (A, G, P) feasible-pair counts: the solver's
-    matches as (4, n) alpha, frame, gt and pred indices."""
-    # Pass 1: prior association scores per (alpha, gt, pred)
-    denom = g_count[None, :, None] + p_count[None, None, :] - n_pair
-    s_prior = np.zeros(n_pair.shape, dtype=np.float64)
-    np.divide(n_pair, denom, out=s_prior, where=denom > 0)
-
-    # Pass 2: per-frame matching; forced frames are already decided
-    solved: List[List[int]] = [[], [], [], []]
-    for ai, fi in zip(todo_a.tolist(), todo_f.tolist()):
-        feas_f = k[fi] > ai
-        rows = np.flatnonzero(feas_f.any(1))
-        cols = np.flatnonzero(feas_f.any(0))
-        if rows.size == 0 or cols.size == 0:
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pass 2 on the unforced (layout, alpha, frame)s. ``todo`` holds rows
+    (alpha, first, stop): the layout's candidates on the frame are
+    ``first:stop`` of the stacked candidates, given by their levels ``ck``,
+    layout ranks ``g`` and ``p``, cells ``u``, whose prior scores per alpha
+    are the rows of ``s_prior``, and tie-break terms ``tie``. Returns the
+    solver's matches as (alpha, candidate) index arrays."""
+    solved_a: List[int] = []
+    solved_c: List[int] = []
+    for ai, first, stop in todo.tolist():
+        sel = np.flatnonzero(ck[first:stop] > ai)
+        if sel.size == 0:
             continue
-        ix = np.ix_(rows, cols)
-        sub_w = s_prior[ai][ix] + iou3[fi][ix] / (2.0 * iou3.shape[0])
-        result = solver(WeightMatrix(weights=sub_w, mask=feas_f[ix]))
-        rl, cl = rows.tolist(), cols.tolist()
-        solved[0] += [ai] * len(result.pairs)
-        solved[1] += [fi] * len(result.pairs)
-        solved[2] += [rl[r] for r, _ in result.pairs]
-        solved[3] += [cl[c] for _, c in result.pairs]
-    return np.array(solved, dtype=np.intp).reshape(4, -1)
+        sel += first
+        gs, ps = g[sel], p[sel]
+        # the rows and columns with a feasible pair, ascending (few: sort in Python)
+        rows = np.array(sorted(set(gs.tolist())), dtype=np.intp)
+        cols = np.array(sorted(set(ps.tolist())), dtype=np.intp)
+        ri, ci = np.searchsorted(rows, gs), np.searchsorted(cols, ps)
+        mask = np.zeros((rows.size, cols.size), dtype=bool)
+        mask[ri, ci] = True
+        # a masked-out cell's weight is never read
+        weights = np.zeros(mask.shape, dtype=np.float64)
+        weights[ri, ci] = s_prior[u[sel], ai] + tie[sel]
+        result = solver(WeightMatrix(weights=weights, mask=mask))
+        if result.pairs:
+            cand = np.empty(mask.shape, dtype=np.intp)
+            cand[ri, ci] = sel
+            r, c = zip(*result.pairs)
+            solved_c += cand[r, c].tolist()
+            solved_a += [ai] * len(r)
+    return np.array(solved_a, dtype=np.intp), np.array(solved_c, dtype=np.intp)
 
 
-def _score(
-    alphas: Sequence[float],
+def _row_sums(
+    pos: np.ndarray, val: np.ndarray, seg_rows: np.ndarray, seg_len: np.ndarray
+) -> np.ndarray:
+    """The row sums of segments laid end to end, segment s a C-order
+    (``seg_rows[s]``, ``seg_len[s]``) float64 array that is zero but for the
+    values ``val`` at flat positions ``pos`` (unique). Each segment's rows
+    are summed by one numpy ``sum``, cut into runs of at most
+    ``_CELL_BUDGET`` cells (at least one row), so a row sums exactly as it
+    does in the dense array."""
+    sizes = seg_rows * seg_len
+    table = np.stack([np.cumsum(seg_rows) - seg_rows, seg_rows, seg_len, np.cumsum(sizes) - sizes])
+    # runs of whole rows as (first row, rows, row length, first cell); the
+    # runs of a chunk follow each other in one buffer of at most the budget
+    chunks: List[List[Tuple[int, int, int, int]]] = []
+    filled = _CELL_BUDGET
+    for first, n_rows, length, cell in table[:, seg_rows > 0].T.tolist():
+        step = max(1, _CELL_BUDGET // max(length, 1))
+        for i in range(0, n_rows, step):
+            n = min(step, n_rows - i)
+            if filled + n * length > _CELL_BUDGET:
+                chunks.append([])
+                filled = 0
+            chunks[-1].append((first + i, n, length, cell + i * length))
+            filled += n * length
+
+    spans = [(runs[0][3], runs[-1][3] + runs[-1][1] * runs[-1][2]) for runs in chunks]
+    buf = np.zeros(max((end - start for start, end in spans), default=0), dtype=np.float64)
+    if len(chunks) > 1:
+        by_pos = np.argsort(pos)
+        pos, val = pos[by_pos], val[by_pos]
+    sums = np.zeros(int(table[0, -1] + seg_rows[-1]), dtype=np.float64)
+    for runs, (start, end) in zip(chunks, spans):
+        lo, hi = (0, pos.size) if len(chunks) == 1 else np.searchsorted(pos, [start, end])
+        at = pos[lo:hi] - start
+        buf[at] = val[lo:hi]
+        for first, n, length, cell in runs:
+            b = cell - start
+            sums[first : first + n] = buf[b : b + n * length].reshape(n, length).sum(1)
+        buf[at] = 0.0
+    return sums
+
+
+def _score_layouts(
+    n_alpha: int,
     iou3: np.ndarray,
     k: np.ndarray,
     t: np.ndarray,
-    g_count: np.ndarray,
-    p_count: np.ndarray,
+    layouts: Sequence[Layout],
     solver: Solver,
-    ids: Optional[Tuple[List[str], List[str]]],
-) -> List[AlphaStats]:
-    """Passes 1-3 on one layout, one ``AlphaStats`` per alpha of ``alphas``
-    (sorted ascending): (F, G, P) IoUs and levels, (F,) forced thresholds
-    and the (G,) and (P,) box counts. Forced (alpha, frame)s keep every
-    feasible pair; the others are solved. ``ids`` (gt ids, pred ids) fills
-    ``pair_tpa``; without it the stats carry none."""
-    nf, g, p = iou3.shape
-    n_alpha = len(alphas)
-    total_gt = int(g_count.sum())
-    total_pred = int(p_count.sum())
+) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Passes 1-3 on every layout of one unit together, at ``n_alpha``
+    sorted alphas, from the unit's (F, G, P) IoUs ``iou3`` and levels ``k``
+    and its (F,) forced thresholds ``t``. Forced (alpha, frame)s keep every
+    feasible pair; each layout solves its other (alpha, frame)s with its own
+    priors and tie-break scale.
 
-    if iou3.size == 0 or n_alpha == 0:
-        return [
-            AlphaStats(
-                alpha=a,
-                fn=total_gt,
-                fp=total_pred,
-                pair_tpa={} if ids else None,
-            )
-            for a in alphas
-        ]
-
-    # The integer tallies are exact in any order, so they come from the
-    # candidate pairs (level > 0): each (gt, pred) cell holding one gets a
-    # row of n_alpha + 1 counts at offset ``at``.
+    Returns the (layouts, alpha, 3) int64 tp, fn, fp; the (layouts, alpha,
+    4) float64 iou_sum, ass_a_sum, ass_re_sum, ass_pr_sum; and layout 0's
+    nonzero pair TPAs as (alpha, gt, pred, TPA) index arrays."""
+    n_lay = len(layouts)
+    rows_l, gi_l, gc_l, pi_l, pc_l = zip(*layouts)
+    n_f, n_g, n_p = (np.array([x.size for x in xs], dtype=np.intp) for xs in (rows_l, gi_l, pi_l))
+    # all layouts' box counts end to end, and each layout's offset there
+    g_at, p_at = np.cumsum(n_g) - n_g, np.cumsum(n_p) - n_p
+    gc, pc = np.concatenate(gc_l), np.concatenate(pc_l)
+    ints = np.zeros((n_lay, n_alpha, 3), dtype=np.int64)
+    for col, at, n, counts in ((1, g_at, n_g, gc), (2, p_at, n_p, pc)):
+        total = np.concatenate([[0], np.cumsum(counts)])
+        ints[:, :, col] = (total[at + n] - total[at])[:, None]
+    floats = np.zeros((n_lay, n_alpha, 4), dtype=np.float64)
     flat = np.flatnonzero(k)
-    ck = k.ravel()[flat].astype(np.intp)
-    cf, cell = np.divmod(flat, g * p)
-    width = n_alpha + 1
-    at = np.zeros(g * p, dtype=np.intp)
-    at[cell] = 1
+    if n_alpha == 0 or flat.size == 0:
+        none = np.empty(0, dtype=np.intp)
+        return ints, floats, (none, none, none, none)
+
+    # Every layout's candidate pairs (level > 0), stacked layout by layout in
+    # the unit's (frame, gt, pred) order, each with the layout's own frame,
+    # gt and pred ranks. A candidate of the unit is one of a layout exactly
+    # when its frame is, since both its boxes lie on that frame.
+    n_frames = k.shape[0]
+    frank = _ranks(rows_l, n_frames)
+    member = frank >= 0
+    wf, wg, wp = np.unravel_index(flat, k.shape)
+    lay, c = np.nonzero(member[:, wf])
+    cf = wf[c]
+    ck = k.ravel()[flat[c]].astype(np.intp)
+    ciou = iou3.ravel()[flat[c]]
+    f = frank[lay, cf]
+    g = _ranks(gi_l, k.shape[1])[lay, wg[c]]
+    p = _ranks(pi_l, k.shape[2])[lay, wp[c]]
+
+    # the (gt, pred) cells holding a candidate, in layout and cell order
+    n_cells = n_g * n_p
+    cell = g * n_p[lay] + p
+    key = (np.cumsum(n_cells) - n_cells)[lay] + cell
+    at = np.zeros(int(n_cells.sum()), dtype=np.intp)
+    at[key] = 1
     used = np.flatnonzero(at)
-    at[used] = np.arange(0, used.size * width, width)
-    at = at[cell]
+    n_used = used.size
+    at[used] = np.arange(n_used)
+    u = at[key]
+    ulay = np.empty(n_used, dtype=np.intp)
+    ulay[u] = lay
+    ucell = np.empty(n_used, dtype=np.intp)
+    ucell[u] = cell
+    ug, up = np.divmod(ucell, n_p[ulay])
+    # each used cell's gt and pred box counts over its layout's frames
+    box_gt, box_pred = gc[g_at[ulay] + ug], pc[p_at[ulay] + up]
+    box_sum = box_gt + box_pred
 
-    def tally(lo: Union[int, np.ndarray], hi: np.ndarray) -> np.ndarray:
-        """(A, G, P): per cell, the candidates with lo <= a < hi."""
-        n = used.size * width
-        counts = np.bincount(at + np.minimum(lo, hi), minlength=n)
-        counts -= np.bincount(at + hi, minlength=n)
-        counts = counts.reshape(used.size, width)
-        np.cumsum(counts, axis=1, out=counts)
-        out = np.zeros((n_alpha, g * p), dtype=np.int64)
-        out[:, used] = counts[:, :n_alpha].T
-        return out.reshape(n_alpha, g, p)
+    # The integer tallies are exact in any order. Per used cell, two rows of
+    # n_alpha + 1 slots count its candidates at the alphas from a start up to
+    # their level: from 0, its feasible pairs, and from t[f], its forced
+    # matches; bincounts of the starts and ends, then a cumsum.
+    width = n_alpha + 1
+    lo = np.minimum(t[cf], ck)
+    base = u * width
+    n_slots = n_used * width
+    counts = np.stack([np.bincount(start, minlength=n_slots) for start in (base, base + lo)])
+    counts -= np.bincount(base + ck, minlength=n_slots)
+    counts = counts.reshape(2, n_used, width).cumsum(2)[:, :, :n_alpha]
+    n_pair, pair_tpa = counts[0], counts[1]
 
-    todo_a, todo_f = np.nonzero(np.arange(n_alpha)[:, None] < t)  # unforced (alpha, frame)s
-    sa, sf, sg, sp = (
-        _solve(todo_a, todo_f, k, iou3, tally(0, ck), g_count, p_count, solver)
-        if todo_a.size
-        else np.empty((4, 0), dtype=np.intp)
+    # Pass 2 on the unforced (layout, alpha, frame)s, in that order. The
+    # candidates are sorted by (layout, frame), so each one's are a slice.
+    tl, tf = np.nonzero(member & (t > 0))
+    n_todo = t[tf]
+    ta = np.arange(int(n_todo.sum())) - np.repeat(np.cumsum(n_todo) - n_todo, n_todo)
+    tl, tf = np.repeat(tl, n_todo), np.repeat(tf, n_todo)
+    solved_a = solved_c = np.empty(0, dtype=np.intp)
+    if ta.size:
+        by = np.lexsort((tf, ta, tl))
+        tl, ta, tf = tl[by], ta[by], tf[by]
+        seg = lay * n_frames + cf
+        todo = np.stack([
+            ta,
+            np.searchsorted(seg, tl * n_frames + tf, side="left"),
+            np.searchsorted(seg, tl * n_frames + tf, side="right"),
+        ], axis=1)
+        # Pass 1: per used cell and alpha, the prior association score
+        # n / (|gt| + |pred| - n) of its n feasible frames; a candidate's
+        # weight adds its IoU over twice its layout's frame count
+        s_prior = n_pair / (box_sum[:, None] - n_pair)
+        tie = ciou / (2.0 * n_f)[lay]
+        solved_a, solved_c = _solve(todo, ck, g, p, u, s_prior, tie, solver)
+        np.add.at(pair_tpa, (u[solved_c], solved_a), 1)
+    # TP per layout: the TPA of its used cells, which follow each other
+    used_at = np.searchsorted(ulay, np.arange(n_lay + 1))
+    tpa_sum = np.zeros((n_used + 1, n_alpha), dtype=np.int64)
+    np.cumsum(pair_tpa, axis=0, out=tpa_sum[1:])
+    tp = tpa_sum[used_at[1:]] - tpa_sum[used_at[:-1]]
+    ints[:, :, 0] = tp
+    ints[:, :, 1:] -= tp[:, :, None]
+
+    # Pass 3's float sums are numpy's pairwise sums over dense arrays in C
+    # order, as matching the layout alone at one alpha would build them: the
+    # (F, G, P) IoUs of the alpha's matches and its three (G, P) association
+    # terms. Only the alphas whose matches can differ from the previous
+    # alpha's get rows of their own ("fresh"): the first, those up to the
+    # layout's largest forced threshold (solved pairs) and the candidate
+    # levels (a forced pair stops being feasible). Any other alpha has the
+    # same matches as the one before it, so the same sums. A layout with no
+    # match at any alpha has only zero sums and gets no rows.
+    fresh = np.arange(width) <= np.where(member, t, 0).max(1, initial=0)[:, None]
+    fresh[lay, ck] = True
+    below = np.zeros((n_lay, width), dtype=np.intp)  # fresh alphas below each
+    np.cumsum(fresh[:, :n_alpha], axis=1, out=below[:, 1:])
+    slot = below[:, 1:] - 1  # each alpha's fresh row
+    n_fresh = below[:, -1] * tp.any(1)
+
+    # per layout, a segment of IoU rows, then one of association rows
+    # (three per fresh alpha); one value per matched pair or used cell
+    seg_rows = np.stack([n_fresh, 3 * n_fresh], axis=1).ravel()
+    seg_len = np.stack([n_f * n_cells, n_cells], axis=1).ravel()
+    seg_cell = (np.cumsum(seg_rows * seg_len) - seg_rows * seg_len).reshape(n_lay, 2)
+    seg_row = (np.cumsum(seg_rows) - seg_rows).reshape(n_lay, 2)
+
+    # the matched candidates at each fresh alpha: forced ones from the first
+    # fresh alpha at or above t[f] to the last below k, then the solved ones
+    reps = below[lay, ck] - below[lay, lo]
+    mc = np.concatenate([np.repeat(np.arange(lay.size), reps), solved_c])
+    mj = np.concatenate([
+        np.arange(int(reps.sum())) - np.repeat(np.cumsum(reps) - reps - below[lay, lo], reps),
+        slot[lay[solved_c], solved_a],
+    ])
+    ml = lay[mc]
+    iou_pos = seg_cell[ml, 0] + (mj * n_f[ml] + f[mc]) * n_cells[ml] + cell[mc]
+
+    # TP-weighted TPA/(TPA+FNA+FPA), TPA/(TPA+FNA) and TPA/(TPA+FPA) of each
+    # used cell with TPA > 0 at a fresh alpha
+    au, aa = np.nonzero((pair_tpa > 0) & fresh[ulay, :n_alpha])
+    al = ulay[au]
+    tpa = pair_tpa[au, aa].astype(np.float64)
+    ass = np.stack([tpa / (box_sum[au] - tpa), tpa / box_gt[au], tpa / box_pred[au]]) * tpa
+    ass_pos = seg_cell[al, 1] + (3 * slot[al, aa] + np.arange(3)[:, None]) * n_cells[al] + ucell[au]
+
+    sums = _row_sums(
+        np.concatenate([iou_pos, ass_pos.ravel()]),
+        np.concatenate([ciou[mc], ass.ravel()]),
+        seg_rows,
+        seg_len,
     )
+    scored = np.flatnonzero(n_fresh)
+    rows = slot[scored]
+    floats[scored, :, 0] = sums[seg_row[scored, 0][:, None] + rows]
+    ass_rows = seg_row[scored, 1][:, None] + 3 * rows
+    floats[scored, :, 1:] = sums[ass_rows[:, :, None] + np.arange(3)]
 
-    # Pass 3: association quality with final matches fixed
-    pair_tpa = tally(t[cf], ck)  # forced matches: t[f] <= a < k
-    if sa.size:
-        np.add.at(pair_tpa, (sa, sg, sp), 1)
-    tp = pair_tpa.sum((1, 2))  # (A,)
-
-    # The float sums run over dense arrays in C order, as in a single-alpha
-    # evaluation of the layout: per alpha, the (F, G, P) IoUs of its matches
-    # (filled in frame blocks) and the (G, P) association terms. Only the
-    # alphas whose matches can differ from the previous alpha's get arrays of
-    # their own: the first, those up to the largest forced threshold (solved
-    # pairs) and the candidate levels (a forced pair stops being feasible).
-    # Any other alpha has the same matches as the one before it, so the same
-    # arrays and the same sums.
-    fresh = np.zeros(n_alpha, dtype=bool)
-    fresh[: t.max() + 1] = True
-    fresh[ck[ck < n_alpha]] = True
-    fresh_a = np.flatnonzero(fresh)
-    slot = np.cumsum(fresh) - 1  # each alpha's fresh index
-    todo_s, solved_s = slot[todo_a], slot[sa]
-
-    iou_sums = np.empty(fresh_a.size, dtype=np.float64)
-    level = fresh_a.astype(k.dtype).reshape(-1, 1, 1, 1)
-    alpha_blocks = _blocks(fresh_a.size, nf * g * p)
-    buf = np.empty((alpha_blocks[0].stop,) + iou3.shape, dtype=np.float64)
-    for ab in alpha_blocks:
-        prod = buf[: ab.stop - ab.start]
-        for fs in _blocks(nf, prod.shape[0] * g * p):
-            block = prod[:, fs]
-            np.greater(k[fs], level[ab], out=block)  # 1.0 where feasible
-            block *= iou3[fs]
-        if todo_a.size:
-            # an unforced frame keeps only its solved pairs
-            sel = (todo_s >= ab.start) & (todo_s < ab.stop)
-            prod[todo_s[sel] - ab.start, todo_f[sel]] = 0.0
-            sel = (solved_s >= ab.start) & (solved_s < ab.stop)
-            prod[solved_s[sel] - ab.start, sf[sel], sg[sel], sp[sel]] = iou3[sf[sel], sg[sel], sp[sel]]
-        iou_sums[ab] = prod.sum((1, 2, 3))
-
-    # sum over TPs of TPA/(TPA+FNA+FPA), TPA/(TPA+FNA) and TPA/(TPA+FPA)
-    pair_fresh = pair_tpa[fresh_a]
-    pres_sum = g_count[:, None] + p_count
-    ass = np.empty((3, fresh_a.size), dtype=np.float64)
-    for ab in _blocks(fresh_a.size, 3 * g * p):
-        n = pair_fresh[ab]
-        tpa = n.astype(np.float64)
-        pos = n > 0
-        terms = np.zeros((3,) + n.shape, dtype=np.float64)
-        np.divide(tpa, pres_sum - tpa, out=terms[0], where=pos)
-        np.divide(tpa, g_count[:, None], out=terms[1], where=pos)
-        np.divide(tpa, p_count, out=terms[2], where=pos)
-        terms *= tpa
-        ass[:, ab] = terms.sum((2, 3))
-
-    details: List[Optional[Dict[Tuple[str, str], int]]] = [None] * n_alpha
-    if ids:
-        details = [{} for _ in range(n_alpha)]
-        nz = np.nonzero(pair_tpa)
-        for ai, gi, pi, n in zip(*(x.tolist() for x in nz), pair_tpa[nz].tolist()):
-            details[ai][ids[0][gi], ids[1][pi]] = n
-
-    return [
-        AlphaStats(
-            alpha=alpha,
-            tp=n_tp,
-            fn=total_gt - n_tp,
-            fp=total_pred - n_tp,
-            iou_sum=iou_sum,
-            ass_a_sum=a_sum,
-            ass_re_sum=re_sum,
-            ass_pr_sum=pr_sum,
-            pair_tpa=detail,
-        )
-        for alpha, n_tp, iou_sum, a_sum, re_sum, pr_sum, detail in zip(
-            alphas, tp.tolist(), iou_sums[slot].tolist(), *ass[:, slot].tolist(), details
-        )
-    ]
+    n0 = int(np.count_nonzero(ulay == 0))
+    a0, u0 = np.nonzero(pair_tpa[:n0].T)
+    return ints, floats, (a0, ug[u0], up[u0], pair_tpa[u0, a0])
 
 
 def match_unit_all_alphas(
@@ -533,8 +634,7 @@ def match_unit_all_alphas(
     # the layouts are scored at the sorted alphas, then put back in order
     alphas_arr = np.asarray(alphas, dtype=np.float64)
     order = np.argsort(alphas_arr, kind="stable")
-    back = np.argsort(order).tolist()
-    grid = [float(alphas[i]) for i in order.tolist()]
+    back = np.argsort(order)
 
     gp, pp = ua.gt.present, ua.pred.present
     k = _levels(alphas_arr[order], ua.iou3, gp, pp)
@@ -542,31 +642,37 @@ def match_unit_all_alphas(
     # optimum for any positive weights, so its matches hold under every
     # restriction that keeps the frame.
     t = np.full(ua.n_frames, order.size, dtype=np.intp) if force_solver else _forced_from(k)
-    stats = _score(
-        grid, ua.iou3, k, t, gp.sum(0), pp.sum(0), solver, (ua.gt.ids, ua.pred.ids)
-    )
-    stats = [stats[i] for i in back]
+    # layout 0 is the whole unit; a restriction's layout has its frames, and
+    # its tracks in content order over those frames, so every sum and tie
+    # runs as it would alone
+    n_gt, n_pred = gp.shape[1], pp.shape[1]
+    layouts: List[Layout] = [
+        (np.arange(ua.n_frames), np.arange(n_gt), gp.sum(0), np.arange(n_pred), pp.sum(0))
+    ]
+    layouts += [(rows, *ua.gt.order(rows), *ua.pred.order(rows)) for rows in subsets.values()]
+    ints, floats, (ta, tg, tpr, tn) = _score_layouts(order.size, ua.iou3, k, t, layouts, solver)
+
+    details: List[Dict[Tuple[str, str], int]] = [{} for _ in range(order.size)]
+    for ai, gi, pi, n in zip(ta.tolist(), tg.tolist(), tpr.tolist(), tn.tolist()):
+        details[ai][ua.gt.ids[gi], ua.pred.ids[pi]] = n
+    grid = [float(a) for a in alphas]
+    ints, floats = ints[:, back].tolist(), floats[:, back].tolist()
+
+    def layout_stats(
+        i: int, pair_tpa: Sequence[Optional[Dict[Tuple[str, str], int]]]
+    ) -> List[AlphaStats]:
+        return [
+            AlphaStats(alpha, tp, fn, fp, iou_sum, a_sum, re_sum, pr_sum, tpa)
+            for alpha, (tp, fn, fp), (iou_sum, a_sum, re_sum, pr_sum), tpa in zip(
+                grid, ints[i], floats[i], pair_tpa
+            )
+        ]
+
+    stats = layout_stats(0, [details[i] for i in back.tolist()])
     if restrictions is None:
         return stats
-
-    restricted: Dict[str, List[AlphaStats]] = {}
-    for name, rows in subsets.items():
-        # the restriction's own layout: its frames, and its tracks in content
-        # order over those frames, so every sum and tie runs as it would alone
-        gi = ua.gt.order(rows)
-        pi = ua.pred.order(rows)
-        sub = _score(
-            grid,
-            ua.iou3.take(rows, 0).take(gi, 1).take(pi, 2),
-            k.take(rows, 0).take(gi, 1).take(pi, 2),
-            t[rows],
-            gp.take(rows, 0).take(gi, 1).sum(0),
-            pp.take(rows, 0).take(pi, 1).sum(0),
-            solver,
-            None,
-        )
-        restricted[name] = [sub[i] for i in back]
-    return stats, restricted
+    none = [None] * order.size
+    return stats, {name: layout_stats(i, none) for i, name in enumerate(subsets, start=1)}
 
 
 def match_unit(

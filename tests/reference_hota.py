@@ -23,6 +23,8 @@ Tracking", IJCV 2021, with this project's conventions (README):
   ``Re = TPA / |g|`` and ``Pr = TPA / |p|``, TPA the pair's matched frames.
 * An attribute restricts every unit of a sequence that flags it to the
   flagged frames; the restriction is scored as a problem of its own.
+* A unit's float sums are numpy's sums of dense arrays in content order (see
+  :func:`unit_tallies`), which the engine must reproduce to the bit.
 * Units are pooled by summing tallies, floats with ``fsum``, then finalised
   per alpha and averaged over alpha; ``macro`` averages per-unit reports.
   HOTA_S and HOTA_M are geometric means of the attributes present.
@@ -117,20 +119,25 @@ def unit_tallies(
             result = solve_oracle(WeightMatrix(weights=np.array(weights), mask=np.array(mask)))
             matches.extend((f, rows[r], cols[c]) for r, c in result.pairs)
 
+        # The float sums are numpy sums of dense arrays in content order: the
+        # matched IoUs in an (F, G, P) array, and each (g, p) cell's three
+        # association terms, TPA times A, Re and Pr, in a (3, G, P) array.
         tpa = Counter((g, p) for _, g, p in matches)
-        tp = len(matches)
-        out.append(
-            (
-                alpha,
-                tp,
-                total_gt - tp,
-                total_pr - tp,
-                math.fsum(iou(gt_at[g][f], pr_at[p][f]) for f, g, p in matches),
-                math.fsum(tpa[g, p] / (len(gt[g]) + len(pr[p]) - tpa[g, p]) for _, g, p in matches),
-                math.fsum(tpa[g, p] / len(gt[g]) for _, g, p in matches),
-                math.fsum(tpa[g, p] / len(pr[p]) for _, g, p in matches),
+        ious = np.zeros((n_frames, len(gt_ids), len(pr_ids)))
+        for f, g, p in matches:
+            at = frame_list.index(f), gt_ids.index(g), pr_ids.index(p)
+            ious[at] = iou(gt_at[g][f], pr_at[p][f])
+        terms = np.zeros((3, len(gt_ids), len(pr_ids)))
+        for (g, p), n in tpa.items():
+            gi, pi = gt_ids.index(g), pr_ids.index(p)
+            terms[:, gi, pi] = (
+                n / (len(gt[g]) + len(pr[p]) - n) * n,
+                n / len(gt[g]) * n,
+                n / len(pr[p]) * n,
             )
-        )
+        tp = len(matches)
+        sums = [float(ious.sum()), *terms.sum((1, 2)).tolist()]
+        out.append((alpha, tp, total_gt - tp, total_pr - tp, *sums))
     return out
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -388,6 +389,41 @@ class TestEvaluateCommand:
         assert result.exit_code == EXIT_IO
         assert result.stderr.startswith("error: invalid option: ")
         assert isinstance(result.exception, SystemExit)
+
+    def test_manifest_records_attribute_bundle_and_aggregation(
+        self, runner, mini_dirs, mini_bundle, tmp_path
+    ):
+        gt_dir, pred_dir = mini_dirs
+        attr_dir = tmp_path / "attrs"
+        write_bundle(attr_dir, mini_bundle.sequences, [], mini_bundle.attributes)
+        runs = {
+            "other": ["--attributes", str(attr_dir), "--macro"],
+            "same": ["--attributes", str(gt_dir)],
+            "none": [],
+        }
+        manifests = {}
+        for name, args in runs.items():
+            out = tmp_path / name
+            result = runner.invoke(
+                main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(out), *args]
+            )
+            assert result.exit_code == 0, result.output
+            manifests[name] = json.loads((out / "run_manifest.json").read_text())
+            report = json.loads((out / "report.json").read_text())
+            assert manifests[name]["config"] == report["config"]
+
+        inputs = manifests["other"]["inputs"]
+        assert inputs.keys() == {"gt_dir", "pred_dir", "attributes_dir"}
+        assert inputs["attributes_dir"]["path"] == str(attr_dir)
+        assert inputs["attributes_dir"]["digests"] == {
+            str(f.relative_to(attr_dir)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in attr_dir.rglob("*")
+            if f.is_file()
+        }
+        assert manifests["other"]["config"]["aggregation"] == "macro"
+        for name in ("same", "none"):
+            assert manifests[name]["inputs"].keys() == {"gt_dir", "pred_dir"}
+            assert manifests[name]["config"]["aggregation"] == "pooled"
 
     def test_negative_workers_run_on_one(self, runner, mini_dirs, tmp_path):
         gt_dir, pred_dir = mini_dirs

@@ -361,15 +361,17 @@ class TestAlphaOrder:
                 ]
 
 
-# One match_unit_all_alphas call on a dense unit: 74 GT tracks over 50
-# frames whose prediction ids change every 7 frames (592 ids), in a process
-# of its own; prints its peak RSS in MB and the call's time in seconds.
+# One match_unit_all_alphas call on a dense unit: 74 GT tracks over the
+# given number of frames whose prediction ids change every 7 frames (592 ids
+# at 50 frames), with the given number of restrictions, in a process of its
+# own; prints its peak RSS in MB and the call's time in seconds. Restriction i
+# is every (i + 2)-th frame plus the first n_frames * i / 8 frames.
 DENSE_UNIT_RUN = """
 import json, resource, sys, time
 from rmot_eval.hota import match_unit_all_alphas
 from rmot_eval.model import DEFAULT_ALPHA_GRID, BoundingBox, Detection, ExpressionTask
 
-n_frames, n_gt = int(sys.argv[1]), 74
+n_frames, n_restrictions, n_gt = int(sys.argv[1]), int(sys.argv[2]), 74
 targets = {
     f: {f"g{g}": BoundingBox(60.0 * (g % 10) + f, 60.0 * (g // 10), 40.0, 40.0) for g in range(n_gt)}
     for f in range(1, n_frames + 1)
@@ -380,34 +382,59 @@ preds = [
     for g, b in enumerate(targets[f].values())
 ]
 task = ExpressionTask("s", "e", "t", targets)
+restrictions = {
+    f"r{i}": sorted(set(range(1, n_frames + 1, i + 2)) | set(range(1, n_frames * i // 8 + 1)))
+    for i in range(n_restrictions)
+}
 start = time.perf_counter()
-stats = match_unit_all_alphas(task, preds, DEFAULT_ALPHA_GRID, range(1, n_frames + 1))
+stats, restricted = match_unit_all_alphas(
+    task, preds, DEFAULT_ALPHA_GRID, range(1, n_frames + 1), restrictions=restrictions
+)
 seconds = time.perf_counter() - start
 print(json.dumps({
     "pred_ids": len({d.track_id for d in preds}),
     "tp": [s.tp for s in stats],
+    "restricted_tp": {name: [s.tp for s in sub] for name, sub in restricted.items()},
+    "restriction_frames": {name: len(frames) for name, frames in restrictions.items()},
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "seconds": seconds,
 }))
 """
 
 
+def run_dense_unit(n_frames: int, n_restrictions: int) -> dict:
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", DENSE_UNIT_RUN, str(n_frames), str(n_restrictions)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 class TestDenseUnit:
     def test_memory_and_time_stay_bounded(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        done = subprocess.run(
-            [sys.executable, "-c", DENSE_UNIT_RUN, "50"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        run = json.loads(done.stdout)
+        run = run_dense_unit(50, 0)
         assert run["pred_ids"] == 592
         # every GT box is matched to its prediction at every alpha (IoU 39/41)
         assert run["tp"] == [50 * 74] * len(DEFAULT_ALPHA_GRID)
         # a dense (alpha, frame, gt, pred) core peaks at about 500 MB here
         assert run["peak_rss_mb"] < 250
+        assert run["seconds"] < 10
+
+    def test_restrictions_stay_bounded(self):
+        # the whole unit and eight restrictions scored together; a float-sum
+        # buffer holding every layout's rows at once peaks at about 165 MB
+        run = run_dense_unit(50, 8)
+        assert run["pred_ids"] == 592
+        assert run["tp"] == [50 * 74] * len(DEFAULT_ALPHA_GRID)
+        frames = run["restriction_frames"]
+        assert run["restricted_tp"] == {
+            name: [n * 74] * len(DEFAULT_ALPHA_GRID) for name, n in frames.items()
+        }
+        assert run["peak_rss_mb"] < 125
         assert run["seconds"] < 10
 
 
