@@ -240,16 +240,8 @@ def solve_max_weight(m: WeightMatrix) -> Matching:
     whole matrix's answer). O(n^3) in the size of the largest component.
     """
     feas = m.feasible()
-    if m.rows == 0 or m.cols == 0 or not feas.any():
-        return _finish(m, ())
-    components = _components(feas)
-    if len(components) == 1:
-        sub_rows, sub_cols = components[0]
-        if len(sub_rows) == m.rows and len(sub_cols) == m.cols:
-            return _finish(m, _hungarian(m.weights, feas))
-
     pairs: List[Tuple[int, int]] = []
-    for sub_rows, sub_cols in components:
+    for sub_rows, sub_cols in _components(feas):
         if len(sub_rows) == 1 and len(sub_cols) == 1:
             pairs.append((sub_rows[0], sub_cols[0]))
             continue

@@ -1,17 +1,20 @@
 """Attribute-conditioned HOTA and the geometric-mean composites.
 
 There is one attribute path, driven by :func:`rmot_eval.pipeline.evaluate`.
-For every unit, the attributes flagged on at least one frame of the unit's
-sequence are passed with their frames as ``restrictions`` to the unit's one
-:func:`rmot_eval.hota.match_unit_all_alphas` call, which scores each
-restriction from the unit's single tensor build. Each restriction scores
-exactly like the unit cut to those frames by :func:`restrict_to_attribute`
-and matched as a self-contained HOTA problem; that function stays as the
-definition the tests check against. :func:`attribute_report` then pools each
-attribute's per-unit tally arrays with :func:`rmot_eval.hota.pool_tallies`,
-finalizes the per-attribute HOTA and composes HOTA_S / HOTA_M as geometric
-means of the unrounded per-attribute scores; attributes absent from the
-whole evaluation are excluded with the effective count reported.
+It builds one table of the evaluated attribute frames: per sequence, each
+attribute flagged on at least one of its frames and those frames. For every
+unit, its sequence's entries are passed as ``restrictions`` to the unit's
+one :func:`rmot_eval.hota.match_unit_all_alphas` call, which scores each
+restriction as a layout of the unit's single tensor build. Each restriction
+scores exactly like the unit cut to those frames by
+:func:`restrict_to_attribute` and matched as a self-contained HOTA problem;
+that function stays as the definition the tests check against.
+:func:`attribute_report` then pools each attribute's per-unit tally arrays
+with :func:`rmot_eval.hota.pool_tallies`, counts each attribute's frames in
+the same table, finalizes the per-attribute HOTA and composes HOTA_S /
+HOTA_M as geometric means of the unrounded per-attribute scores; attributes
+absent from the whole evaluation are excluded with the effective count
+reported.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .hota import finalize, pool_tallies
-from .model import Attribute, AttributeFrameLabels, Detection, EvalConfig, ExpressionTask
+from .model import Attribute, Detection, EvalConfig, ExpressionTask
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ def compose_geometric(values: Sequence[float]) -> float:
 
 def attribute_report(
     tallies: Mapping[str, Tuple[Sequence[np.ndarray], Sequence[np.ndarray]]],
-    labels: Mapping[str, AttributeFrameLabels],
+    frames: Mapping[str, Mapping[str, Sequence[int]]],
     cfg: EvalConfig,
 ) -> AttributeReport:
     """Pool the attribute-restricted unit stats and compose HOTA_S / HOTA_M.
@@ -103,13 +106,14 @@ def attribute_report(
     ``tallies`` maps an attribute name to the (alpha, 3) int and (alpha, 4)
     float tally arrays (``hota.pool_tallies``'s inputs) of each unit on that
     attribute's frames; an attribute flagged on no frame of any unit's
-    sequence has no entry. ``labels`` covers the whole evaluation and gives
-    the per-attribute frame counts.
+    sequence has no entry. ``frames`` maps each evaluated sequence to its
+    attribute names and the frames each flags, the table the units were
+    restricted by; it gives the per-attribute frame counts.
     """
     per_attr: Dict[str, Optional[float]] = {}
     frame_counts: Dict[str, int] = {}
     for attr in Attribute:
-        frame_counts[attr.value] = sum(len(lab.frames_with(attr)) for lab in labels.values())
+        frame_counts[attr.value] = sum(len(seq.get(attr.value, ())) for seq in frames.values())
         if attr.value in tallies:
             per_attr[attr.value] = finalize(pool_tallies(cfg.alpha_grid, *tallies[attr.value])).hota
         else:

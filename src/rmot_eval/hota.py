@@ -13,12 +13,14 @@ oracle in tests). Both paths produce bit-identical statistics.
 
 A unit is scored on its layouts together: layout 0 is the whole unit, and
 each restriction to a frame subset (the attribute scores) is a layout of its
-own, with its frames and its tracks in content order over those frames. The
-candidate pairs (level > 0) of every layout are stacked with a layout index
-and the layout's own frame, gt and pred ranks; a restriction takes exactly
-the unit's candidates on its frames. Forcedness depends on the frame alone,
-so the forced thresholds are shared, and only the unforced (layout, alpha,
-frame)s go to the solver, each with its layout's priors and tie-break scale.
+own. Every layout, layout 0 included, is built the same way: its frames and
+its tracks in content order over those frames; the unit's tensors keep the
+tracks in first-appearance order. The candidate pairs (level > 0) of every
+layout are stacked with a layout index and the layout's own frame, gt and
+pred ranks; a restriction takes exactly the unit's candidates on its
+frames. Forcedness depends on the frame alone, so the forced thresholds are
+shared, and only the unforced (layout, alpha, frame)s go to the solver, each
+with its layout's priors and tie-break scale.
 
 The integer tallies (pairs per (gt, pred), matches, TPA) are exact in any
 order and come from the stacked candidates by ``bincount`` and
@@ -26,16 +28,16 @@ order and come from the stacked candidates by ``bincount`` and
 on the array they run over, so they run over the dense arrays a
 single-alpha evaluation of the layout alone would build: per alpha, the
 layout's (frame, gt, pred) IoUs of its matches in C order, and its (gt,
-pred) association terms. The matched values are scattered into one zeroed
-buffer, and each layout's rows are reduced by one ``sum``, cut into chunks of
-a fixed cell budget, as are the IoU and level builds; so a long, crowded
-unit holds about two float64 per (frame, gt, pred) cell, not one per cell,
-alpha and layout. An alpha whose matches are the previous alpha's (no
-pair's level and no forced threshold lies between them) has the same
-arrays, so it takes that alpha's sums without a row of its own. The stats
-come back in the order of the alphas given, each bit-identical to a call
-with that alpha alone and, for a restriction, to matching the restricted
-unit on its own.
+pred) association terms. Each layout's rows are cut by ``_blocks`` to a
+fixed cell budget, as are the IoU and level builds; a block's matched values
+are scattered into one reused zeroed buffer and its rows reduced by numpy
+``sum``, so a long, crowded unit holds about two float64 per (frame, gt,
+pred) cell, not one per cell, alpha and layout. An alpha whose matches are
+the previous alpha's (no pair's level and no forced threshold lies between
+them) has the same arrays, so it takes that alpha's sums without a row of
+its own. The stats come back in the order of the alphas given, each
+bit-identical to a call with that alpha alone and, for a restriction, to
+matching the restricted unit on its own.
 
 A unit's tensors are built once, from columns: the predictions'
 ``UnitBoxes`` (a list of detections is converted by
@@ -138,11 +140,12 @@ class MetricReport:
 
 
 class _Tracks:
-    """One side of a unit (GT or predictions): per-frame presence and boxes,
-    tracks in content order, plus what a restriction needs to reorder them.
+    """One side of a unit (GT or predictions): per-frame presence and boxes
+    of its tracks, in first-appearance order, plus what ``order`` needs to
+    put them in content order over any set of frames (a layout).
 
     A track's content key is (first frame, its box there, box count, sum of
-    x, sum of y, track id), all over the evaluated frames; the sums run left
+    x, sum of y, track id), all over the layout's frames; the sums run left
     to right in insertion order, which is file order for predictions. The
     key makes matrices invariant under id relabeling.
     """
@@ -193,12 +196,8 @@ class _Tracks:
         rank = np.empty(n, dtype=np.intp)
         rank[sorted(range(n), key=names.__getitem__)] = np.arange(n)
 
-        self.present, self.boxes = present, boxes
+        self.ids, self.present, self.boxes = names, present, boxes
         self._ins_frame, self._ins_xy, self._rank = ins_frame, ins_xy, rank
-        order, _ = self.order(np.arange(n_frames))
-        self.ids = [names[i] for i in order]
-        self.present, self.boxes = present[:, order], boxes[:, order]
-        self._ins_frame, self._ins_xy, self._rank = ins_frame[order], ins_xy[order], rank[order]
 
     def order(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Indices of the tracks with a box on frame indices ``rows`` (sorted
@@ -390,39 +389,23 @@ def _row_sums(
     """The row sums of segments laid end to end, segment s a C-order
     (``seg_rows[s]``, ``seg_len[s]``) float64 array that is zero but for the
     values ``val`` at flat positions ``pos`` (unique). Each segment's rows
-    are summed by one numpy ``sum``, cut into runs of at most
-    ``_CELL_BUDGET`` cells (at least one row), so a row sums exactly as it
-    does in the dense array."""
+    are cut by ``_blocks`` and summed by numpy ``sum`` in one reused zeroed
+    buffer, so a row sums exactly as it does in the dense array."""
+    by_pos = np.argsort(pos)
+    pos, val = pos[by_pos], val[by_pos]
     sizes = seg_rows * seg_len
-    table = np.stack([np.cumsum(seg_rows) - seg_rows, seg_rows, seg_len, np.cumsum(sizes) - sizes])
-    # runs of whole rows as (first row, rows, row length, first cell); the
-    # runs of a chunk follow each other in one buffer of at most the budget
-    chunks: List[List[Tuple[int, int, int, int]]] = []
-    filled = _CELL_BUDGET
-    for first, n_rows, length, cell in table[:, seg_rows > 0].T.tolist():
-        step = max(1, _CELL_BUDGET // max(length, 1))
-        for i in range(0, n_rows, step):
-            n = min(step, n_rows - i)
-            if filled + n * length > _CELL_BUDGET:
-                chunks.append([])
-                filled = 0
-            chunks[-1].append((first + i, n, length, cell + i * length))
-            filled += n * length
-
-    spans = [(runs[0][3], runs[-1][3] + runs[-1][1] * runs[-1][2]) for runs in chunks]
-    buf = np.zeros(max((end - start for start, end in spans), default=0), dtype=np.float64)
-    if len(chunks) > 1:
-        by_pos = np.argsort(pos)
-        pos, val = pos[by_pos], val[by_pos]
-    sums = np.zeros(int(table[0, -1] + seg_rows[-1]), dtype=np.float64)
-    for runs, (start, end) in zip(chunks, spans):
-        lo, hi = (0, pos.size) if len(chunks) == 1 else np.searchsorted(pos, [start, end])
-        at = pos[lo:hi] - start
-        buf[at] = val[lo:hi]
-        for first, n, length, cell in runs:
-            b = cell - start
-            sums[first : first + n] = buf[b : b + n * length].reshape(n, length).sum(1)
-        buf[at] = 0.0
+    # as large as the largest block: a segment, or the budget or one row
+    buf = np.zeros(int(np.minimum(sizes, np.maximum(seg_len, _CELL_BUDGET)).max(initial=0)))
+    sums = np.empty(int(seg_rows.sum()), dtype=np.float64)
+    table = np.stack([np.cumsum(seg_rows) - seg_rows, np.cumsum(sizes) - sizes, seg_rows, seg_len])
+    for row, cell, n_rows, length in table.T.tolist():
+        for rs in _blocks(n_rows, length):
+            start, end = cell + rs.start * length, cell + rs.stop * length
+            lo, hi = np.searchsorted(pos, [start, end])
+            at = pos[lo:hi] - start
+            buf[at] = val[lo:hi]
+            sums[row + rs.start : row + rs.stop] = buf[: end - start].reshape(-1, length).sum(1)
+            buf[at] = 0.0
     return sums
 
 
@@ -442,7 +425,8 @@ def _score_layouts(
 
     Returns the (layouts, alpha, 3) int64 tp, fn, fp; the (layouts, alpha,
     4) float64 iou_sum, ass_a_sum, ass_re_sum, ass_pr_sum; and layout 0's
-    nonzero pair TPAs as (alpha, gt, pred, TPA) index arrays."""
+    nonzero pair TPAs as (alpha, gt rank, pred rank, TPA) index arrays, the
+    ranks into layout 0's gt and pred indices."""
     n_lay = len(layouts)
     rows_l, gi_l, gc_l, pi_l, pc_l = zip(*layouts)
     n_f, n_g, n_p = (np.array([x.size for x in xs], dtype=np.intp) for xs in (rows_l, gi_l, pi_l))
@@ -455,9 +439,6 @@ def _score_layouts(
         ints[:, :, col] = (total[at + n] - total[at])[:, None]
     floats = np.zeros((n_lay, n_alpha, 4), dtype=np.float64)
     flat = np.flatnonzero(k)
-    if n_alpha == 0 or flat.size == 0:
-        none = np.empty(0, dtype=np.intp)
-        return ints, floats, (none, none, none, none)
 
     # Every layout's candidate pairs (level > 0), stacked layout by layout in
     # the unit's (frame, gt, pred) order, each with the layout's own frame,
@@ -636,23 +617,22 @@ def match_unit_all_alphas(
     order = np.argsort(alphas_arr, kind="stable")
     back = np.argsort(order)
 
-    gp, pp = ua.gt.present, ua.pred.present
-    k = _levels(alphas_arr[order], ua.iou3, gp, pp)
+    k = _levels(alphas_arr[order], ua.iou3, ua.gt.present, ua.pred.present)
     # A frame whose feasibility graph has degree <= 1 on both sides has one
     # optimum for any positive weights, so its matches hold under every
     # restriction that keeps the frame.
     t = np.full(ua.n_frames, order.size, dtype=np.intp) if force_solver else _forced_from(k)
-    # layout 0 is the whole unit; a restriction's layout has its frames, and
-    # its tracks in content order over those frames, so every sum and tie
-    # runs as it would alone
-    n_gt, n_pred = gp.shape[1], pp.shape[1]
+    # layout 0 is the whole unit, each restriction a layout of its frames;
+    # a layout has its tracks in content order over its frames, so every sum
+    # and tie runs as it would alone
     layouts: List[Layout] = [
-        (np.arange(ua.n_frames), np.arange(n_gt), gp.sum(0), np.arange(n_pred), pp.sum(0))
+        (rows, *ua.gt.order(rows), *ua.pred.order(rows))
+        for rows in (np.arange(ua.n_frames), *subsets.values())
     ]
-    layouts += [(rows, *ua.gt.order(rows), *ua.pred.order(rows)) for rows in subsets.values()]
     ints, floats, (ta, tg, tpr, tn) = _score_layouts(order.size, ua.iou3, k, t, layouts, solver)
 
     details: List[Dict[Tuple[str, str], int]] = [{} for _ in range(order.size)]
+    tg, tpr = layouts[0][1][tg], layouts[0][3][tpr]
     for ai, gi, pi, n in zip(ta.tolist(), tg.tolist(), tpr.tolist(), tn.tolist()):
         details[ai][ua.gt.ids[gi], ua.pred.ids[pi]] = n
     grid = [float(a) for a in alphas]

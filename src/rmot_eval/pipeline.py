@@ -43,7 +43,6 @@ from .hota import (
 from .io_formats import DatasetBundle
 from .model import (
     Attribute,
-    AttributeFrameLabels,
     Detection,
     EvalConfig,
     ExpressionTask,
@@ -74,34 +73,21 @@ def resolve_workers(workers: Optional[int]) -> int:
     return 1
 
 
-def _attribute_labels(bundle: DatasetBundle) -> Dict[str, AttributeFrameLabels]:
-    """The attribute labels on the frames that are evaluated: the labels of
-    a sequence the bundle lacks (``UNKNOWN_SEQUENCE``) and a sequence's rows
-    outside 1..length (``FRAME_OUT_OF_BOUNDS``), violations evaluated only
-    under ``--allow-violations``, are left out."""
-    out: Dict[str, AttributeFrameLabels] = {}
+def _attribute_frames(bundle: DatasetBundle) -> Dict[str, Dict[str, List[int]]]:
+    """Per sequence, each attribute flagged on at least one of its evaluated
+    frames and those frames, ascending; only these attributes get an entry in
+    a unit's results. The labels of a sequence the bundle lacks
+    (``UNKNOWN_SEQUENCE``) and a sequence's rows outside 1..length
+    (``FRAME_OUT_OF_BOUNDS``), violations evaluated only under
+    ``--allow-violations``, are left out."""
+    out: Dict[str, Dict[str, List[int]]] = {}
     for seq_id, labels in bundle.attributes.items():
         seq = bundle.sequences.get(seq_id)
         if seq is None:
             continue
-        if any(not 1 <= f <= seq.length for f in labels.flags):
-            labels = AttributeFrameLabels(
-                seq_id, {f: s for f, s in labels.flags.items() if 1 <= f <= seq.length}
-            )
-        out[seq_id] = labels
-    return out
-
-
-def _attribute_frames(
-    labels: Mapping[str, AttributeFrameLabels]
-) -> Dict[str, Dict[str, List[int]]]:
-    """Per sequence, each attribute flagged on at least one of its frames and
-    those frames; only these attributes get an entry in a unit's results."""
-    out: Dict[str, Dict[str, List[int]]] = {}
-    for seq_id, seq_labels in labels.items():
         out[seq_id] = {}
         for attr in Attribute:
-            frames = seq_labels.frames_with(attr)
+            frames = [f for f in labels.frames_with(attr) if 1 <= f <= seq.length]
             if frames:
                 out[seq_id][attr.value] = frames
     return out
@@ -250,7 +236,7 @@ def evaluate(
     global _CTX
     n_workers = resolve_workers(workers)
     n_units = len(bundle.tasks)
-    labels = _attribute_labels(bundle)
+    attribute_frames = _attribute_frames(bundle)
 
     _CTX = {
         "tasks": bundle.tasks,
@@ -258,7 +244,7 @@ def evaluate(
         "cfg": cfg,
         "solver": solver,
         "sequences": bundle.sequences,
-        "attribute_frames": _attribute_frames(labels),
+        "attribute_frames": attribute_frames,
     }
     try:
         if n_workers == 1 or n_units <= 1:
@@ -287,6 +273,8 @@ def evaluate(
         )
 
     attr_report = (
-        attribute_report(_attribute_tallies(results), labels, cfg) if bundle.attributes else None
+        attribute_report(_attribute_tallies(results), attribute_frames, cfg)
+        if bundle.attributes
+        else None
     )
     return report, attr_report

@@ -57,8 +57,9 @@ class TestSolverExamples:
         assert pairs_of(m) == {(0, 0), (1, 2)} and m.total_weight == 7.0
 
     def test_empty_matrix(self):
-        m = solve_max_weight(WeightMatrix(weights=np.zeros((0, 0))))
-        assert m.pairs == () and m.total_weight == 0.0
+        for shape in ((0, 0), (0, 3), (3, 0)):
+            m = solve_max_weight(WeightMatrix(weights=np.zeros(shape)))
+            assert m.pairs == () and m.total_weight == 0.0
 
     def test_negative_weights_never_matched(self):
         m = solve_max_weight(WeightMatrix(weights=np.array([[-1.0, -2.0]])))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmot_eval import hota
 from rmot_eval.assignment import solve_oracle
 from rmot_eval.attributes import restrict_to_attribute
 from rmot_eval.hota import (
@@ -291,6 +292,28 @@ class TestRestrictions:
             assert_restrictions_match_alone(task, [], frames, restrictions)
             assert_restrictions_match_alone(task, [], frames, restrictions, force_solver=True)
 
+    @pytest.mark.parametrize("alphas", [(), (0.5,), DEFAULT_ALPHA_GRID])
+    @pytest.mark.parametrize("restrictions", [None, {"all": [1, 2, 3], "late": [3], "none": []}])
+    def test_units_without_a_candidate_pair(self, alphas, restrictions):
+        # every box is a miss or a false positive at every alpha (or there
+        # are no alphas); the sums are zero and the whole unit has no pairs
+        near, far = box(0, 0, 10, 10), box(50, 50, 5, 5)
+        gt = {1: {"g": near}, 2: {"g": near}}
+        preds = [det(1, far, "p"), det(3, far, "p")]
+        for targets, dets in ((gt, preds), ({}, preds), (gt, []), ({}, [])):
+            task = ExpressionTask("s", "e", "t", targets)
+
+            def expected(frames, pair_tpa):
+                fn = sum(len(targets.get(f, {})) for f in frames)
+                fp = sum(d.frame in frames for d in dets)
+                return [AlphaStats(a, 0, fn, fp, pair_tpa=pair_tpa) for a in alphas]
+
+            got = match_unit_all_alphas(task, dets, alphas, [1, 2, 3], restrictions=restrictions)
+            want = expected([1, 2, 3], {})
+            if restrictions is not None:
+                want = want, {name: expected(sub, None) for name, sub in restrictions.items()}
+            assert repr(got) == repr(want)
+
     def test_frame_outside_frames_rejected(self):
         task = simple_task(3)
         with pytest.raises(ValueError, match="restriction 'late': frame 4"):
@@ -329,6 +352,54 @@ class TestLevels:
                     degrees = [sum(feas[f, gi, pi] for pi in range(p)) for gi in range(g)]
                     degrees += [sum(feas[f, gi, pi] for gi in range(g)) for pi in range(p)]
                     assert (a >= t[f]) == all(d <= 1 for d in degrees)
+
+
+def random_unit(rng):
+    """(task, predictions, frames, restrictions): up to five GT tracks
+    drifting over frames 1-12 with gaps, predictions that follow them with
+    jitter and id switches plus stray boxes, and four random frame subsets."""
+    frames = list(range(1, 13))
+    targets = {}
+    starts = rng.uniform(0, 40, (int(rng.integers(1, 6)), 2))
+    for g, (x, y) in enumerate(starts):
+        for f in frames:
+            if rng.random() < 0.8:
+                targets.setdefault(f, {})[f"g{g}"] = box(x + f, y, 10, 10)
+    preds = [
+        det(f, box(b.x + rng.normal(0, 2), b.y + rng.normal(0, 2), 10, 10), f"p{g}-{f // 5}")
+        for f, by_gt in targets.items()
+        for g, b in by_gt.items()
+        if rng.random() < 0.85
+    ]
+    preds += [
+        det(int(f), box(*rng.uniform(0, 50, 2), 10, 10), f"fp{i}")
+        for i, f in enumerate(rng.choice(frames, size=int(rng.integers(0, 6)), replace=False))
+    ]
+    restrictions = {
+        f"r{i}": sorted(rng.choice(frames, size=int(rng.integers(0, 13)), replace=False).tolist())
+        for i in range(4)
+    }
+    return ExpressionTask("s", "e", "t", targets), preds, frames, restrictions
+
+
+class TestCellBudget:
+    """The float sums do not depend on how ``_blocks`` cuts the rows: a
+    budget that puts each row, or a few cells, in a block of its own gives
+    the default budget's stats for the whole unit and every restriction."""
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_small_budget_equals_default(self, budget, monkeypatch):
+        rng = np.random.default_rng(budget)
+        units = [random_unit(rng) for _ in range(30)]
+
+        def run(task, preds, frames, restrictions):
+            return match_unit_all_alphas(
+                task, preds, DEFAULT_ALPHA_GRID, frames, restrictions=restrictions
+            )
+
+        want = [run(*unit) for unit in units]
+        monkeypatch.setattr(hota, "_CELL_BUDGET", budget)
+        assert [run(*unit) for unit in units] == want
 
 
 class TestAlphaOrder:
