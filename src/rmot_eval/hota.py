@@ -41,8 +41,11 @@ matching the restricted unit on its own.
 
 A unit's tensors are built once, from columns: the predictions'
 ``UnitBoxes`` (a list of detections is converted by
-``UnitBoxes.from_detections``) and the targets turned into the same
-columns; frames map to tensor rows by ``searchsorted``.
+``UnitBoxes.from_detections``) and the targets' rows of their sequence's
+ground-truth columns (a parsed task's ``TargetsView``; a targets dict is
+converted by ``TargetsView.from_mapping``), in the targets' iteration
+order, which the content key's x and y sums follow; frames map to tensor
+rows by ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .assignment import Matching, WeightMatrix, solve_max_weight
-from .model import Detection, ExpressionTask, UnitBoxes, iou_matrix
+from .model import Detection, ExpressionTask, TargetsView, UnitBoxes, iou_matrix
 
 Solver = Callable[[WeightMatrix], Matching]
 
@@ -220,26 +223,6 @@ class _Tracks:
         return perm, count[perm]
 
 
-def _target_columns(task: ExpressionTask) -> Tuple[np.ndarray, np.ndarray, List[str], np.ndarray]:
-    """``task.targets`` as (frame, track index, ids, xywh) columns, in the
-    targets' iteration order."""
-    index: Dict[str, int] = {}
-    frame: List[int] = []
-    track: List[int] = []
-    xywh: List[float] = []  # flat, four numbers per box
-    for f, by_track in task.targets.items():
-        for tid, b in by_track.items():
-            frame.append(f)
-            track.append(index.setdefault(tid, len(index)))
-            xywh += (b.x, b.y, b.w, b.h)
-    return (
-        np.array(frame, dtype=np.int64),
-        np.array(track, dtype=np.intp),
-        list(index),
-        np.array(xywh, dtype=np.float64).reshape(len(frame), 4),
-    )
-
-
 def _on_frames(
     frames: np.ndarray, frame: np.ndarray, track: np.ndarray, ids: Sequence[str], xywh: np.ndarray
 ) -> _Tracks:
@@ -269,8 +252,10 @@ class UnitArrays:
     """Dense per-unit tensors shared by all alpha thresholds.
 
     ``preds`` may be a ``UnitBoxes``, whose columns are used as they are, or
-    any sequence of detections, converted by ``UnitBoxes.from_detections``.
-    Boxes on frames outside ``frames`` are left out.
+    any sequence of detections, converted by ``UnitBoxes.from_detections``;
+    ``task.targets`` likewise a ``TargetsView`` or a dict, converted by
+    ``TargetsView.from_mapping``. Boxes on frames outside ``frames`` are
+    left out.
     """
 
     __slots__ = ("frames", "n_frames", "gt", "pred", "iou3")
@@ -280,7 +265,7 @@ class UnitArrays:
         self.n_frames = len(self.frames)
         preds = UnitBoxes.from_detections(preds)
         frames_arr = np.asarray(self.frames, dtype=np.int64)
-        self.gt = _on_frames(frames_arr, *_target_columns(task))
+        self.gt = _on_frames(frames_arr, *TargetsView.from_mapping(task.targets).unit_columns())
         self.pred = _on_frames(frames_arr, preds.frame, preds.track, preds.ids, preds.xywh)
         # absent slots hold zero boxes and evaluate to iou 0; built in frame
         # blocks so iou_matrix's temporaries stay small

@@ -16,13 +16,19 @@ On-disk layout of a dataset bundle::
 
 Predictions live in a separate directory, one file per (sequence,
 expression) named ``<sequence_id>__<expression_id>.txt`` with lines
-``frame,track_id,x,y,w,h,confidence,referring_score``. A prediction file
-parses into a ``model.UnitBoxes`` (columns, no per-line objects), a block of
-lines at a time: each block is split into columns, its fields converted by
-Python's ``int`` and ``float`` and its rows checked in numpy. Only a file
-that fails a check is read again row by row, by the same ``_records`` reader
-the other line formats use, to raise its first error in line order. The
-other formats parse into the ``model`` types.
+``frame,track_id,x,y,w,h,confidence,referring_score``.
+
+A prediction file and a ``gt.txt`` parse into columns, with no per-line
+objects, a block of lines at a time: each block is split into columns, its
+fields converted by Python's ``int`` and ``float`` and its rows checked in
+numpy. Only a file that fails a check is read again row by row, by the same
+``_records`` reader the other line formats use, to raise its first error in
+line order. A prediction file gives a ``model.UnitBoxes``; a ``gt.txt`` a
+``model.TracksView`` over the sequence's ``model.GtColumns``. Each
+expression's targets are a ``model.TargetsView``, a row selection into its
+sequence's columns that ``parse_expressions`` resolves for the whole
+document at once, in the order a dict filled interval by interval, frame by
+frame would iterate. The other formats parse into the ``model`` types.
 """
 
 from __future__ import annotations
@@ -41,11 +47,13 @@ from .hota import MetricReport
 from .model import (
     Attribute,
     AttributeFrameLabels,
-    BoundingBox,
     Detection,
     ExpressionTask,
     GroundTruthTrack,
+    GtColumns,
     SequenceData,
+    TargetsView,
+    TracksView,
     UnitBoxes,
 )
 from .stats import StatsReport
@@ -61,7 +69,7 @@ ATTRIBUTE_COLUMNS: Tuple[Attribute, ...] = (
     Attribute.LOW_RESOLUTION,
 )
 
-_INT64_MAX = 2**63 - 1  # the largest prediction frame a UnitBoxes column holds
+_INT64_MAX = 2**63 - 1  # the largest frame an int64 column holds
 _BLOCK_LINES = 1 << 14  # prediction lines read, split and converted at a time
 
 REPORT_SCHEMA = "rmot-eval-report/1"
@@ -232,21 +240,16 @@ def _floats(path: Path, lineno: int, fields: Sequence[str]) -> Tuple[float, ...]
     return values
 
 
-def parse_gt(path: Path | str) -> Dict[str, GroundTruthTrack]:
-    """Parse a ground-truth box file into tracks."""
+def parse_gt(path: Path | str) -> TracksView:
+    """Parse a ground-truth box file into its tracks, a ``TracksView`` over
+    the file's ``GtColumns`` (rows in file order, ids in first-appearance
+    order). A frame past the int64 range is a FIELD_TYPE error.
+
+    Read like a prediction file: in blocks checked in numpy, and when a
+    check fails, row by row to raise the first error in line order."""
     path = Path(path)
-    boxes: Dict[str, Dict[int, BoundingBox]] = {}
-    for lineno, frame, fields in _records(path, 6):
-        x, y, w, h = _floats(path, lineno, fields)
-        track_id = fields[1]
-        per = boxes.setdefault(track_id, {})
-        if frame in per:
-            raise ParseError(
-                "DUPLICATE_BOX", path, lineno,
-                f"duplicate (frame, track) = ({frame}, {track_id})",
-            )
-        per[frame] = BoundingBox(x, y, w, h)
-    return {tid: GroundTruthTrack(track_id=tid, boxes=b) for tid, b in boxes.items()}
+    cols = _columns_or_first_error(path, 6, None)
+    return TracksView(GtColumns(cols[0], cols[1], cols[2], cols[3]))
 
 
 def _fmt(v: float) -> str:
@@ -317,22 +320,34 @@ def parse_predictions(path: Path | str, length: Optional[int] = None) -> UnitBox
     in numpy. When a check fails anywhere, ``_check_rows`` reads the file
     again row by row and raises the first error in line order.
     """
-    path = Path(path)
+    frame, track, ids, values = _columns_or_first_error(Path(path), 8, length)
+    return UnitBoxes(frame, track, ids, values[:, :4], values[:, 4], values[:, 5])
+
+
+_Columns = Tuple[np.ndarray, np.ndarray, List[str], np.ndarray]
+
+
+def _columns_or_first_error(path: Path, n_fields: int, length: Optional[int]) -> _Columns:
+    """The (frame, track index, ids, values) columns of a GT (6 fields) or
+    prediction (8 fields) file, or its first error, raised in line order."""
     try:
-        boxes = _prediction_blocks(path, length)
+        cols = _line_blocks(path, n_fields, length)
     except (ValueError, OverflowError):  # a field int() or float() rejects, or bad UTF-8
-        boxes = None
-    if boxes is None:
-        _check_rows(path, length)
+        cols = None
+    if cols is None:
+        _check_rows(path, n_fields, length)
         raise AssertionError(f"{path}: a block check failed but no row check does")
-    return boxes
+    return cols
 
 
-def _prediction_blocks(path: Path, length: Optional[int]) -> Optional[UnitBoxes]:
-    """The file's columns, or None when some row would fail a check."""
+def _line_blocks(path: Path, n_fields: int, length: Optional[int]) -> Optional[_Columns]:
+    """The file's columns: frames, track indices into the ids (in
+    first-appearance order) and the numbers after the track id of each
+    line; None when some row would fail a check."""
     frames = [np.empty(0, np.int64)]
     tracks = [np.empty(0, np.intp)]
-    values = [np.empty((0, 6))]  # the six numbers of each line
+    n_values = n_fields - 2
+    values = [np.empty((0, n_values))]
     index: Dict[str, int] = {}  # track id -> its index, in first-appearance order
     with path.open("r", encoding="utf-8", newline="") as fh:
         for at, block in enumerate(iter(lambda: list(islice(fh, _BLOCK_LINES)), [])):
@@ -344,13 +359,13 @@ def _prediction_blocks(path: Path, length: Optional[int]) -> Optional[UnitBoxes]
             if not lines:
                 continue
             n = len(lines)
-            if list(map(str.count, lines, repeat(","))).count(7) != n:
+            if list(map(str.count, lines, repeat(","))).count(n_fields - 1) != n:
                 return None
             tokens = ",".join(lines).split(",")
-            frame = np.fromiter(map(int, tokens[0::8]), np.int64, n)
-            ids = tokens[1::8]
-            del tokens[0::8], tokens[0::7]  # frame, then track id
-            row = np.fromiter(map(float, tokens), np.float64, 6 * n).reshape(n, 6)
+            frame = np.fromiter(map(int, tokens[0::n_fields]), np.int64, n)
+            ids = tokens[1::n_fields]
+            del tokens[0::n_fields], tokens[0::n_fields - 1]  # frame, then track id
+            row = np.fromiter(map(float, tokens), np.float64, n_values * n).reshape(n, n_values)
             scores = row[:, 4:]
             if (
                 frame.min() < 1
@@ -364,31 +379,31 @@ def _prediction_blocks(path: Path, length: Optional[int]) -> Optional[UnitBoxes]
             frames.append(frame)
             tracks.append(np.fromiter(map(index.__getitem__, ids), np.intp, n))
             values.append(row)
-    frame, track, cols = np.concatenate(frames), np.concatenate(tracks), np.concatenate(values)
+    frame, track = np.concatenate(frames), np.concatenate(tracks)
     # a repeated (frame, track) sits next to its twin once sorted
     order = np.lexsort((track, frame))
     f, t = frame[order], track[order]
     if ((f[1:] == f[:-1]) & (t[1:] == t[:-1])).any():
         return None
-    return UnitBoxes(frame, track, list(index), cols[:, :4], cols[:, 4], cols[:, 5])
+    return frame, track, list(index), np.concatenate(values)
 
 
-def _check_rows(path: Path, length: Optional[int]) -> None:
-    """Check a prediction file row by row; the first failing row raises its
-    ``ParseError``. The block checks fail on a file exactly when one of
-    these does."""
+def _check_rows(path: Path, n_fields: int, length: Optional[int]) -> None:
+    """Check a GT (6 fields) or prediction (8 fields) file row by row; the
+    first failing row raises its ``ParseError``. The block checks fail on a
+    file exactly when one of these does."""
     seen = set()
-    for lineno, frame, fields in _records(path, 8, length):
+    for lineno, frame, fields in _records(path, n_fields, length):
         if frame > _INT64_MAX:
             raise ParseError(
                 "FIELD_TYPE", path, lineno, f"frame {frame} does not fit in a 64-bit integer"
             )
         row = _floats(path, lineno, fields)
-        conf, ref = row[4], row[5]
-        if not (0.0 <= conf <= 1.0 and 0.0 <= ref <= 1.0):
+        scores = row[4:]  # a prediction's confidence and referring score
+        if not all(0.0 <= v <= 1.0 for v in scores):
             raise ParseError(
                 "SCORE_RANGE", path, lineno,
-                f"confidence/referring score outside [0, 1]: {conf}, {ref}",
+                f"confidence/referring score outside [0, 1]: {scores[0]}, {scores[1]}",
             )
         key = (frame, fields[1])
         if key in seen:
@@ -450,15 +465,26 @@ def parse_expressions(
     Intervals are inclusive and must lie within the sequence. Frames inside
     an interval where the referenced track has no gt box are allowed but
     reported as warnings.
+
+    Each task's targets are a ``TargetsView``: a row selection into its
+    sequence's ``GtColumns`` (``TracksView.from_mapping(seq.tracks)``), in
+    the order a dict filled interval by interval, frame by frame, would
+    iterate. The document is checked entry by entry first; then every
+    sequence's intervals are resolved together (``_select_rows``).
     """
     path = Path(path)
     doc = _load_json(path)
     if not isinstance(doc, list):
         raise ParseError("DOC_SHAPE", path, None, "top level must be a list of expressions")
 
-    tasks: List[ExpressionTask] = []
-    warnings: List[str] = []
     units: Dict[str, str] = {}  # prediction file name -> the entry it belongs to
+    entries: List[Tuple[str, str, str]] = []  # (sequence_id, expression_id, text)
+    columns: Dict[str, GtColumns] = {}  # the referenced sequences' columns
+    # each target's task, sequence, track index and interval, in document order
+    owner: List[int] = []
+    seq_of: List[str] = []
+    track: List[int] = []
+    interval: List[Tuple[int, int]] = []
     for i, entry in enumerate(doc):
         entry = _fields(
             entry, ("expression_id", "sequence_id", "text", "targets"), path, f"entry {i}"
@@ -483,7 +509,9 @@ def parse_expressions(
                 "UNKNOWN_SEQUENCE", path, None,
                 f"expression {expr_id} references unknown sequence {seq_id}",
             )
-        targets: Dict[int, Dict[str, BoundingBox]] = {}
+        if seq_id not in columns:
+            columns[seq_id] = TracksView.from_mapping(seq.tracks).columns
+        index = columns[seq_id].index
         for j, t in enumerate(entry["targets"]):
             where = f"expression {expr_id} target {j}"
             t = _fields(t, ("track_id", "start_frame", "end_frame"), path, where)
@@ -501,34 +529,116 @@ def parse_expressions(
                     f"{where}: interval [{start}, {end}] lies outside sequence {seq_id} "
                     f"(frames 1-{seq.length})",
                 )
-            track = seq.tracks.get(track_id)
-            if track is None:
+            if track_id not in index:
                 raise ParseError(
                     "UNKNOWN_TRACK", path, None,
                     f"expression {expr_id} references unknown track {track_id} "
                     f"in sequence {seq_id}",
                 )
-            absent = 0
-            for frame in range(start, end + 1):
-                box = track.boxes.get(frame)
-                if box is None:
-                    absent += 1
-                    continue
-                targets.setdefault(frame, {})[track_id] = box
-            if absent:
-                warnings.append(
-                    f"{seq_id}/{expr_id}: track {track_id} absent on {absent} "
-                    f"frame(s) of interval [{start}, {end}]"
-                )
-        tasks.append(
-            ExpressionTask(
-                sequence_id=seq_id,
-                expression_id=expr_id,
-                text=_typed(entry["text"], str, path, f"expression {expr_id} text"),
-                targets=targets,
-            )
+            owner.append(len(entries))
+            seq_of.append(seq_id)
+            track.append(index[track_id])
+            interval.append((start, end))
+        entries.append(
+            (seq_id, expr_id, _typed(entry["text"], str, path, f"expression {expr_id} text"))
         )
+
+    rows: List[np.ndarray] = [np.empty(0, dtype=np.intp)] * len(entries)
+    present = np.zeros(len(owner), dtype=np.int64)
+    targets_of: Dict[str, List[int]] = {}
+    for k, seq_id in enumerate(seq_of):
+        targets_of.setdefault(seq_id, []).append(k)
+    owner_arr, track_arr = np.array(owner, dtype=np.intp), np.array(track, dtype=np.intp)
+    for seq_id, ks in targets_of.items():
+        sel = np.array(ks, dtype=np.intp)
+        owners = sorted({owner[k] for k in ks})
+        chosen, counts, present[sel] = _select_rows(
+            columns[seq_id],
+            track_arr[sel],
+            [interval[k] for k in ks],
+            np.searchsorted(owners, owner_arr[sel]),
+            len(owners),
+        )
+        for task, part in zip(owners, np.split(chosen, np.cumsum(counts)[:-1])):
+            rows[task] = part
+
+    warnings: List[str] = []
+    for k, n in enumerate(present.tolist()):
+        start, end = interval[k]
+        absent = end - start + 1 - n
+        if absent:
+            seq_id, expr_id, _ = entries[owner[k]]
+            warnings.append(
+                f"{seq_id}/{expr_id}: track {columns[seq_id].ids[track[k]]} absent on "
+                f"{absent} frame(s) of interval [{start}, {end}]"
+            )
+    tasks = [
+        ExpressionTask(
+            sequence_id=seq_id,
+            expression_id=expr_id,
+            text=text,
+            targets=TargetsView(columns[seq_id], rows[i]),
+        )
+        for i, (seq_id, expr_id, text) in enumerate(entries)
+    ]
     return tasks, warnings
+
+
+def _select_rows(
+    cols: GtColumns,
+    track: np.ndarray,
+    intervals: Sequence[Tuple[int, int]],
+    owner: np.ndarray,
+    n_owners: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve target intervals against one sequence's columns: target k is
+    track ``track[k]`` on the inclusive frame interval ``intervals[k]``, for
+    owner (task) ``owner[k]``, targets in document order.
+
+    Returns the selected rows, owner after owner, each owner's row count,
+    and each target's count of rows. An owner's rows come in the order a
+    dict filled target by target, frame by frame, iterates: frames in the
+    order they were first inserted, within a frame the tracks in insertion
+    order, and a repeated (frame, track) at its first position."""
+    # rows sorted by (track, frame rank); a target's rows are a run there
+    frames = np.sort(cols.frame)
+    frames = frames[np.append(True, frames[1:] != frames[:-1])]
+    n_ranks = max(frames.size, 1)
+    key = cols.track * n_ranks + np.searchsorted(frames, cols.frame)
+    by_key = np.argsort(key)
+    key = key[by_key]
+    # every frame fits in int64: an interval starting past it holds no row
+    lo, hi = np.array(
+        [(s, min(e, _INT64_MAX)) if s <= _INT64_MAX else (1, 0) for s, e in intervals],
+        dtype=np.int64,
+    ).reshape(-1, 2).T
+    base = track * n_ranks
+    first = np.searchsorted(key, base + np.searchsorted(frames, lo, side="left"))
+    stop = np.searchsorted(key, base + np.searchsorted(frames, hi, side="right"))
+    present = np.maximum(stop - first, 0)
+
+    # every (target, frame) entry, in document order: target by target,
+    # frames ascending
+    n = int(present.sum())
+    target = np.repeat(np.arange(present.size), present)
+    offset = np.arange(n) - np.repeat(np.cumsum(present) - present, present)
+    row = by_key[np.repeat(first, present) + offset]
+    who = owner[target]
+    # a repeated (frame, track) of one owner keeps its first entry
+    by_row = np.lexsort((row, who))  # stable: each group's entries in document order
+    w, r = who[by_row], row[by_row]
+    dup = np.zeros(n, dtype=bool)
+    dup[by_row[1:]] = (w[1:] == w[:-1]) & (r[1:] == r[:-1])
+    row, who = row[~dup], who[~dup]
+    # each entry's frame is placed at the first entry of that frame
+    by_frame = np.lexsort((cols.frame[row], who))
+    w, f = who[by_frame], cols.frame[row][by_frame]
+    lead = np.ones(row.size, dtype=bool)
+    lead[1:] = (w[1:] != w[:-1]) | (f[1:] != f[:-1])
+    at = np.empty(row.size, dtype=np.intp)
+    at[by_frame] = by_frame[np.flatnonzero(lead)][np.cumsum(lead) - 1]
+    order = np.lexsort((np.arange(row.size), at))
+    return row[order], np.bincount(who, minlength=n_owners), present
 
 
 def write_expressions(entries: Sequence[Mapping[str, object]], path: Path | str) -> None:

@@ -1,6 +1,15 @@
 """Core domain types: boxes, detections, tracks, expression tasks, attribute labels.
 
 All types are immutable after construction and safe to share across workers.
+
+Boxes read from files are held as columns, not objects: a unit's predictions
+as a ``UnitBoxes``, a sequence's ground truth as a ``GtColumns``. The
+mapping types the rest of the API names stay as they are, as read-only views
+over the columns that build their objects only when read: a ``TracksView``
+is a sequence's ``Mapping[str, GroundTruthTrack]``, a ``TargetsView`` an
+expression's ``Mapping[int, Mapping[str, BoundingBox]]``, a row selection
+into its sequence's columns. A task or sequence built from dicts keeps its
+dicts; ``from_mapping`` converts them to columns where columns are needed.
 """
 
 from __future__ import annotations
@@ -73,6 +82,16 @@ class Detection:
     track_id: str
 
 
+def _int64_frames(frames: List[int]) -> np.ndarray:
+    """``frames`` as int64; a ``ValueError`` when one does not fit."""
+    try:
+        return np.array(frames, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(
+            f"frame {max(frames, key=abs)} does not fit in a 64-bit integer"
+        ) from None
+
+
 class UnitBoxes(Sequence[Detection]):
     """One unit's predictions as columns, in input order.
 
@@ -110,16 +129,9 @@ class UnitBoxes(Sequence[Detection]):
             return dets
         dets = list(dets)
         n = len(dets)
-        frames = [operator.index(d.frame) for d in dets]
-        try:
-            frame = np.array(frames, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(
-                f"frame {max(frames, key=abs)} does not fit in a 64-bit integer"
-            ) from None
         index: Dict[str, int] = {}
         return cls(
-            frame,
+            _int64_frames([operator.index(d.frame) for d in dets]),
             np.fromiter((index.setdefault(d.track_id, len(index)) for d in dets), np.intp, n),
             list(index),
             np.array(
@@ -184,12 +196,194 @@ class GroundTruthTrack:
     boxes: Mapping[int, BoundingBox]
 
 
+class GtColumns:
+    """Ground-truth boxes as columns: ``frame`` (int64), ``track`` (indices
+    into ``ids``) and ``xywh`` ((n, 4) float64) hold row i. A parsed
+    ``gt.txt`` keeps its rows in file order and its ids in first-appearance
+    order; no (frame, track) repeats."""
+
+    __slots__ = ("frame", "track", "ids", "xywh", "_index")
+
+    def __init__(
+        self, frame: np.ndarray, track: np.ndarray, ids: Sequence[str], xywh: np.ndarray
+    ) -> None:
+        self.frame = frame
+        self.track = track
+        self.ids = tuple(ids)
+        self.xywh = xywh
+        self._index: Optional[Dict[str, int]] = None
+
+    @classmethod
+    def from_lists(
+        cls, frame: List[int], track: List[int], ids: Sequence[str], xywh: List[float]
+    ) -> "GtColumns":
+        """Columns from lists, ``xywh`` flat (four numbers per box); a frame
+        past the int64 range is a ``ValueError``."""
+        return cls(
+            _int64_frames(frame),
+            np.array(track, dtype=np.intp),
+            ids,
+            np.array(xywh, dtype=np.float64).reshape(len(frame), 4),
+        )
+
+    @property
+    def index(self) -> Dict[str, int]:
+        """Track id -> its index into ``ids``."""
+        if self._index is None:
+            self._index = {tid: i for i, tid in enumerate(self.ids)}
+        return self._index
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+
+class TracksView(Mapping[str, GroundTruthTrack]):
+    """A sequence's tracks as a read-only ``Mapping[str, GroundTruthTrack]``
+    over its ``GtColumns``: a ``GroundTruthTrack`` is built only when one is
+    read, its boxes in row order."""
+
+    __slots__ = ("columns", "_rows")
+
+    def __init__(self, columns: GtColumns) -> None:
+        self.columns = columns
+        self._rows: Optional[List[np.ndarray]] = None
+
+    @classmethod
+    def from_mapping(cls, tracks: Mapping[str, GroundTruthTrack]) -> "TracksView":
+        """A view over the columns of ``tracks``: rows track by track, in
+        the mapping's order; a ``TracksView`` is returned as it is."""
+        if isinstance(tracks, TracksView):
+            return tracks
+        frame: List[int] = []
+        track: List[int] = []
+        xywh: List[float] = []  # flat, four numbers per box
+        for i, tr in enumerate(tracks.values()):
+            for f, b in tr.boxes.items():
+                frame.append(f)
+                track.append(i)
+                xywh += (b.x, b.y, b.w, b.h)
+        return cls(GtColumns.from_lists(frame, track, list(tracks), xywh))
+
+    def __getitem__(self, track_id: str) -> GroundTruthTrack:
+        i = self.columns.index[track_id]
+        if self._rows is None:
+            c = self.columns
+            by_track = np.argsort(c.track, kind="stable")
+            ends = np.cumsum(np.bincount(c.track, minlength=len(c.ids)))
+            self._rows = np.split(by_track, ends[:-1])
+        rows = self._rows[i]
+        frames, boxes = self.columns.frame[rows].tolist(), self.columns.xywh[rows].tolist()
+        return GroundTruthTrack(
+            track_id, {f: BoundingBox(*b) for f, b in zip(frames, boxes)}
+        )
+
+    def __contains__(self, track_id: object) -> bool:
+        return track_id in self.columns.index
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.columns.ids)
+
+    def __len__(self) -> int:
+        return len(self.columns.ids)
+
+    def __repr__(self) -> str:
+        return f"TracksView({len(self)} tracks, {len(self.columns)} boxes)"
+
+
+class TargetsView(Mapping[int, Mapping[str, BoundingBox]]):
+    """An expression's targets as a read-only ``Mapping[int, Mapping[str,
+    BoundingBox]]``: the rows ``rows`` of its sequence's ``GtColumns``, in
+    the targets' iteration order. Frames come in the order they were first
+    inserted; within a frame, tracks in insertion order, so a frame's rows
+    are contiguous. A frame's ``{track_id: box}`` dict is built only when
+    it is read."""
+
+    __slots__ = ("columns", "rows", "_spans")
+
+    def __init__(self, columns: GtColumns, rows: np.ndarray) -> None:
+        self.columns = columns
+        self.rows = rows
+        self._spans: Optional[Dict[int, Tuple[int, int]]] = None
+
+    @classmethod
+    def from_mapping(cls, targets: Mapping[int, Mapping[str, BoundingBox]]) -> "TargetsView":
+        """A view over the columns of ``targets`` (frame -> {track_id ->
+        box}), its rows in the mapping's iteration order; a ``TargetsView``
+        is returned as it is. A frame without a box has no row."""
+        if isinstance(targets, TargetsView):
+            return targets
+        index: Dict[str, int] = {}
+        frame: List[int] = []
+        track: List[int] = []
+        xywh: List[float] = []  # flat, four numbers per box
+        for f, by_track in targets.items():
+            for tid, b in by_track.items():
+                frame.append(f)
+                track.append(index.setdefault(tid, len(index)))
+                xywh += (b.x, b.y, b.w, b.h)
+        return cls(
+            GtColumns.from_lists(frame, track, list(index), xywh),
+            np.arange(len(frame), dtype=np.intp),
+        )
+
+    def unit_columns(self) -> Tuple[np.ndarray, np.ndarray, List[str], np.ndarray]:
+        """The targets as (frame, track index, ids, xywh) columns in
+        iteration order, the ids in first-appearance order."""
+        c, rows = self.columns, self.rows
+        track = c.track[rows]
+        # each track's first row (a stable sort keeps rows in order), then
+        # the tracks in the order of those rows
+        by_track = np.argsort(track, kind="stable")
+        lead = np.ones(track.size, dtype=bool)
+        lead[1:] = track[by_track[1:]] != track[by_track[:-1]]
+        first = by_track[lead]
+        seen = track[np.sort(first)]
+        rank = np.empty(len(c.ids), dtype=np.intp)
+        rank[seen] = np.arange(seen.size)
+        return c.frame[rows], rank[track], [c.ids[i] for i in seen.tolist()], c.xywh[rows]
+
+    def _frame_spans(self) -> Dict[int, Tuple[int, int]]:
+        if self._spans is None:
+            frame = self.columns.frame[self.rows]
+            change = np.ones(frame.size, dtype=bool)
+            change[1:] = frame[1:] != frame[:-1]
+            starts = np.flatnonzero(change)
+            ends = np.append(starts[1:], frame.size)
+            self._spans = {
+                f: (s, e) for f, s, e in zip(frame[starts].tolist(), starts.tolist(), ends.tolist())
+            }
+        return self._spans
+
+    def __getitem__(self, frame: int) -> Dict[str, BoundingBox]:
+        start, stop = self._frame_spans()[frame]
+        rows = self.rows[start:stop]
+        ids = self.columns.ids
+        return {
+            ids[t]: BoundingBox(*b)
+            for t, b in zip(self.columns.track[rows].tolist(), self.columns.xywh[rows].tolist())
+        }
+
+    def __contains__(self, frame: object) -> bool:
+        return frame in self._frame_spans()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._frame_spans())
+
+    def __len__(self) -> int:
+        return len(self._frame_spans())
+
+    def __repr__(self) -> str:
+        return f"TargetsView({self.rows.size} boxes)"
+
+
 @dataclass(frozen=True)
 class ExpressionTask:
     """One (sequence, expression) evaluation unit.
 
     ``targets`` maps frame -> {track_id -> box}. A task with no targets on any
     frame is a no-target expression; the correct prediction is empty output.
+    A parsed bundle's tasks hold a ``TargetsView`` here, a task built from a
+    dict keeps its dict.
     """
 
     sequence_id: str
@@ -326,6 +520,41 @@ class SequenceData:
     split: str = "train"
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _box_faults(c: GtColumns, length: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Per row: a negative width or height, and a frame outside [1,
+    ``length``]; None when no row has either."""
+    negative = (c.xywh[:, 2] < 0) | (c.xywh[:, 3] < 0)
+    # every int64 frame is at most _INT64_MAX, so the clip keeps the comparison
+    outside = (c.frame < 1) | (c.frame > min(length, _INT64_MAX))
+    return (negative, outside) if (negative | outside).any() else None
+
+
+def _faulty_boxes(
+    c: GtColumns, rows: np.ndarray, faults: Tuple[np.ndarray, np.ndarray]
+) -> Iterator[Tuple[int, str, float, float, bool, bool, bool]]:
+    """Each faulty box of ``rows``, in their order: its frame, track id,
+    width, height, its two ``faults`` and whether it starts a run of rows on
+    its frame."""
+    negative, outside = faults
+    at = np.flatnonzero((negative | outside)[rows])
+    frame = c.frame[rows]
+    starts = np.ones(frame.size, dtype=bool)
+    starts[1:] = frame[1:] != frame[:-1]
+    bad = rows[at]
+    for f, t, (_, _, w, h), neg, out, start in zip(
+        c.frame[bad].tolist(),
+        c.track[bad].tolist(),
+        c.xywh[bad].tolist(),
+        negative[bad].tolist(),
+        outside[bad].tolist(),
+        starts[at].tolist(),
+    ):
+        yield f, c.ids[t], w, h, neg, out, start
+
+
 def validate_dataset(
     sequences: Mapping[str, SequenceData],
     expressions: Iterable[ExpressionTask],
@@ -334,33 +563,50 @@ def validate_dataset(
     """Check every type invariant, collecting violations exhaustively.
 
     Returns an empty list iff the dataset is clean. Violations are data, not
-    failures: callers decide whether to abort.
+    failures: callers decide whether to abort. Boxes are checked on their
+    columns (``TracksView`` and ``TargetsView``; a plain mapping is
+    converted by ``from_mapping``), so a target frame that holds no box has
+    nothing to check.
     """
     out: List[Violation] = []
+    # a parsed task's boxes are rows of its sequence's columns, which are
+    # checked once; a task has no faulty box when they have none
+    faults: Dict[Tuple[GtColumns, int], Optional[Tuple[np.ndarray, np.ndarray]]] = {}
+
+    def faults_of(c: GtColumns, length: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        if (c, length) not in faults:
+            faults[c, length] = _box_faults(c, length)
+        return faults[c, length]
 
     for seq in sequences.values():
-        for track in seq.tracks.values():
-            for frame, box in track.boxes.items():
-                if box.w < 0 or box.h < 0:
-                    out.append(
-                        Violation(
-                            "NEGATIVE_EXTENT",
-                            seq.sequence_id,
-                            f"box has negative extent w={box.w} h={box.h}",
-                            frame=frame,
-                            track_id=track.track_id,
-                        )
+        c = TracksView.from_mapping(seq.tracks).columns
+        seq_faults = faults_of(c, seq.length)
+        if seq_faults is None:
+            continue
+        # track by track, each track's boxes in row order
+        for frame, track_id, w, h, negative, outside, _ in _faulty_boxes(
+            c, np.argsort(c.track, kind="stable"), seq_faults
+        ):
+            if negative:
+                out.append(
+                    Violation(
+                        "NEGATIVE_EXTENT",
+                        seq.sequence_id,
+                        f"box has negative extent w={w} h={h}",
+                        frame=frame,
+                        track_id=track_id,
                     )
-                if not 1 <= frame <= seq.length:
-                    out.append(
-                        Violation(
-                            "FRAME_OUT_OF_BOUNDS",
-                            seq.sequence_id,
-                            f"frame {frame} outside [1, {seq.length}]",
-                            frame=frame,
-                            track_id=track.track_id,
-                        )
+                )
+            if outside:
+                out.append(
+                    Violation(
+                        "FRAME_OUT_OF_BOUNDS",
+                        seq.sequence_id,
+                        f"frame {frame} outside [1, {seq.length}]",
+                        frame=frame,
+                        track_id=track_id,
                     )
+                )
 
     for task in expressions:
         seq = sequences.get(task.sequence_id)
@@ -374,8 +620,15 @@ def validate_dataset(
                 )
             )
             continue
-        for frame, by_track in task.targets.items():
-            if not 1 <= frame <= seq.length:
+        targets = TargetsView.from_mapping(task.targets)
+        task_faults = faults_of(targets.columns, seq.length)
+        if task_faults is None:
+            continue
+        # a frame's rows are contiguous; the first reports the frame
+        for frame, track_id, w, h, negative, outside, first in _faulty_boxes(
+            targets.columns, targets.rows, task_faults
+        ):
+            if outside and first:
                 out.append(
                     Violation(
                         "FRAME_OUT_OF_BOUNDS",
@@ -385,18 +638,17 @@ def validate_dataset(
                         frame=frame,
                     )
                 )
-            for track_id, box in by_track.items():
-                if box.w < 0 or box.h < 0:
-                    out.append(
-                        Violation(
-                            "NEGATIVE_EXTENT",
-                            task.sequence_id,
-                            f"target box has negative extent w={box.w} h={box.h}",
-                            expression_id=task.expression_id,
-                            frame=frame,
-                            track_id=track_id,
-                        )
+            if negative:
+                out.append(
+                    Violation(
+                        "NEGATIVE_EXTENT",
+                        task.sequence_id,
+                        f"target box has negative extent w={w} h={h}",
+                        expression_id=task.expression_id,
+                        frame=frame,
+                        track_id=track_id,
                     )
+                )
 
     for seq_id, labels in (attributes or {}).items():
         # the labels may come from another bundle than the sequences

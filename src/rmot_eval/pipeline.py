@@ -14,8 +14,10 @@ predictions are looked up in the process that evaluates the unit (a
 list of detections is converted to one) and dropped when the unit is done.
 A prediction outside its sequence's frames is a ``ValueError``, never
 silently ignored. Errors reach the caller in unit order: the first failing
-unit's error wins for any worker count. A worker's error that cannot be
-rebuilt in the parent arrives as a ``WorkerError`` naming its type.
+unit's error wins for any worker count. A worker returns a unit's error as
+a value (a ``WorkerError`` naming its type when the error cannot be rebuilt
+in the parent); the parent then stops the other workers' remaining units
+and shuts the pool down with ``close`` and ``join`` before raising it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import math
 import multiprocessing
 import os
 import pickle
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import signal
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -158,18 +161,62 @@ class WorkerError(RuntimeError):
         return f"{self.type_name}: {self.message}"
 
 
-def _eval_unit_in_worker(index: int):
-    # The pool pickles a worker's exception back to the parent. One that does
-    # not survive the round trip (say, an __init__ with a required keyword)
-    # kills the pool's result thread, and the parent then waits forever.
+def _ignore_interrupts() -> None:
+    # a terminal's Ctrl-C reaches the whole process group; the parent alone
+    # handles it, and the workers finish or skip their units
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _eval_unit_in_worker(index: int) -> Union[UnitTallies, BaseException, None]:
+    """A unit's tallies; its error as a value, the exception itself if it
+    survives pickling, else a ``WorkerError``; None when the unit is skipped
+    because the parent has stopped the run."""
+    assert _CTX is not None
+    if _CTX["stop"].is_set():
+        return None
     try:
         return _eval_unit(index)
     except Exception as exc:
+        # one that does not survive the round trip (say, an __init__ with a
+        # required keyword) would kill the pool's result thread
         try:
             pickle.loads(pickle.dumps(exc))
         except Exception:
-            raise WorkerError(type(exc).__name__, str(exc)) from exc
-        raise
+            return WorkerError(type(exc).__name__, str(exc))
+        return exc
+
+
+def _eval_in_pool(n_workers: int, n_units: int) -> List[UnitTallies]:
+    """Every unit's tallies from a pool of ``n_workers`` forked workers; the
+    first failing unit's error, in unit order, is raised.
+
+    On an error the parent sets the ``stop`` event the workers inherit, so
+    they skip their remaining units, and then shuts the pool down with
+    ``close`` and ``join``, never ``terminate``: a worker killed while it
+    writes a result leaves the result queue locked, and the pool's shutdown
+    then waits for ever."""
+    assert _CTX is not None
+    mp = multiprocessing.get_context("fork")
+    stop = _CTX["stop"] = mp.Event()
+    results: List[UnitTallies] = []
+    error: Optional[BaseException] = None
+    chunk = max(n_units // (n_workers * 4), 1)
+    pool = mp.Pool(processes=n_workers, initializer=_ignore_interrupts)
+    try:
+        # imap yields in unit order, so the first error met is the first
+        # failing unit's, not the first to reach the parent
+        for result in pool.imap(_eval_unit_in_worker, range(n_units), chunksize=chunk):
+            if isinstance(result, BaseException):
+                error = result
+                break
+            results.append(result)
+    finally:
+        stop.set()
+        pool.close()
+        pool.join()
+    if error is not None:
+        raise error
+    return results
 
 
 def _macro_average(reports: Sequence[MetricReport], cfg: EvalConfig) -> MetricReport:
@@ -250,14 +297,7 @@ def evaluate(
         if n_workers == 1 or n_units <= 1:
             results = [_eval_unit(i) for i in range(n_units)]
         else:
-            mp = multiprocessing.get_context("fork")
-            chunk = max(n_units // (n_workers * 4), 1)
-            with mp.Pool(processes=n_workers) as pool:
-                # imap yields in unit order, so a failure surfaces as the
-                # first failing unit's, not the first to reach the parent
-                results = list(
-                    pool.imap(_eval_unit_in_worker, range(n_units), chunksize=chunk)
-                )
+            results = _eval_in_pool(n_workers, n_units)
     finally:
         _CTX = None
 

@@ -8,7 +8,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .model import ExpressionTask, SequenceData
+import numpy as np
+
+from .model import ExpressionTask, SequenceData, TargetsView
 
 RATIO_BINS = 20
 # frames-per-expression bins: inclusive integer ranges, long-tail log-ish
@@ -79,12 +81,20 @@ def tokenize(text: str) -> List[str]:
     return out
 
 
+def _target_counts(task: ExpressionTask) -> Tuple[int, int, List[str]]:
+    """The task's frames holding a target box, its target boxes and its
+    target track ids, from its targets' columns (a frame's rows are
+    contiguous)."""
+    frame, _, ids, _ = TargetsView.from_mapping(task.targets).unit_columns()
+    active = 1 + int(np.count_nonzero(frame[1:] != frame[:-1])) if frame.size else 0
+    return active, frame.size, ids
+
+
 def temporal_ratio(task: ExpressionTask, sequence_length: int) -> float:
     """Fraction of the sequence's frames on which the expression has a target."""
     if sequence_length < 1:
         raise ValueError("sequence_length must be >= 1")
-    active = sum(1 for boxes in task.targets.values() if boxes)
-    return active / sequence_length
+    return _target_counts(task)[0] / sequence_length
 
 
 def _ratio_bin(value: float) -> int:
@@ -124,13 +134,8 @@ def compute_stats(
     for task in tasks:
         distinct_texts.add(normalize_text(task.text))
         vocab.update(tokenize(task.text))
-        task_tracks: Set[str] = set()
-        active_frames = 0
-        for boxes in task.targets.values():
-            if boxes:
-                active_frames += 1
-            bbox_total += len(boxes)
-            task_tracks.update(boxes)
+        active_frames, n_boxes, task_tracks = _target_counts(task)
+        bbox_total += n_boxes
         instances_total += len(task_tracks)
         distinct_instances.update((task.sequence_id, t) for t in task_tracks)
 

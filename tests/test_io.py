@@ -7,12 +7,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from rmot_eval import io_formats
 from rmot_eval.io_formats import (
     ParseError,
     PredictionFiles,
@@ -33,7 +35,7 @@ from rmot_eval.io_formats import (
     write_report,
 )
 from rmot_eval.hota import AlphaStats, finalize
-from rmot_eval.model import DEFAULT_ALPHA_GRID, Attribute, SequenceData
+from rmot_eval.model import DEFAULT_ALPHA_GRID, Attribute, BoundingBox, SequenceData
 
 from .conftest import build_mini_bundle, perfect_predictions
 
@@ -332,6 +334,95 @@ class TestPredictionsFirstError:
         assert boxes.xywh.tolist() == [list(r[2:6]) for r in rows]
         assert boxes.confidence.tolist() == [r[6] for r in rows]
         assert boxes.referring_score.tolist() == [r[7] for r in rows]
+
+
+_GT_HEADER = "frame,track_id,x,y,w,h"
+_GT_FAULTS = {
+    "field_count": "LINE_FIELD_COUNT",
+    "non_integer": "FIELD_TYPE",
+    "int64_overflow": "FIELD_TYPE",
+    "below_one": "FRAME_INDEX",
+    "non_finite": "NON_FINITE",
+    "duplicate": "DUPLICATE_BOX",
+}
+
+
+@st.composite
+def _gt_files(draw):
+    """(file text, block size, valid rows in file order, first fault's
+    (code, line) or None): like ``_prediction_files`` for gt.txt's six
+    fields, plus a block size of a few lines, so that faults fall on both
+    sides of block boundaries."""
+    rows = draw(st.lists(_pred_row(None), max_size=12, unique_by=lambda r: r[:2]))
+    rows = [r[:6] for r in rows]
+    body = []
+    for r in rows:
+        fields = _pred_fields(r)
+        for i in (0, 2, 3, 4, 5):  # every field but the track id
+            fields[i] = _spelled(fields[i], draw(st.sampled_from(_SPELLINGS)))
+        body.append((",".join(fields), None))
+    for kind in draw(st.lists(st.sampled_from(sorted(_GT_FAULTS)), max_size=2, unique=True)):
+        fields = _pred_fields(draw(_pred_row(None)))[:6]
+        at = draw(st.integers(0, len(body)))
+        if kind == "field_count":
+            n = draw(st.sampled_from([1, 2, 5, 7, 8]))
+            fields = (fields + ["0", "0"])[:n]
+        elif kind == "non_integer":
+            fields[0] = draw(st.sampled_from(["1.5", "2e3", "nan", "inf"]))
+        elif kind == "int64_overflow":
+            fields[0] = str(_INT64_MAX + draw(st.integers(1, 10**6)))
+        elif kind == "below_one":
+            fields[0] = str(draw(st.integers(-5, 0)))
+        elif kind == "non_finite":
+            bad = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+            fields[draw(st.integers(2, 5))] = bad
+        else:
+            valid_before = [i for i, (_, c) in enumerate(body) if c is None]
+            if not valid_before:
+                continue
+            at = draw(st.integers(valid_before[0] + 1, len(body)))
+            earlier = draw(st.sampled_from([i for i in valid_before if i < at]))
+            fields[:2] = body[earlier][0].split(",")[:2]
+        body.insert(at, (",".join(fields), _GT_FAULTS[kind]))
+    for _ in range(draw(st.integers(0, 3))):
+        body.insert(draw(st.integers(0, len(body))), ("", None))
+    if draw(st.booleans()):
+        body.insert(0, (_GT_HEADER, None))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = "".join(line + eol for line, _ in body)
+    faults = [(c, i) for i, (_, c) in enumerate(body, start=1) if c is not None]
+    return text, draw(st.integers(1, 5)), rows, faults[0] if faults else None
+
+
+class TestGtFirstError:
+    @settings(max_examples=300, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_gt_files())
+    def test_columns_or_first_faulty_line(self, tmp_path, case):
+        text, block_lines, rows, fault = case
+        p = tmp_path / "gt.txt"
+        p.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(io_formats, "_BLOCK_LINES", block_lines):
+            if fault is not None:
+                with pytest.raises(ParseError) as exc:
+                    parse_gt(p)
+                assert (exc.value.code, exc.value.line) == fault
+                return
+            tracks = parse_gt(p)
+        cols = tracks.columns
+        assert cols.frame.dtype == np.int64
+        assert cols.frame.tolist() == [r[0] for r in rows]
+        assert [cols.ids[t] for t in cols.track] == [r[1] for r in rows]
+        assert list(cols.ids) == list(tracks) == list(dict.fromkeys(r[1] for r in rows))
+        assert cols.xywh.tolist() == [list(r[2:6]) for r in rows]
+        # the tracks a row-by-row parse builds, boxes in file order
+        expected = {}
+        for f, tid, *xywh in rows:
+            expected.setdefault(tid, {})[f] = BoundingBox(*xywh)
+        assert {tid: list(tr.boxes.items()) for tid, tr in tracks.items()} == {
+            tid: list(boxes.items()) for tid, boxes in expected.items()
+        }
 
 
 LARGE_FILE_PARSE = """

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing.pool
 import os
 import signal
 import subprocess
@@ -328,6 +329,28 @@ except Exception as exc:
 
 
 class TestWorkerErrors:
+    def test_error_closes_and_joins_the_pool(self, tmp_path, monkeypatch):
+        # a worker killed by terminate() while it writes a result can leave
+        # the result queue locked and the pool's shutdown waiting for ever
+        bundle, preds = perturbed_setup()
+        keys = [(t.sequence_id, t.expression_id) for t in bundle.tasks]
+        lookups = LoggedLookups(
+            preds, tmp_path / "lookups.log", {keys[0]: (0.0, ParseError("NON_FINITE", "u", 1, "x"))}
+        )
+        calls = []
+        for name in ("close", "join", "terminate"):
+            original = getattr(multiprocessing.pool.Pool, name)
+
+            def traced(pool, _name=name, _original=original):
+                calls.append(_name)
+                return _original(pool)
+
+            monkeypatch.setattr(multiprocessing.pool.Pool, name, traced)
+        with pytest.raises(ParseError) as exc:
+            evaluate(bundle, lookups, EvalConfig(), workers=2)
+        assert exc.value.path == "u"
+        assert calls == ["close", "join"]
+
     @pytest.mark.parametrize(
         "workers, expected",
         [
