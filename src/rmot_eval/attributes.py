@@ -5,8 +5,8 @@ It builds one table of the evaluated attribute frames: per sequence, each
 attribute flagged on at least one of its frames and those frames. For every
 unit, its sequence's entries are passed as ``restrictions`` to the unit's
 one :func:`rmot_eval.hota.match_unit_all_alphas` call, which scores each
-restriction as a layout of the unit's single tensor build. Each restriction
-scores exactly like the unit cut to those frames by
+restriction as a layout of the unit's one candidate-pair build. Each
+restriction scores exactly like the unit cut to those frames by
 :func:`restrict_to_attribute` and matched as a self-contained HOTA problem;
 that function stays as the definition the tests check against.
 :func:`attribute_report` then pools each attribute's per-unit tally arrays

@@ -1,26 +1,33 @@
 """HOTA computation: per-unit matching, pooled accumulation, alpha-averaged report.
 
-The per-unit matcher runs all alpha thresholds at once. Feasibility at alpha
-is ``iou >= alpha``, so one small integer per (frame, gt, pred) holds it for
-every alpha: the pair's level ``k``, the number of alphas (sorted ascending)
-at most its IoU, 0 where either box is absent; the pair is feasible at sorted
-alpha index ``a`` exactly when ``a < k``. Frames whose feasibility graph has
-degree <= 1 on both sides have a forced, unique optimum and are matched
-without invoking the assignment solver: frame f is forced from its threshold
-``t[f]`` up, the largest second-largest level over its rows and columns. The
-remaining (alpha, frame)s fall back to the exact solver (or the enumeration
-oracle in tests). Both paths produce bit-identical statistics.
+The per-unit matcher runs all alpha thresholds at once, on a unit's
+candidate pairs: each GT box with each prediction box on its frame whose
+IoU is positive, found by frame offsets (``searchsorted``, ``np.repeat``)
+and scored by the one IoU kernel, ``model.box_iou``. HOTA scores only pairs
+of positive similarity, so no other pair can change a result, and no
+(frame, gt, pred) tensor is built. Feasibility at alpha is ``iou >=
+alpha``, so one small integer per candidate holds it for every alpha: its
+level ``k``, the number of alphas (sorted ascending) at most its IoU; it is
+feasible at sorted alpha index ``a`` exactly when ``a < k``, and the
+candidates of level 0 are dropped. A feasible candidate alone in its row
+and its column is a component of its own, matched without invoking the
+assignment solver: it is forced from ``lo`` up, the larger second-largest
+level of its (frame, gt row) and its (frame, pred column). Frame f goes to
+the exact solver (or the enumeration oracle in tests) at the alphas below
+``t[f]``, the largest ``lo`` on the frame, with only the candidates not
+forced there. Both paths produce bit-identical statistics.
 
 A unit is scored on its layouts together: layout 0 is the whole unit, and
 each restriction to a frame subset (the attribute scores) is a layout of its
 own. Every layout, layout 0 included, is built the same way: its frames and
-its tracks in content order over those frames; the unit's tensors keep the
-tracks in first-appearance order. The candidate pairs (level > 0) of every
-layout are stacked with a layout index and the layout's own frame, gt and
-pred ranks; a restriction takes exactly the unit's candidates on its
-frames. Forcedness depends on the frame alone, so the forced thresholds are
-shared, and only the unforced (layout, alpha, frame)s go to the solver, each
-with its layout's priors and tie-break scale.
+its tracks in content order over those frames, which one ``_Tracks.order``
+call per side gives for every layout; the unit keeps the tracks in
+first-appearance order. The candidates of every layout are stacked with a
+layout index and the layout's own frame, gt and pred ranks; a restriction
+takes exactly the unit's candidates on its frames. Forcedness depends on
+the frame alone, so the forced thresholds are shared, and only the unforced
+(layout, alpha, frame)s go to the solver, each with its layout's priors and
+tie-break scale.
 
 The integer tallies (pairs per (gt, pred), matches, TPA) are exact in any
 order and come from the stacked candidates by ``bincount`` and
@@ -29,9 +36,9 @@ on the array they run over, so they run over the dense arrays a
 single-alpha evaluation of the layout alone would build: per alpha, the
 layout's (frame, gt, pred) IoUs of its matches in C order, and its (gt,
 pred) association terms. Each layout's rows are cut by ``_blocks`` to a
-fixed cell budget, as are the IoU and level builds; a block's matched values
+fixed cell budget, as is the candidate IoU build; a block's matched values
 are scattered into one reused zeroed buffer and its rows reduced by numpy
-``sum``, so a long, crowded unit holds about two float64 per (frame, gt,
+``sum``, so a long, crowded unit holds about one float64 per (frame, gt,
 pred) cell, not one per cell, alpha and layout. An alpha whose matches are
 the previous alpha's (no pair's level and no forced threshold lies between
 them) has the same arrays, so it takes that alpha's sums without a row of
@@ -39,13 +46,13 @@ its own. The stats come back in the order of the alphas given, each
 bit-identical to a call with that alpha alone and, for a restriction, to
 matching the restricted unit on its own.
 
-A unit's tensors are built once, from columns: the predictions'
-``UnitBoxes`` (a list of detections is converted by
-``UnitBoxes.from_detections``) and the targets' rows of their sequence's
-ground-truth columns (a parsed task's ``TargetsView``; a targets dict is
-converted by ``TargetsView.from_mapping``), in the targets' iteration
-order, which the content key's x and y sums follow; frames map to tensor
-rows by ``searchsorted``.
+A unit's boxes are read once, as columns: the predictions' ``UnitBoxes`` (a
+list of detections is converted by ``UnitBoxes.from_detections``) and the
+targets' rows of their sequence's ground-truth columns (a parsed task's
+``TargetsView``; a targets dict is converted by
+``TargetsView.from_mapping``), in the targets' iteration order, which the
+content key's x and y sums follow; frames map to frame indices by
+``searchsorted``.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .assignment import Matching, WeightMatrix, solve_max_weight
-from .model import Detection, ExpressionTask, TargetsView, UnitBoxes, iou_matrix
+from .model import Detection, ExpressionTask, TargetsView, UnitBoxes, box_iou
 
 Solver = Callable[[WeightMatrix], Matching]
 
@@ -143,17 +150,19 @@ class MetricReport:
 
 
 class _Tracks:
-    """One side of a unit (GT or predictions): per-frame presence and boxes
-    of its tracks, in first-appearance order, plus what ``order`` needs to
-    put them in content order over any set of frames (a layout).
+    """One side of a unit (GT or predictions): its boxes as insertion-order
+    columns (frame index ``frame``, track index ``track`` into ``ids``, and
+    ``xywh``), its track ids in first-appearance order, and the box order
+    ``by_frame``, by frame and then track, that the candidate pairs follow.
 
+    ``order`` puts the tracks of every layout in content order in one pass.
     A track's content key is (first frame, its box there, box count, sum of
     x, sum of y, track id), all over the layout's frames; the sums run left
     to right in insertion order, which is file order for predictions. The
     key makes matrices invariant under id relabeling.
     """
 
-    __slots__ = ("ids", "present", "boxes", "_ins_frame", "_ins_xy", "_rank")
+    __slots__ = ("ids", "frame", "track", "xywh", "by_frame", "_by_track", "_rank")
 
     def __init__(
         self,
@@ -166,61 +175,51 @@ class _Tracks:
         """Box i lies on frame index ``fi[i]`` into ``frames``, belongs to
         track ``ids[ti[i]]`` and is ``xywh[i]``; boxes are in insertion
         order. Ids without a box are dropped."""
-        n_frames = len(frames)
-        counts = np.bincount(ti, minlength=len(ids))
-        has_box = counts > 0
+        has_box = np.bincount(ti, minlength=len(ids)) > 0
         names = [ids[i] for i in np.flatnonzero(has_box).tolist()]
-        n = len(names)
         ti = (np.cumsum(has_box) - 1)[ti]
-        counts = counts[has_box]
+        # lexsort is stable: a repeated (frame, track) keeps insertion order
+        by_frame = np.lexsort((ti, fi))
+        sf, st = fi[by_frame], ti[by_frame]
+        again = by_frame[1:][(sf[1:] == sf[:-1]) & (st[1:] == st[:-1])]
+        if again.size:
+            i = int(again.min())  # the first repeat in insertion order
+            raise ValueError(
+                f"duplicate detection for track {names[ti[i]]!r} at frame {frames[fi[i]]}"
+            )
+        rank = np.empty(len(names), dtype=np.intp)
+        rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
 
-        # each box's position within its track, in insertion order
-        by_track = np.argsort(ti, kind="stable")
-        pos = np.empty_like(ti)
-        pos[by_track] = np.arange(ti.size) - (np.cumsum(counts) - counts)[ti[by_track]]
+        self.ids, self.frame, self.track, self.xywh = names, fi, ti, xywh
+        self.by_frame, self._by_track = by_frame, np.argsort(ti, kind="stable")
+        self._rank = rank
 
-        present = np.zeros((n_frames, n), dtype=bool)
-        present[fi, ti] = True
-        if np.count_nonzero(present) < ti.size:
-            seen = set()
-            for f, t in zip(fi.tolist(), ti.tolist()):
-                if (f, t) in seen:
-                    raise ValueError(
-                        f"duplicate detection for track {names[t]!r} at frame {frames[f]}"
-                    )
-                seen.add((f, t))
-        boxes = np.zeros((n_frames, n, 4), dtype=np.float64)
-        boxes[fi, ti] = xywh
-        # insertion-order layout; the padding frame index n_frames is never kept
-        ins_frame = np.full((n, int(counts.max(initial=0))), n_frames, dtype=np.intp)
-        ins_frame[ti, pos] = fi
-        ins_xy = np.zeros(ins_frame.shape + (2,), dtype=np.float64)
-        ins_xy[ti, pos] = xywh[:, :2]
-        rank = np.empty(n, dtype=np.intp)
-        rank[sorted(range(n), key=names.__getitem__)] = np.arange(n)
-
-        self.ids, self.present, self.boxes = names, present, boxes
-        self._ins_frame, self._ins_xy, self._rank = ins_frame, ins_xy, rank
-
-    def order(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Indices of the tracks with a box on frame indices ``rows`` (sorted
-        ascending), in content order over those frames, and their box counts
-        there."""
-        pres = self.present[rows]
-        count = pres.sum(0)
-        if not count.any():
-            return np.flatnonzero(count), count[:0]
-        n = count.size
-        first = rows[pres.argmax(0)]
-        fx, fy, fw, fh = self.boxes[first, np.arange(n)].T
-        keep = np.zeros(self.present.shape[0] + 1, dtype=bool)
-        keep[rows] = True
-        # cumsum adds left to right, like the key's definition; np.sum would not
-        xy = np.where(keep[self._ins_frame][..., None], self._ins_xy, 0.0).cumsum(1)
-        sx, sy = xy[:, -1].T
-        perm = np.lexsort((self._rank, sy, sx, count, fh, fw, fy, fx, first))
-        perm = perm[count[perm] > 0]
-        return perm, count[perm]
+    def order(self, member: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every layout's tracks at once; ``member`` is the (layouts, frames)
+        mask of each layout's frames. Returns the layout, track index and box
+        count over the layout's frames of each track with a box there, layout
+        by layout, each layout's tracks in content order."""
+        # (layout, box) memberships by layout, then track, then insertion
+        # order, so each (layout, track) is a run
+        lay, at = np.nonzero(member[:, self.frame[self._by_track]])
+        box = self._by_track[at]
+        track = self.track[box]
+        starts = np.ones(box.size, dtype=bool)
+        starts[1:] = (lay[1:] != lay[:-1]) | (track[1:] != track[:-1])
+        head = np.flatnonzero(starts)
+        run = np.cumsum(starts) - 1
+        count = np.diff(np.append(head, box.size))
+        # bincount adds left to right, like the key's definition
+        sx, sy = (np.bincount(run, self.xywh[box, i], minlength=head.size) for i in (0, 1))
+        # each run's first frame and its box: the run's smallest (frame, box)
+        code = self.frame[box].astype(np.int64) * self.frame.size + box
+        first = np.minimum.reduceat(code, head) % self.frame.size if head.size else head
+        fx, fy, fw, fh = self.xywh[first].T
+        lay, track = lay[head], track[head]
+        perm = np.lexsort(
+            (self._rank[track], sy, sx, count, fh, fw, fy, fx, self.frame[first], lay)
+        )
+        return lay[perm], track[perm], count[perm]
 
 
 def _on_frames(
@@ -233,10 +232,10 @@ def _on_frames(
     return _Tracks(fi[on], track[on], ids, xywh[on], frames)
 
 
-# Cells per dense temporary: the IoU build, the level build and the float-sum
-# buffer are cut to about this many cells (4 MB of float64), or to one row of
-# a layout's float sums where that is longer, so a long, crowded unit holds
-# about two float64 per (frame, gt, pred) cell instead of one per cell, alpha
+# Cells per dense temporary: the candidate IoU build and the float-sum buffer
+# are cut to about this many cells (4 MB of float64), or to one row of a
+# layout's float sums where that is longer, so a long, crowded unit holds
+# about one float64 per (frame, gt, pred) cell instead of one per cell, alpha
 # and layout.
 _CELL_BUDGET = 1 << 19
 
@@ -249,7 +248,13 @@ def _blocks(n: int, cells_per_item: int) -> List[slice]:
 
 
 class UnitArrays:
-    """Dense per-unit tensors shared by all alpha thresholds.
+    """A unit's boxes and its candidate pairs, shared by all alpha thresholds.
+
+    The candidates are the (frame, gt, pred) triples of a GT box and a
+    prediction box on the same frame whose IoU is positive, in the unit's
+    (frame, gt, pred) order: ``pairs`` holds their frame, gt and pred
+    indices and their IoUs. A pair with IoU 0 has level 0 at every alpha in
+    (0, 1), so HOTA never scores it; no (frame, gt, pred) tensor is built.
 
     ``preds`` may be a ``UnitBoxes``, whose columns are used as they are, or
     any sequence of detections, converted by ``UnitBoxes.from_detections``;
@@ -258,21 +263,32 @@ class UnitArrays:
     left out.
     """
 
-    __slots__ = ("frames", "n_frames", "gt", "pred", "iou3")
+    __slots__ = ("frames", "n_frames", "gt", "pred", "pairs")
 
     def __init__(self, task: ExpressionTask, preds: Sequence[Detection], frames: Sequence[int]):
         self.frames = sorted(set(frames))
         self.n_frames = len(self.frames)
         preds = UnitBoxes.from_detections(preds)
         frames_arr = np.asarray(self.frames, dtype=np.int64)
-        self.gt = _on_frames(frames_arr, *TargetsView.from_mapping(task.targets).unit_columns())
-        self.pred = _on_frames(frames_arr, preds.frame, preds.track, preds.ids, preds.xywh)
-        # absent slots hold zero boxes and evaluate to iou 0; built in frame
-        # blocks so iou_matrix's temporaries stay small
-        gb, pb = self.gt.boxes, self.pred.boxes
-        self.iou3 = np.empty((self.n_frames, gb.shape[1], pb.shape[1]), dtype=np.float64)
-        for fs in _blocks(self.n_frames, gb.shape[1] * pb.shape[1]):
-            self.iou3[fs] = iou_matrix(gb[fs], pb[fs])
+        gt_columns = TargetsView.from_mapping(task.targets).unit_columns()
+        self.gt = gt = _on_frames(frames_arr, *gt_columns)
+        self.pred = pred = _on_frames(frames_arr, preds.frame, preds.track, preds.ids, preds.xywh)
+        # every gt box with each prediction box on its frame: gt boxes and
+        # each frame's run of prediction boxes in (frame, track) order
+        g_box = gt.by_frame
+        g_frame = gt.frame[g_box]
+        p_start = np.searchsorted(pred.frame[pred.by_frame], np.arange(self.n_frames + 1))
+        n_p = np.diff(p_start)[g_frame]
+        gb = np.repeat(g_box, n_p)
+        pb = pred.by_frame[
+            np.arange(gb.size) + np.repeat(p_start[g_frame] - (np.cumsum(n_p) - n_p), n_p)
+        ]
+        iou = np.empty(gb.size, dtype=np.float64)
+        for bs in _blocks(gb.size, 1):
+            iou[bs] = box_iou(gt.xywh[gb[bs]], pred.xywh[pb[bs]])
+        hit = np.flatnonzero(iou > 0.0)
+        gb, pb = gb[hit], pb[hit]
+        self.pairs = (gt.frame[gb], gt.track[gb], pred.track[pb], iou[hit])
 
     @property
     def gt_ids(self) -> List[str]:
@@ -283,51 +299,66 @@ class UnitArrays:
         return self.pred.ids
 
 
-def _levels(
-    alphas: np.ndarray, iou3: np.ndarray, gt_present: np.ndarray, pred_present: np.ndarray
-) -> np.ndarray:
-    """(F, G, P) level of each pair: the number of ``alphas`` (sorted
-    ascending) at most its IoU, 0 where either box is absent. The pair is
-    feasible at sorted alpha index ``a`` exactly when ``a < k``."""
-    nf, g, p = iou3.shape
-    k = np.empty(iou3.shape, dtype=np.min_scalar_type(alphas.size))
-    for fs in _blocks(nf, g * p):
-        k[fs] = np.searchsorted(alphas, iou3[fs], side="right")
-        k[fs] *= gt_present[fs, :, None] & pred_present[fs, None, :]
-    return k
+def _second_largest(group: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per element, the second-largest of the levels ``k`` of the elements
+    that share its ``group`` key, 0 where it is alone in its group."""
+    by = np.lexsort((k, group))
+    sg, sk = group[by], k[by]
+    # each group's second-largest is the one before its last
+    i = np.searchsorted(sg, sg, side="right") - 2
+    out = np.empty_like(k)
+    out[by] = np.where((i >= 0) & (sg[i] == sg), sk[i], 0)
+    return out
 
 
-def _forced_from(k: np.ndarray) -> np.ndarray:
-    """(F,) forced threshold: the largest second-largest level over a
-    frame's rows and over its columns. At sorted alpha index ``a`` every row
-    and column of frame f has at most one feasible pair exactly when
-    ``a >= t[f]``."""
-    nf, g, p = k.shape
-    t = np.zeros(nf, dtype=np.intp)
-    if p >= 2:
-        np.maximum(t, np.partition(k, p - 2, axis=2)[:, :, p - 2].max(1, initial=0), out=t)
-    if g >= 2:
-        np.maximum(t, np.partition(k, g - 2, axis=1)[:, g - 2].max(1, initial=0), out=t)
-    return t
+def _forced_from(
+    f: np.ndarray,
+    g: np.ndarray,
+    p: np.ndarray,
+    k: np.ndarray,
+    shape: Tuple[int, int, int],
+    n_alpha: int,
+    force_solver: bool = False,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The forced thresholds of candidates (frame ``f``, gt ``g``, pred
+    ``p``) of levels ``k`` (> 0) in a unit of ``shape`` (frames, gts,
+    preds). At sorted alpha index ``a`` a candidate is feasible and its row
+    and column hold no other feasible pair exactly when ``lo <= a < k``,
+    ``lo`` the smaller of its level and the larger second-largest level of
+    its (frame, gt row) and its (frame, pred column); such a pair is a
+    component of its own and is matched without the solver. Returns ``lo``
+    and the (F,) ``t``, the largest ``lo`` on each frame: at ``a >= t[f]``
+    every row and column of frame f has at most one feasible pair.
+    ``force_solver`` makes every threshold ``n_alpha``, so nothing is
+    forced."""
+    n_frames, n_g, n_p = shape
+    if force_solver:
+        return k, np.full(n_frames, n_alpha, dtype=np.intp)
+    row, col = _second_largest(f * n_g + g, k), _second_largest(f * n_p + p, k)
+    lo = np.minimum(k, np.maximum(row, col))
+    t = np.zeros(n_frames, dtype=np.intp)
+    np.maximum.at(t, f, lo)
+    return lo, t
 
 
-# A layout of a unit: its frame rows (sorted), its gt indices in its order and
-# their box counts over those rows, its pred indices and their box counts.
-Layout = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# One side's tracks in every layout of a unit, as ``_Tracks.order`` gives
+# them: each entry's layout, track index and box count over the layout's
+# frames, layout by layout, each layout's tracks in its order.
+Side = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _ranks(index: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """(len(index), n): entry (i, index[i][j]) holds j, the others -1."""
-    sizes = np.array([x.size for x in index], dtype=np.intp)
-    group = np.repeat(np.arange(sizes.size), sizes)
-    out = np.full((sizes.size, n), -1, dtype=np.intp)
-    out[group, np.concatenate(index)] = np.arange(group.size) - (np.cumsum(sizes) - sizes)[group]
+def _ranks(side: Side, n_lay: int) -> np.ndarray:
+    """(n_lay, tracks): entry (layout, track) holds the track's rank in the
+    layout, -1 where the track is not in it."""
+    lay, track, _ = side
+    out = np.full((n_lay, int(track.max(initial=-1)) + 1), -1, dtype=np.intp)
+    out[lay, track] = np.arange(lay.size) - np.searchsorted(lay, lay)
     return out
 
 
 def _solve(
     todo: np.ndarray,
-    ck: np.ndarray,
+    lo: np.ndarray,
     g: np.ndarray,
     p: np.ndarray,
     u: np.ndarray,
@@ -337,14 +368,16 @@ def _solve(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pass 2 on the unforced (layout, alpha, frame)s. ``todo`` holds rows
     (alpha, first, stop): the layout's candidates on the frame are
-    ``first:stop`` of the stacked candidates, given by their levels ``ck``,
-    layout ranks ``g`` and ``p``, cells ``u``, whose prior scores per alpha
-    are the rows of ``s_prior``, and tie-break terms ``tie``. Returns the
-    solver's matches as (alpha, candidate) index arrays."""
+    ``first:stop`` of the stacked candidates, given by their forced
+    thresholds ``lo`` (the solver takes those with ``alpha < lo``: feasible
+    pairs that share a row or column with another), layout ranks ``g`` and
+    ``p``, cells ``u``, whose prior scores per alpha are the rows of
+    ``s_prior``, and tie-break terms ``tie``. Returns the solver's matches
+    as (alpha, candidate) index arrays."""
     solved_a: List[int] = []
     solved_c: List[int] = []
     for ai, first, stop in todo.tolist():
-        sel = np.flatnonzero(ck[first:stop] > ai)
+        sel = np.flatnonzero(lo[first:stop] > ai)
         if sel.size == 0:
             continue
         sel += first
@@ -396,50 +429,48 @@ def _row_sums(
 
 def _score_layouts(
     n_alpha: int,
-    iou3: np.ndarray,
-    k: np.ndarray,
+    cands: Tuple[np.ndarray, ...],
     t: np.ndarray,
-    layouts: Sequence[Layout],
+    member: np.ndarray,
+    gts: Side,
+    preds: Side,
     solver: Solver,
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Passes 1-3 on every layout of one unit together, at ``n_alpha``
-    sorted alphas, from the unit's (F, G, P) IoUs ``iou3`` and levels ``k``
-    and its (F,) forced thresholds ``t``. Forced (alpha, frame)s keep every
-    feasible pair; each layout solves its other (alpha, frame)s with its own
-    priors and tie-break scale.
+    sorted alphas. ``cands`` holds the unit's candidate pairs (level > 0) in
+    (frame, gt, pred) order: their frame, gt and pred indices, levels,
+    forced thresholds ``lo`` and IoUs; ``t`` the (F,) forced thresholds of
+    the frames; ``member`` the (layouts, F) mask of each layout's frames;
+    ``gts`` and ``preds`` the layouts' tracks. A candidate is matched
+    without the solver at the alphas from its ``lo`` up to its level; each
+    layout solves its other (alpha, frame)s with its own priors and
+    tie-break scale.
 
     Returns the (layouts, alpha, 3) int64 tp, fn, fp; the (layouts, alpha,
     4) float64 iou_sum, ass_a_sum, ass_re_sum, ass_pr_sum; and layout 0's
-    nonzero pair TPAs as (alpha, gt rank, pred rank, TPA) index arrays, the
-    ranks into layout 0's gt and pred indices."""
-    n_lay = len(layouts)
-    rows_l, gi_l, gc_l, pi_l, pc_l = zip(*layouts)
-    n_f, n_g, n_p = (np.array([x.size for x in xs], dtype=np.intp) for xs in (rows_l, gi_l, pi_l))
+    nonzero pair TPAs as (alpha, gt index, pred index, TPA) index arrays."""
+    n_lay, n_frames = member.shape
+    wf, wg, wp, wk, wlo, wiou = cands
+    (gl, gi, gc), (pl, pi, pc) = gts, preds
+    n_f = np.count_nonzero(member, axis=1)
+    n_g, n_p = np.bincount(gl, minlength=n_lay), np.bincount(pl, minlength=n_lay)
     # all layouts' box counts end to end, and each layout's offset there
     g_at, p_at = np.cumsum(n_g) - n_g, np.cumsum(n_p) - n_p
-    gc, pc = np.concatenate(gc_l), np.concatenate(pc_l)
     ints = np.zeros((n_lay, n_alpha, 3), dtype=np.int64)
     for col, at, n, counts in ((1, g_at, n_g, gc), (2, p_at, n_p, pc)):
         total = np.concatenate([[0], np.cumsum(counts)])
         ints[:, :, col] = (total[at + n] - total[at])[:, None]
     floats = np.zeros((n_lay, n_alpha, 4), dtype=np.float64)
-    flat = np.flatnonzero(k)
 
-    # Every layout's candidate pairs (level > 0), stacked layout by layout in
-    # the unit's (frame, gt, pred) order, each with the layout's own frame,
-    # gt and pred ranks. A candidate of the unit is one of a layout exactly
-    # when its frame is, since both its boxes lie on that frame.
-    n_frames = k.shape[0]
-    frank = _ranks(rows_l, n_frames)
-    member = frank >= 0
-    wf, wg, wp = np.unravel_index(flat, k.shape)
+    # Every layout's candidate pairs, stacked layout by layout in the unit's
+    # (frame, gt, pred) order, each with the layout's own frame, gt and pred
+    # ranks. A candidate of the unit is one of a layout exactly when its
+    # frame is, since both its boxes lie on that frame.
     lay, c = np.nonzero(member[:, wf])
-    cf = wf[c]
-    ck = k.ravel()[flat[c]].astype(np.intp)
-    ciou = iou3.ravel()[flat[c]]
-    f = frank[lay, cf]
-    g = _ranks(gi_l, k.shape[1])[lay, wg[c]]
-    p = _ranks(pi_l, k.shape[2])[lay, wp[c]]
+    cf, ck, lo, ciou = wf[c], wk[c], wlo[c], wiou[c]
+    f = (np.cumsum(member, axis=1) - 1)[lay, cf]
+    g = _ranks(gts, n_lay)[lay, wg[c]]
+    p = _ranks(preds, n_lay)[lay, wp[c]]
 
     # the (gt, pred) cells holding a candidate, in layout and cell order
     n_cells = n_g * n_p
@@ -462,10 +493,9 @@ def _score_layouts(
 
     # The integer tallies are exact in any order. Per used cell, two rows of
     # n_alpha + 1 slots count its candidates at the alphas from a start up to
-    # their level: from 0, its feasible pairs, and from t[f], its forced
+    # their level: from 0, its feasible pairs, and from lo, its forced
     # matches; bincounts of the starts and ends, then a cumsum.
     width = n_alpha + 1
-    lo = np.minimum(t[cf], ck)
     base = u * width
     n_slots = n_used * width
     counts = np.stack([np.bincount(start, minlength=n_slots) for start in (base, base + lo)])
@@ -494,7 +524,7 @@ def _score_layouts(
         # weight adds its IoU over twice its layout's frame count
         s_prior = n_pair / (box_sum[:, None] - n_pair)
         tie = ciou / (2.0 * n_f)[lay]
-        solved_a, solved_c = _solve(todo, ck, g, p, u, s_prior, tie, solver)
+        solved_a, solved_c = _solve(todo, lo, g, p, u, s_prior, tie, solver)
         np.add.at(pair_tpa, (u[solved_c], solved_a), 1)
     # TP per layout: the TPA of its used cells, which follow each other
     used_at = np.searchsorted(ulay, np.arange(n_lay + 1))
@@ -528,7 +558,7 @@ def _score_layouts(
     seg_row = (np.cumsum(seg_rows) - seg_rows).reshape(n_lay, 2)
 
     # the matched candidates at each fresh alpha: forced ones from the first
-    # fresh alpha at or above t[f] to the last below k, then the solved ones
+    # fresh alpha at or above lo to the last below k, then the solved ones
     reps = below[lay, ck] - below[lay, lo]
     mc = np.concatenate([np.repeat(np.arange(lay.size), reps), solved_c])
     mj = np.concatenate([
@@ -560,7 +590,7 @@ def _score_layouts(
 
     n0 = int(np.count_nonzero(ulay == 0))
     a0, u0 = np.nonzero(pair_tpa[:n0].T)
-    return ints, floats, (a0, ug[u0], up[u0], pair_tpa[u0, a0])
+    return ints, floats, (a0, gi[ug[u0]], pi[up[u0]], pair_tpa[u0, a0])
 
 
 def match_unit_all_alphas(
@@ -590,34 +620,40 @@ def match_unit_all_alphas(
             raise ValueError(f"alpha must lie in (0, 1), got {a}")
     ua = UnitArrays(task, preds, frames)
     frame_pos = {f: i for i, f in enumerate(ua.frames)}
-    subsets: Dict[str, np.ndarray] = {}
-    for name, sub in (restrictions or {}).items():
-        outside = set(sub) - frame_pos.keys()
+    # layout 0 is the whole unit, each restriction a layout of its frames
+    names = list(restrictions or {})
+    member = np.zeros((1 + len(names), ua.n_frames), dtype=bool)
+    member[0] = True
+    for i, name in enumerate(names, start=1):
+        outside = set(restrictions[name]) - frame_pos.keys()
         if outside:
             raise ValueError(f"restriction {name!r}: frame {min(outside)} is not evaluated")
-        subsets[name] = np.array(sorted({frame_pos[f] for f in sub}), dtype=np.intp)
+        member[i, [frame_pos[f] for f in restrictions[name]]] = True
 
     # the layouts are scored at the sorted alphas, then put back in order
     alphas_arr = np.asarray(alphas, dtype=np.float64)
     order = np.argsort(alphas_arr, kind="stable")
     back = np.argsort(order)
 
-    k = _levels(alphas_arr[order], ua.iou3, ua.gt.present, ua.pred.present)
-    # A frame whose feasibility graph has degree <= 1 on both sides has one
-    # optimum for any positive weights, so its matches hold under every
-    # restriction that keeps the frame.
-    t = np.full(ua.n_frames, order.size, dtype=np.intp) if force_solver else _forced_from(k)
-    # layout 0 is the whole unit, each restriction a layout of its frames;
+    # each candidate's level: the number of sorted alphas at most its IoU;
+    # it is feasible at sorted alpha index a exactly when a < level
+    f, g, p, iou = ua.pairs
+    k = np.searchsorted(alphas_arr[order], iou, side="right")
+    cand = np.flatnonzero(k)
+    f, g, p, k, iou = f[cand], g[cand], p[cand], k[cand], iou[cand]
+    # A pair that is alone in its row and column is a component of its own,
+    # with one optimum for any positive weights, so its match holds under
+    # every restriction that keeps its frame.
+    shape = (ua.n_frames, len(ua.gt_ids), len(ua.pred_ids))
+    lo, t = _forced_from(f, g, p, k, shape, order.size, force_solver)
     # a layout has its tracks in content order over its frames, so every sum
     # and tie runs as it would alone
-    layouts: List[Layout] = [
-        (rows, *ua.gt.order(rows), *ua.pred.order(rows))
-        for rows in (np.arange(ua.n_frames), *subsets.values())
-    ]
-    ints, floats, (ta, tg, tpr, tn) = _score_layouts(order.size, ua.iou3, k, t, layouts, solver)
+    ints, floats, (ta, tg, tpr, tn) = _score_layouts(
+        order.size, (f, g, p, k, lo, iou), t, member,
+        ua.gt.order(member), ua.pred.order(member), solver,
+    )
 
     details: List[Dict[Tuple[str, str], int]] = [{} for _ in range(order.size)]
-    tg, tpr = layouts[0][1][tg], layouts[0][3][tpr]
     for ai, gi, pi, n in zip(ta.tolist(), tg.tolist(), tpr.tolist(), tn.tolist()):
         details[ai][ua.gt.ids[gi], ua.pred.ids[pi]] = n
     grid = [float(a) for a in alphas]
@@ -637,7 +673,7 @@ def match_unit_all_alphas(
     if restrictions is None:
         return stats
     none = [None] * order.size
-    return stats, {name: layout_stats(i, none) for i, name in enumerate(subsets, start=1)}
+    return stats, {name: layout_stats(i, none) for i, name in enumerate(names, start=1)}
 
 
 def match_unit(

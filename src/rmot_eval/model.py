@@ -452,15 +452,16 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / union
 
 
-def iou_matrix(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between (..., n, 4) and (..., m, 4) arrays of [x, y, w, h]
-    boxes; leading batch dimensions broadcast, giving (..., n, m).
+def box_iou(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Elementwise IoU of (..., 4) arrays of [x, y, w, h] boxes, their
+    leading dimensions broadcast against each other: the one vectorised IoU
+    kernel.
 
-    Bit-identical to looping :func:`iou` over all pairs; the engine relies on
-    this to keep the vectorized fast path and the scalar definition in sync.
+    Bit-identical to :func:`iou` on each pair; the engine relies on this to
+    keep the vectorized fast path and the scalar definition in sync.
     """
-    gx, gy, gw, gh = (gt[..., :, None, i] for i in range(4))
-    px, py, pw, ph = (pred[..., None, :, i] for i in range(4))
+    gx, gy, gw, gh = (gt[..., i] for i in range(4))
+    px, py, pw, ph = (pred[..., i] for i in range(4))
     iw = np.minimum(gx + gw, px + pw) - np.maximum(gx, px)
     ih = np.minimum(gy + gh, py + ph) - np.maximum(gy, py)
     inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
@@ -468,6 +469,13 @@ def iou_matrix(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
     out = np.zeros(inter.shape, dtype=np.float64)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
+
+
+def iou_matrix(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
+    """Pairwise IoU between (..., n, 4) and (..., m, 4) arrays of [x, y, w, h]
+    boxes; leading batch dimensions broadcast, giving (..., n, m).
+    Bit-identical to looping :func:`iou` over all pairs."""
+    return box_iou(gt[..., :, None, :], pred[..., None, :, :])
 
 
 def filter_predictions(dets: Sequence[Detection], cfg: EvalConfig) -> Sequence[Detection]:

@@ -18,7 +18,6 @@ from rmot_eval.attributes import restrict_to_attribute
 from rmot_eval.hota import (
     AlphaStats,
     _forced_from,
-    _levels,
     accumulate,
     finalize,
     match_unit,
@@ -82,6 +81,15 @@ class TestMatchUnit:
         preds = [det(1, box(0, 0, 10, 10), "p1"), det(1, box(1, 1, 9, 9), "p1")]
         with pytest.raises(ValueError, match="duplicate"):
             match_unit(task, preds, 0.5, frames=[1])
+        # of two repeats, the first in file order is reported
+        preds = [
+            det(2, box(0, 0, 10, 10), "p1"),
+            det(1, box(0, 0, 10, 10), "p2"),
+            det(1, box(0, 0, 10, 10), "p2"),
+            det(2, box(0, 0, 10, 10), "p1"),
+        ]
+        with pytest.raises(ValueError, match="track 'p2' at frame 1"):
+            match_unit(simple_task(2), preds, 0.5, frames=[1, 2])
 
     def test_frames_outside_window_ignored(self):
         task = simple_task(5)
@@ -323,7 +331,8 @@ class TestRestrictions:
 
 
 class TestLevels:
-    """The level tensor and the forced threshold against brute force."""
+    """The candidates' forced thresholds against brute-force row and column
+    degrees, on random dense level tensors."""
 
     def test_levels_and_forced_threshold(self):
         rng = np.random.default_rng(7)
@@ -341,17 +350,32 @@ class TestLevels:
                 iou3[:, :, -1] = iou3[:, :, 0]
             # absent slots, whatever IoU they carry
             gt_present = rng.random((nf, g)) < 0.8
-            pred_present = rng.random((nf, p)) < 0.8
-            k = _levels(alphas, iou3, gt_present, pred_present)
-            t = _forced_from(k)
-            assert k.shape == iou3.shape and t.shape == (nf,)
-            for a, alpha in enumerate(alphas.tolist()):
-                feas = (iou3 >= alpha) & gt_present[:, :, None] & pred_present[:, None, :]
-                assert np.array_equal(a < k, feas)
-                for f in range(nf):
-                    degrees = [sum(feas[f, gi, pi] for pi in range(p)) for gi in range(g)]
-                    degrees += [sum(feas[f, gi, pi] for gi in range(g)) for pi in range(p)]
-                    assert (a >= t[f]) == all(d <= 1 for d in degrees)
+            present = gt_present[:, :, None] & (rng.random((nf, p)) < 0.8)[:, None, :]
+            # the level tensor; its nonzeros in C order are the candidates
+            k = np.searchsorted(alphas, iou3, side="right") * present
+            f, gi, pi = np.nonzero(k)
+            kc = k[f, gi, pi]
+            for force_solver in (False, True):
+                lo, t = _forced_from(f, gi, pi, kc, (nf, g, p), alphas.size, force_solver)
+                assert lo.shape == kc.shape and t.shape == (nf,)
+                for a, alpha in enumerate(alphas.tolist()):
+                    feas = (iou3 >= alpha) & present
+                    assert np.array_equal(a < k, feas)
+                    forced = (lo <= a) & (a < kc)
+                    if force_solver:
+                        assert not forced.any() and np.all(t == alphas.size)
+                        continue
+                    rows = [[sum(feas[fr, r]) for r in range(g)] for fr in range(nf)]
+                    cols = [[sum(feas[fr, :, c]) for c in range(p)] for fr in range(nf)]
+                    # a candidate is forced where it is feasible and alone in
+                    # its row and its column
+                    alone = [
+                        bool(feas[fr, r, c]) and rows[fr][r] == 1 and cols[fr][c] == 1
+                        for fr, r, c in zip(f.tolist(), gi.tolist(), pi.tolist())
+                    ]
+                    assert forced.tolist() == alone
+                    for fr in range(nf):
+                        assert (a >= t[fr]) == all(d <= 1 for d in rows[fr] + cols[fr])
 
 
 def random_unit(rng):
@@ -507,6 +531,20 @@ class TestDenseUnit:
         }
         assert run["peak_rss_mb"] < 125
         assert run["seconds"] < 10
+
+    def test_hundred_frames_stay_bounded(self):
+        # a dense (frame, gt, pred) IoU and level build peaks at about 193 MB
+        # here and takes about 0.9 s; the candidate pairs are the 74 x 74
+        # same-frame pairs of each frame
+        run = run_dense_unit(100, 8)
+        assert run["pred_ids"] == 1120
+        assert run["tp"] == [100 * 74] * len(DEFAULT_ALPHA_GRID)
+        frames = run["restriction_frames"]
+        assert run["restricted_tp"] == {
+            name: [n * 74] * len(DEFAULT_ALPHA_GRID) for name, n in frames.items()
+        }
+        assert run["peak_rss_mb"] < 150
+        assert run["seconds"] < 3
 
 
 class TestAccumulate:

@@ -15,6 +15,7 @@ from rmot_eval.model import (
     GroundTruthTrack,
     SequenceData,
     UnitBoxes,
+    box_iou,
     filter_predictions,
     iou,
     iou_matrix,
@@ -70,10 +71,19 @@ class TestIoUMatrix:
             for j, pb in enumerate(preds):
                 assert mat[i, j] == iou(gb, pb)
 
+    @given(st.lists(st.tuples(box_strategy, box_strategy), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_pairs_bit_identical_to_scalar(self, pairs):
+        # the elementwise form the scorer's candidate pairs use
+        g = np.array([[a.x, a.y, a.w, a.h] for a, _ in pairs])
+        p = np.array([[b.x, b.y, b.w, b.h] for _, b in pairs])
+        assert box_iou(g, p).tolist() == [iou(a, b) for a, b in pairs]
+
     def test_shape(self):
         g = np.zeros((3, 4))
         p = np.zeros((2, 4))
         assert iou_matrix(g, p).shape == (3, 2)
+        assert box_iou(g, p[:1]).shape == (3,)
 
     @given(st.integers(min_value=1, max_value=4), st.data())
     @settings(max_examples=100, deadline=None)
