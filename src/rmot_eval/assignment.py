@@ -27,6 +27,27 @@ The answer is the same as solving the whole matrix, because:
   winner restricted to that component; and
 * a per-component ``min_exp`` only rescales that component's weights by a
   power of two, which orders its matchings the same way.
+
+:func:`match_closed_form` matches many small problems at once, on edge
+lists, without the encoding, where the optimum has a closed form. Every
+edge is feasible (weight >= 0), so every cell's bonus is positive and
+adding an edge to a matching only raises its objective; the best matching
+is therefore a maximal one:
+
+* a star (one row or one column) matches one edge, and the encoded
+  objective orders one-edge matchings as their weights, since scaling by a
+  power of two is exact and keeps the order; equal weights are equal
+  scaled weights, and the larger bonus is the earlier cell. So the heaviest
+  edge wins, the smallest (row, col) on a tie;
+* a 2x2 problem (two rows, two columns) matches the present cells of its
+  diagonal or of its anti-diagonal, since every maximal matching is one of
+  the two; a missing cell counts as weight 0. The encoded weights are the
+  exact weights times one power of two, so the exact sums decide, compared
+  without rounding: if ``fl(a+b)`` and ``fl(c+d)`` differ they decide,
+  since rounding is monotone; if they are equal, the exact difference is
+  that of the TwoSum error terms, compared exactly. Equal sums leave it to
+  the bonus, whose largest term is the earliest present cell: the diagonal
+  wins if cell (0, 0) is present, the anti-diagonal otherwise.
 """
 
 from __future__ import annotations
@@ -229,6 +250,71 @@ def _hungarian(weights: np.ndarray, feas: np.ndarray) -> List[Tuple[int, int]]:
         if r and r - 1 < rows and c - 1 < cols and feas[r - 1, c - 1]:
             pairs.append((r - 1, c - 1))
     return pairs
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Knuth's TwoSum: ``s = fl(a + b)`` and the error ``e`` with ``a + b ==
+    s + e`` exactly, elementwise, for finite a and b that do not overflow."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def match_closed_form(
+    group: np.ndarray, row: np.ndarray, col: np.ndarray, weight: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact matchings of many small problems at once, where they have a
+    closed form (see the module docstring).
+
+    Edge i is the cell (``row[i]``, ``col[i]``) of problem ``group[i]``, with
+    a finite ``weight[i] >= 0``; a problem's cells are distinct. A problem
+    whose edges lie in one row, one column, or two rows and two columns is
+    matched under the shared (weight, greedy-lex) order, as
+    :func:`solve_max_weight` matches its sub-matrix. Returns two boolean
+    arrays over the edges: ``chosen``, the matched edges, and ``left``, the
+    edges of every other problem, which are not matched here.
+    """
+    n = group.size
+    chosen = np.zeros(n, dtype=bool)
+    if n == 0:
+        return chosen, chosen.copy()
+    by = np.argsort(group, kind="stable")
+    sg = group[by]
+    new = np.ones(n, dtype=bool)
+    new[1:] = sg[1:] != sg[:-1]
+    start = np.flatnonzero(new)
+    gid = np.empty(n, dtype=np.intp)
+    gid[by] = np.cumsum(new) - 1
+    (r0, r1), (c0, c1) = (
+        (np.minimum.reduceat(x[by], start)[gid], np.maximum.reduceat(x[by], start)[gid])
+        for x in (row, col)
+    )
+    star = (r0 == r1) | (c0 == c1)
+    # a problem with a third row or column anywhere is left to the solver
+    wide = np.zeros(start.size, dtype=bool)
+    wide[gid[((row != r0) & (row != r1)) | ((col != c0) & (col != c1))]] = True
+    square = ~star & ~wide[gid]
+
+    # stars: the heaviest edge, the smallest (row, col) on a tie
+    s = np.flatnonzero(star)
+    s = s[np.lexsort((col[s], row[s], -weight[s], gid[s]))]
+    head = np.ones(s.size, dtype=bool)
+    head[1:] = gid[s][1:] != gid[s][:-1]
+    chosen[s[head]] = True
+
+    # 2x2s: the present diagonal cells (0 and 3) or anti-diagonal cells (1
+    # and 2), whichever weighs more exactly; on a tie, the side of the
+    # earliest present cell
+    q = np.flatnonzero(square)
+    cell = 2 * (row[q] != r0[q]) + (col[q] != c0[q])
+    w = np.zeros((start.size, 4), dtype=np.float64)
+    w[gid[q], cell] = weight[q]
+    has_00 = np.zeros(start.size, dtype=bool)
+    has_00[gid[q][cell == 0]] = True
+    (ds, de), (as_, ae) = _two_sum(w[:, 0], w[:, 3]), _two_sum(w[:, 1], w[:, 2])
+    diagonal = (ds > as_) | ((ds == as_) & ((de > ae) | ((de == ae) & has_00)))
+    chosen[q] = (cell % 3 == 0) == diagonal[gid[q]]
+    return chosen, ~(star | square)
 
 
 def solve_max_weight(m: WeightMatrix) -> Matching:

@@ -12,10 +12,16 @@ feasible at sorted alpha index ``a`` exactly when ``a < k``, and the
 candidates of level 0 are dropped. A feasible candidate alone in its row
 and its column is a component of its own, matched without invoking the
 assignment solver: it is forced from ``lo`` up, the larger second-largest
-level of its (frame, gt row) and its (frame, pred column). Frame f goes to
-the exact solver (or the enumeration oracle in tests) at the alphas below
-``t[f]``, the largest ``lo`` on the frame, with only the candidates not
-forced there. Both paths produce bit-identical statistics.
+level of its (frame, gt row) and its (frame, pred column). Frame f is
+matched by assignment at the alphas below ``t[f]``, the largest ``lo`` on
+the frame, on only the candidates not forced there. Those of every such
+(layout, alpha, frame) are split into connected components in one numpy
+pass; a star (one row or one column) or a 2x2 component is matched in
+closed form (``assignment.match_closed_form``), and the rest of each
+(layout, alpha, frame) goes to the exact solver (or the enumeration oracle
+in tests) in one call. ``force_solver`` turns off both the forced matches
+and the closed forms, so every (layout, alpha, frame) with a feasible pair
+goes to the solver whole. All paths produce bit-identical statistics.
 
 A unit is scored on its layouts together: layout 0 is the whole unit, and
 each restriction to a frame subset (the attribute scores) is a layout of its
@@ -26,8 +32,8 @@ first-appearance order. The candidates of every layout are stacked with a
 layout index and the layout's own frame, gt and pred ranks; a restriction
 takes exactly the unit's candidates on its frames. Forcedness depends on
 the frame alone, so the forced thresholds are shared, and only the unforced
-(layout, alpha, frame)s go to the solver, each with its layout's priors and
-tie-break scale.
+(layout, alpha, frame)s are matched by assignment, each with its layout's
+priors and tie-break scale.
 
 The integer tallies (pairs per (gt, pred), matches, TPA) are exact in any
 order and come from the stacked candidates by ``bincount`` and
@@ -63,7 +69,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from .assignment import Matching, WeightMatrix, solve_max_weight
+from .assignment import Matching, WeightMatrix, match_closed_form, solve_max_weight
 from .model import Detection, ExpressionTask, TargetsView, UnitBoxes, box_iou
 
 Solver = Callable[[WeightMatrix], Matching]
@@ -356,6 +362,43 @@ def _ranks(side: Side, n_lay: int) -> np.ndarray:
     return out
 
 
+def _number(major: np.ndarray, minor: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense numbers of the (``major``, ``minor``) keys (non-negative), in
+    key order. Returns each element's number, the order that sorts the
+    elements by key and where each number's run starts in that order."""
+    key = major * (int(minor.max()) + 1) + minor
+    by = np.argsort(key, kind="stable")
+    sk = key[by]
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = sk[1:] != sk[:-1]
+    number = np.empty(key.size, dtype=np.intp)
+    number[by] = np.cumsum(new) - 1
+    return number, by, np.flatnonzero(new)
+
+
+def _components(rows: Tuple[np.ndarray, ...], cols: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Each edge's connected component, labelled by one of its nodes. Edge
+    i joins row node ``rows[0][i]`` and column node ``cols[0][i]``; ``rows``
+    and ``cols`` are ``_number``'s results for the edges' row and column
+    keys. Min-label propagation: every node takes the smallest label at its
+    edges' ends, then the label of its label, until every edge's ends agree.
+    A label only moves along edges, so it is always a node of the same
+    component; at the end every edge's ends agree, so each component has
+    one label of its own."""
+    rn, r_by, r_start = rows
+    cn, c_by, c_start = cols
+    n_r = r_start.size
+    cn = cn + n_r
+    lab = np.arange(n_r + c_start.size)
+    while True:
+        m = np.minimum(lab[rn], lab[cn])
+        lab[:n_r] = np.minimum.reduceat(m[r_by], r_start)
+        lab[n_r:] = np.minimum.reduceat(m[c_by], c_start)
+        lab = lab[lab]
+        if np.array_equal(lab[rn], lab[cn]):
+            return lab[rn]
+
+
 def _solve(
     todo: np.ndarray,
     lo: np.ndarray,
@@ -365,40 +408,68 @@ def _solve(
     s_prior: np.ndarray,
     tie: np.ndarray,
     solver: Solver,
+    closed_form: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Pass 2 on the unforced (layout, alpha, frame)s. ``todo`` holds rows
-    (alpha, first, stop): the layout's candidates on the frame are
-    ``first:stop`` of the stacked candidates, given by their forced
-    thresholds ``lo`` (the solver takes those with ``alpha < lo``: feasible
-    pairs that share a row or column with another), layout ranks ``g`` and
-    ``p``, cells ``u``, whose prior scores per alpha are the rows of
-    ``s_prior``, and tie-break terms ``tie``. Returns the solver's matches
-    as (alpha, candidate) index arrays."""
-    solved_a: List[int] = []
-    solved_c: List[int] = []
-    for ai, first, stop in todo.tolist():
-        sel = np.flatnonzero(lo[first:stop] > ai)
-        if sel.size == 0:
-            continue
-        sel += first
-        gs, ps = g[sel], p[sel]
-        # the rows and columns with a feasible pair, ascending (few: sort in Python)
-        rows = np.array(sorted(set(gs.tolist())), dtype=np.intp)
-        cols = np.array(sorted(set(ps.tolist())), dtype=np.intp)
-        ri, ci = np.searchsorted(rows, gs), np.searchsorted(cols, ps)
-        mask = np.zeros((rows.size, cols.size), dtype=bool)
-        mask[ri, ci] = True
-        # a masked-out cell's weight is never read
-        weights = np.zeros(mask.shape, dtype=np.float64)
-        weights[ri, ci] = s_prior[u[sel], ai] + tie[sel]
-        result = solver(WeightMatrix(weights=weights, mask=mask))
-        if result.pairs:
-            cand = np.empty(mask.shape, dtype=np.intp)
-            cand[ri, ci] = sel
-            r, c = zip(*result.pairs)
-            solved_c += cand[r, c].tolist()
-            solved_a += [ai] * len(r)
-    return np.array(solved_a, dtype=np.intp), np.array(solved_c, dtype=np.intp)
+    """Pass 2 on the unforced (layout, alpha, frame)s, all at once. ``todo``
+    holds rows (alpha, first, stop): the layout's candidates on the frame
+    are ``first:stop`` of the stacked candidates, given by their forced
+    thresholds ``lo`` (a row takes those with ``alpha < lo``: feasible pairs
+    that share a row or column with another), layout ranks ``g`` and ``p``,
+    cells ``u``, whose prior scores per alpha are the rows of ``s_prior``,
+    and tie-break terms ``tie``.
+
+    The (todo row, gt) and (todo row, pred) nodes are numbered by sorting,
+    so components never join two todo rows. With ``closed_form``, every
+    star and 2x2 component is matched by ``match_closed_form``, and each
+    todo row's other components go to ``solver`` in one matrix, rows and
+    columns ascending; without it, each todo row goes to ``solver`` whole.
+    Either way each component's matches are those of the todo row's whole
+    matrix (the assignment module's component argument). Returns the
+    matches as (alpha, candidate) index arrays."""
+    ai, first, stop = todo.T
+    n = stop - first
+    tr = np.repeat(np.arange(ai.size), n)
+    c = np.arange(tr.size) + np.repeat(first - (np.cumsum(n) - n), n)
+    keep = np.flatnonzero(lo[c] > ai[tr])
+    tr, c = tr[keep], c[keep]
+    a = ai[tr]
+    weight = s_prior[u[c], a] + tie[c]
+    gs, ps = g[c], p[c]
+    chosen = np.zeros(c.size, dtype=bool)
+    left = ~chosen
+    if closed_form and c.size:
+        comp = _components(_number(tr, gs), _number(tr, ps))
+        chosen, left = match_closed_form(comp, gs, ps, weight)
+
+    solved_a, solved_c = [a[chosen]], [c[chosen]]
+
+    # The rest, still in todo row order: each todo row's remaining rows and
+    # columns ranked ascending, then one solver call per todo row.
+    rest = np.flatnonzero(left)
+    if rest.size:
+        tr, c, a, weight = tr[rest], c[rest], a[rest], weight[rest]
+        head = np.ones(rest.size, dtype=bool)
+        head[1:] = tr[1:] != tr[:-1]
+        at = np.flatnonzero(head)
+        bounds = np.append(at, rest.size)
+        ri, ci = (_number(tr, x[rest])[0] for x in (gs, ps))
+        ri -= np.repeat(np.minimum.reduceat(ri, at), np.diff(bounds))
+        ci -= np.repeat(np.minimum.reduceat(ci, at), np.diff(bounds))
+        size = [(np.maximum.reduceat(x, at) + 1).tolist() for x in (ri, ci)]
+        for s0, s1, n_r, n_c in zip(bounds[:-1].tolist(), bounds[1:].tolist(), *size):
+            rs, cs = ri[s0:s1], ci[s0:s1]
+            mask = np.zeros((n_r, n_c), dtype=bool)
+            mask[rs, cs] = True
+            # a masked-out cell's weight is never read
+            weights = np.zeros(mask.shape, dtype=np.float64)
+            weights[rs, cs] = weight[s0:s1]
+            result = solver(WeightMatrix(weights=weights, mask=mask))
+            if result.pairs:
+                cand = np.empty(mask.shape, dtype=np.intp)
+                cand[rs, cs] = np.arange(s0, s1)
+                solved_c.append(c[cand[tuple(zip(*result.pairs))]])
+                solved_a.append(np.full(len(result.pairs), a[s0]))
+    return np.concatenate(solved_a), np.concatenate(solved_c)
 
 
 def _row_sums(
@@ -435,6 +506,7 @@ def _score_layouts(
     gts: Side,
     preds: Side,
     solver: Solver,
+    closed_form: bool,
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Passes 1-3 on every layout of one unit together, at ``n_alpha``
     sorted alphas. ``cands`` holds the unit's candidate pairs (level > 0) in
@@ -443,8 +515,8 @@ def _score_layouts(
     the frames; ``member`` the (layouts, F) mask of each layout's frames;
     ``gts`` and ``preds`` the layouts' tracks. A candidate is matched
     without the solver at the alphas from its ``lo`` up to its level; each
-    layout solves its other (alpha, frame)s with its own priors and
-    tie-break scale.
+    layout's other (alpha, frame)s are matched by ``_solve``, with
+    ``closed_form``, with its own priors and tie-break scale.
 
     Returns the (layouts, alpha, 3) int64 tp, fn, fp; the (layouts, alpha,
     4) float64 iou_sum, ass_a_sum, ass_re_sum, ass_pr_sum; and layout 0's
@@ -524,7 +596,7 @@ def _score_layouts(
         # weight adds its IoU over twice its layout's frame count
         s_prior = n_pair / (box_sum[:, None] - n_pair)
         tie = ciou / (2.0 * n_f)[lay]
-        solved_a, solved_c = _solve(todo, lo, g, p, u, s_prior, tie, solver)
+        solved_a, solved_c = _solve(todo, lo, g, p, u, s_prior, tie, solver, closed_form)
         np.add.at(pair_tpa, (u[solved_c], solved_a), 1)
     # TP per layout: the TPA of its used cells, which follow each other
     used_at = np.searchsorted(ulay, np.arange(n_lay + 1))
@@ -650,7 +722,7 @@ def match_unit_all_alphas(
     # and tie runs as it would alone
     ints, floats, (ta, tg, tpr, tn) = _score_layouts(
         order.size, (f, g, p, k, lo, iou), t, member,
-        ua.gt.order(member), ua.pred.order(member), solver,
+        ua.gt.order(member), ua.pred.order(member), solver, not force_solver,
     )
 
     details: List[Dict[Tuple[str, str], int]] = [{} for _ in range(order.size)]

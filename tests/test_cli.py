@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -605,3 +608,63 @@ class TestValidateCommand:
         result = runner.invoke(main, ["validate", str(gt_dir), "--out", str(out)])
         assert result.exit_code == 0
         assert json.loads(out.read_text()) == []
+
+
+# Runs the CLI with the arguments after the first, recording in the file
+# named by the first the pid of any process (the CLI or a forked worker)
+# that imports numpy.ma; prints the exit code and whether the CLI process
+# holds numpy.ma at the end.
+IMPORT_GUARD_RUN = """
+import json, os, sys
+marker = sys.argv[1]
+
+def hook(event, args):
+    if event == "import" and args[0] == "numpy.ma":
+        with open(marker, "a") as f:
+            f.write(f"{os.getpid()}\\n")
+
+sys.addaudithook(hook)
+from rmot_eval.cli import main
+try:
+    main(sys.argv[2:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+class TestImports:
+    def test_evaluate_never_imports_numpy_ma(self, runner, tmp_path):
+        # numpy.unique imports numpy.ma (about 30 ms per run on numpy 2.4),
+        # so it stays off the evaluate path, workers included
+        cfg = tmp_path / "cfg.json"
+        # small crowded frames, so units reach the closed forms and the solver
+        scene = {"n_expressions": 2, "frame_size": [160, 120], "box_size_range": [20, 50]}
+        cfg.write_text(json.dumps({
+            "scenarios": [
+                {"seed": 11, "sequence_length": 30, "n_tracks": 12, **scene},
+                {"seed": 12, "sequence_length": 20, "n_tracks": 10, "sequence_id": "synth-0001",
+                 **scene},
+            ],
+            "perturbation": {
+                "seed": 5, "miss_rate": 0.1, "fp_rate": 3.0, "idswitch_rate": 0.05, "jitter": 4,
+                "frame_size": [160, 120],
+            },
+        }))
+        result = runner.invoke(main, ["synth", str(cfg), str(tmp_path / "gen")])
+        assert result.exit_code == 0, result.output
+        assert list((tmp_path / "gen" / "bundle").glob("*/attributes.txt"))
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        marker = tmp_path / "numpy-ma-imports"
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD_RUN, str(marker), "evaluate",
+             str(tmp_path / "gen" / "bundle"), str(tmp_path / "gen" / "predictions"),
+             "--workers", "2", "--out", str(tmp_path / "eval")],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        run = json.loads(done.stdout.splitlines()[-1])
+        assert run == {"code": 0, "numpy.ma": False}
+        assert not marker.exists()

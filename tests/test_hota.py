@@ -199,6 +199,54 @@ class TestAllAlphasConsistency:
             assert a.ass_a_sum == b.ass_a_sum
 
 
+class TestSolverRouting:
+    """Star and 2x2 components are matched without the solver; with
+    ``force_solver`` every (layout, alpha, frame) with a feasible pair goes
+    to the solver whole. Both give the same stats."""
+
+    A, B = box(0, 0, 10, 10), box(5, 0, 10, 10)
+    TARGETS = {
+        1: {"a": A},  # with predictions p and q: a 1x2 star
+        2: {"a": A, "b": box(1, 0, 10, 10)},  # with p: a 2x1 star
+        # with p and q: a 2x2 of four edges (IoU 1, 3/7, 1/3, 9/11), three
+        # edges once alpha passes 1/3, then two pairs alone
+        3: {"a": A, "b": B},
+        4: {"a": A},  # forced at every alpha
+    }
+    PREDS = [
+        det(1, A, "p"), det(1, box(1, 0, 10, 10), "q"),
+        det(2, A, "p"),
+        det(3, A, "p"), det(3, box(4, 0, 10, 10), "q"),
+        det(4, A, "p"),
+    ]
+    RESTRICTIONS = {"r1": [1, 3], "r2": [2, 3, 4]}
+
+    def run(self, force_solver):
+        calls = []
+
+        def counting(m):
+            calls.append(m)
+            return hota.solve_max_weight(m)
+
+        result = match_unit_all_alphas(
+            ExpressionTask("s", "e", "t", self.TARGETS), self.PREDS, DEFAULT_ALPHA_GRID,
+            range(1, 5), solver=counting, force_solver=force_solver,
+            restrictions=self.RESTRICTIONS,
+        )
+        return result, len(calls)
+
+    def test_closed_forms_call_no_solver(self):
+        (fast, fast_r), fast_calls = self.run(False)
+        (slow, slow_r), slow_calls = self.run(True)
+        assert fast_calls == 0
+        # one call per layout, alpha and frame with a feasible pair: every
+        # alpha up to the frame's best IoU, 1 on each of these frames
+        layouts = [[1, 2, 3, 4], *self.RESTRICTIONS.values()]
+        assert slow_calls == len(DEFAULT_ALPHA_GRID) * sum(map(len, layouts))
+        assert fast == slow
+        assert fast_r == slow_r
+
+
 # a few overlapping boxes with non-integer corners, so ties and float sums
 # both depend on the layout
 RESTRICTION_BOXES = (
