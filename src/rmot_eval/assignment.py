@@ -104,9 +104,6 @@ class Matching:
     pairs: Tuple[Tuple[int, int], ...]
     total_weight: float
 
-    def pair_set(self) -> frozenset:
-        return frozenset(self.pairs)
-
 
 def _encode(weights: np.ndarray, feas: np.ndarray) -> List[List[int]]:
     """Losslessly encode weights into combined integer objectives.
@@ -320,17 +317,14 @@ def match_closed_form(
 def solve_max_weight(m: WeightMatrix) -> Matching:
     """Exact maximum-weight matching; rows/cols may stay unmatched.
 
-    Solves each connected component of the feasibility graph separately: a
-    1x1 component is matched directly, a larger one by the exact Hungarian
-    method on its sub-matrix (see the module docstring for why this is the
-    whole matrix's answer). O(n^3) in the size of the largest component.
+    Solves each connected component of the feasibility graph separately, by
+    the exact Hungarian method on its sub-matrix (see the module docstring
+    for why this is the whole matrix's answer). O(n^3) in the size of the
+    largest component.
     """
     feas = m.feasible()
     pairs: List[Tuple[int, int]] = []
     for sub_rows, sub_cols in _components(feas):
-        if len(sub_rows) == 1 and len(sub_cols) == 1:
-            pairs.append((sub_rows[0], sub_cols[0]))
-            continue
         idx = np.ix_(sub_rows, sub_cols)
         for r, c in _hungarian(m.weights[idx], feas[idx]):
             pairs.append((sub_rows[r], sub_cols[c]))

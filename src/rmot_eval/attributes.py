@@ -26,7 +26,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .hota import finalize, pool_tallies
-from .model import Attribute, Detection, EvalConfig, ExpressionTask
+from .model import (
+    MOTION_ATTRIBUTES,
+    SCENE_ATTRIBUTES,
+    Attribute,
+    Detection,
+    EvalConfig,
+    ExpressionTask,
+)
 
 
 @dataclass(frozen=True)
@@ -131,12 +138,12 @@ def attribute_report(
             return None, 0
         return compose_geometric(present), len(present)
 
-    hota_s, n_s = compose(cfg.scene_attributes)
-    hota_m, n_m = compose(cfg.motion_attributes)
-    if n_s != len(cfg.scene_attributes) and n_s > 0:
-        warnings.append(f"HOTA_S composed from {n_s} of {len(cfg.scene_attributes)} attributes")
-    if n_m != len(cfg.motion_attributes) and n_m > 0:
-        warnings.append(f"HOTA_M composed from {n_m} of {len(cfg.motion_attributes)} attributes")
+    hota_s, n_s = compose(SCENE_ATTRIBUTES)
+    hota_m, n_m = compose(MOTION_ATTRIBUTES)
+    if n_s != len(SCENE_ATTRIBUTES) and n_s > 0:
+        warnings.append(f"HOTA_S composed from {n_s} of {len(SCENE_ATTRIBUTES)} attributes")
+    if n_m != len(MOTION_ATTRIBUTES) and n_m > 0:
+        warnings.append(f"HOTA_M composed from {n_m} of {len(MOTION_ATTRIBUTES)} attributes")
     return AttributeReport(
         per_attribute=per_attr,
         frame_counts=frame_counts,

@@ -414,8 +414,6 @@ class EvalConfig:
     score_threshold: float = 0.5
     beta_ref: float = 0.4
     alpha_grid: Tuple[float, ...] = DEFAULT_ALPHA_GRID
-    scene_attributes: Tuple[Attribute, ...] = SCENE_ATTRIBUTES
-    motion_attributes: Tuple[Attribute, ...] = MOTION_ATTRIBUTES
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.score_threshold <= 1.0:
@@ -531,36 +529,41 @@ class SequenceData:
 _INT64_MAX = 2**63 - 1
 
 
-def _box_faults(c: GtColumns, length: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Per row: a negative width or height, and a frame outside [1,
-    ``length``]; None when no row has either."""
-    negative = (c.xywh[:, 2] < 0) | (c.xywh[:, 3] < 0)
-    # every int64 frame is at most _INT64_MAX, so the clip keeps the comparison
-    outside = (c.frame < 1) | (c.frame > min(length, _INT64_MAX))
-    return (negative, outside) if (negative | outside).any() else None
+def _box_faults(c: GtColumns, length: int) -> Optional[np.ndarray]:
+    """Per row: a non-finite coordinate, a negative width or height, and a
+    frame outside [1, ``length``], as an (n, 3) bool array; None when no row
+    has any."""
+    faults = np.stack(
+        (
+            ~np.isfinite(c.xywh).all(axis=1),
+            (c.xywh[:, 2] < 0) | (c.xywh[:, 3] < 0),
+            # every int64 frame is at most _INT64_MAX, so the clip keeps the comparison
+            (c.frame < 1) | (c.frame > min(length, _INT64_MAX)),
+        ),
+        axis=1,
+    )
+    return faults if faults.any() else None
 
 
 def _faulty_boxes(
-    c: GtColumns, rows: np.ndarray, faults: Tuple[np.ndarray, np.ndarray]
-) -> Iterator[Tuple[int, str, float, float, bool, bool, bool]]:
+    c: GtColumns, rows: np.ndarray, faults: np.ndarray
+) -> Iterator[Tuple[int, str, List[float], bool, bool, bool, bool]]:
     """Each faulty box of ``rows``, in their order: its frame, track id,
-    width, height, its two ``faults`` and whether it starts a run of rows on
-    its frame."""
-    negative, outside = faults
-    at = np.flatnonzero((negative | outside)[rows])
+    [x, y, w, h], its three ``faults`` and whether it starts a run of rows
+    on its frame."""
+    at = np.flatnonzero(faults[rows].any(axis=1))
     frame = c.frame[rows]
     starts = np.ones(frame.size, dtype=bool)
     starts[1:] = frame[1:] != frame[:-1]
     bad = rows[at]
-    for f, t, (_, _, w, h), neg, out, start in zip(
+    for f, t, xywh, (non_finite, negative, outside), start in zip(
         c.frame[bad].tolist(),
         c.track[bad].tolist(),
         c.xywh[bad].tolist(),
-        negative[bad].tolist(),
-        outside[bad].tolist(),
+        faults[bad].tolist(),
         starts[at].tolist(),
     ):
-        yield f, c.ids[t], w, h, neg, out, start
+        yield f, c.ids[t], xywh, non_finite, negative, outside, start
 
 
 def validate_dataset(
@@ -579,9 +582,9 @@ def validate_dataset(
     out: List[Violation] = []
     # a parsed task's boxes are rows of its sequence's columns, which are
     # checked once; a task has no faulty box when they have none
-    faults: Dict[Tuple[GtColumns, int], Optional[Tuple[np.ndarray, np.ndarray]]] = {}
+    faults: Dict[Tuple[GtColumns, int], Optional[np.ndarray]] = {}
 
-    def faults_of(c: GtColumns, length: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    def faults_of(c: GtColumns, length: int) -> Optional[np.ndarray]:
         if (c, length) not in faults:
             faults[c, length] = _box_faults(c, length)
         return faults[c, length]
@@ -592,9 +595,20 @@ def validate_dataset(
         if seq_faults is None:
             continue
         # track by track, each track's boxes in row order
-        for frame, track_id, w, h, negative, outside, _ in _faulty_boxes(
+        for frame, track_id, xywh, non_finite, negative, outside, _ in _faulty_boxes(
             c, np.argsort(c.track, kind="stable"), seq_faults
         ):
+            x, y, w, h = xywh
+            if non_finite:
+                out.append(
+                    Violation(
+                        "NON_FINITE",
+                        seq.sequence_id,
+                        f"box coordinates x, y, w, h must be finite, got {x}, {y}, {w}, {h}",
+                        frame=frame,
+                        track_id=track_id,
+                    )
+                )
             if negative:
                 out.append(
                     Violation(
@@ -633,9 +647,22 @@ def validate_dataset(
         if task_faults is None:
             continue
         # a frame's rows are contiguous; the first reports the frame
-        for frame, track_id, w, h, negative, outside, first in _faulty_boxes(
+        for frame, track_id, xywh, non_finite, negative, outside, first in _faulty_boxes(
             targets.columns, targets.rows, task_faults
         ):
+            x, y, w, h = xywh
+            if non_finite:
+                out.append(
+                    Violation(
+                        "NON_FINITE",
+                        task.sequence_id,
+                        "target box coordinates x, y, w, h must be finite, "
+                        f"got {x}, {y}, {w}, {h}",
+                        expression_id=task.expression_id,
+                        frame=frame,
+                        track_id=track_id,
+                    )
+                )
             if outside and first:
                 out.append(
                     Violation(

@@ -2,8 +2,11 @@
 
 Work is partitioned per expression unit. Units are dispatched to a fork-based
 worker pool and reduced in the fixed unit order, so the result is identical
-for any worker count. Workers inherit the evaluation context through fork
-(no per-unit pickling of inputs). Each unit's result travels back as two
+for any worker count. ``evaluate`` keeps no module state: its run (the
+bundle, predictions, config, solver and attribute frames) is a local value
+that each unit is evaluated from, so concurrent and nested calls are safe.
+A pool worker gets the run once, through the pool's initializer (under
+fork it is inherited, not pickled). Each unit's result travels back as two
 arrays, its (layouts, alpha, 3) integer tallies and (layouts, alpha, 4)
 float sums for the whole sequence (layout 0) and each attribute it was
 restricted to, plus those attribute names (``hota.tally_arrays``); the
@@ -59,9 +62,13 @@ WORKERS_ENV = "RMOT_EVAL_WORKERS"
 # and (layouts, alpha, 4) float tally arrays (see hota.tally_arrays)
 UnitTallies = Tuple[Tuple[str, ...], np.ndarray, np.ndarray]
 
-# fork-inherited evaluation context; set in the parent right before the pool
-# is created, read-only in workers
-_CTX: Optional[dict] = None
+# everything a unit is evaluated from: the bundle, the predictions, the
+# config, the solver and the attribute frames (see _attribute_frames)
+Run = Tuple[DatasetBundle, Mapping, EvalConfig, Solver, Dict[str, Dict[str, List[int]]]]
+
+# a pool worker's run and the parent's stop event; set by _init_worker, in
+# the worker process only
+_WORKER: Optional[Tuple[Run, "multiprocessing.synchronize.Event"]] = None
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -98,38 +105,48 @@ def _attribute_frames(bundle: DatasetBundle) -> Dict[str, Dict[str, List[int]]]:
 
 def _unit_boxes(task: ExpressionTask, preds: Sequence[Detection], length: int) -> UnitBoxes:
     """The unit's predictions as columns; a ``ValueError`` naming the unit
-    when one does not lie on the sequence's frames 1..``length``."""
+    for the first prediction that does not lie on the sequence's frames
+    1..``length``, then for the first with a non-finite box coordinate, then
+    for the first with a score outside [0, 1] (NaN included): the parser's
+    checks on a prediction file."""
     unit = f"unit {task.sequence_id}/{task.expression_id}"
     try:
         boxes = UnitBoxes.from_detections(preds)
     except ValueError as exc:
         raise ValueError(f"{unit}: {exc}") from None
-    outside = boxes.frame[(boxes.frame < 1) | (boxes.frame > length)]
-    if outside.size:
-        raise ValueError(
-            f"{unit}: a prediction lies on frame {outside[0]}, "
-            f"outside the sequence's frames 1-{length}"
-        )
+    conf, ref = boxes.confidence, boxes.referring_score
+    for bad, fault in (
+        ((boxes.frame < 1) | (boxes.frame > length),
+         "lies on frame {d.frame}, outside the sequence's frames 1-{length}"),
+        (~np.isfinite(boxes.xywh).all(axis=1),
+         "on frame {d.frame} has box coordinates x, y, w, h "
+         "{d.box.x}, {d.box.y}, {d.box.w}, {d.box.h}; they must be finite"),
+        (~((conf >= 0.0) & (conf <= 1.0) & (ref >= 0.0) & (ref <= 1.0)),
+         "on frame {d.frame} has a confidence/referring score outside [0, 1]: "
+         "{d.confidence}, {d.referring_score}"),
+    ):
+        if bad.any():
+            d = boxes[int(np.argmax(bad))]
+            raise ValueError(f"{unit}: a prediction " + fault.format(d=d, length=length))
     return boxes
 
 
-def _eval_unit(index: int) -> UnitTallies:
+def _eval_unit(run: Run, index: int) -> UnitTallies:
     """Match one unit; its whole-sequence stats are layout 0 of the tally
     arrays, the stats on restriction ``names[i]``'s frames layout ``i + 1``."""
-    assert _CTX is not None
-    task = _CTX["tasks"][index]
-    cfg: EvalConfig = _CTX["cfg"]
-    seq = _CTX["sequences"][task.sequence_id]
+    bundle, predictions, cfg, solver, attribute_frames = run
+    task = bundle.tasks[index]
+    seq = bundle.sequences[task.sequence_id]
     boxes = _unit_boxes(
-        task, _CTX["predictions"].get((task.sequence_id, task.expression_id), ()), seq.length
+        task, predictions.get((task.sequence_id, task.expression_id), ()), seq.length
     )
     main, per_attr = match_unit_all_alphas(
         task,
         filter_predictions(boxes, cfg),
         cfg.alpha_grid,
         range(1, seq.length + 1),
-        solver=_CTX["solver"],
-        restrictions=_CTX["attribute_frames"].get(task.sequence_id, {}),
+        solver=solver,
+        restrictions=attribute_frames.get(task.sequence_id, {}),
     )
     return (tuple(per_attr), *tally_arrays([main, *per_attr.values()]))
 
@@ -161,7 +178,9 @@ class WorkerError(RuntimeError):
         return f"{self.type_name}: {self.message}"
 
 
-def _ignore_interrupts() -> None:
+def _init_worker(run: Run, stop: "multiprocessing.synchronize.Event") -> None:
+    global _WORKER
+    _WORKER = (run, stop)
     # a terminal's Ctrl-C reaches the whole process group; the parent alone
     # handles it, and the workers finish or skip their units
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -171,11 +190,11 @@ def _eval_unit_in_worker(index: int) -> Union[UnitTallies, BaseException, None]:
     """A unit's tallies; its error as a value, the exception itself if it
     survives pickling, else a ``WorkerError``; None when the unit is skipped
     because the parent has stopped the run."""
-    assert _CTX is not None
-    if _CTX["stop"].is_set():
+    run, stop = _WORKER
+    if stop.is_set():
         return None
     try:
-        return _eval_unit(index)
+        return _eval_unit(run, index)
     except Exception as exc:
         # one that does not survive the round trip (say, an __init__ with a
         # required keyword) would kill the pool's result thread
@@ -186,22 +205,23 @@ def _eval_unit_in_worker(index: int) -> Union[UnitTallies, BaseException, None]:
         return exc
 
 
-def _eval_in_pool(n_workers: int, n_units: int) -> List[UnitTallies]:
+def _eval_in_pool(run: Run, n_workers: int) -> List[UnitTallies]:
     """Every unit's tallies from a pool of ``n_workers`` forked workers; the
     first failing unit's error, in unit order, is raised.
 
-    On an error the parent sets the ``stop`` event the workers inherit, so
-    they skip their remaining units, and then shuts the pool down with
-    ``close`` and ``join``, never ``terminate``: a worker killed while it
-    writes a result leaves the result queue locked, and the pool's shutdown
-    then waits for ever."""
-    assert _CTX is not None
+    Each worker gets the run and a stop event once, through the pool's
+    initializer. On an error the parent sets the event, so the workers skip
+    their remaining units, and then shuts the pool down with ``close`` and
+    ``join``, never ``terminate``: a worker killed while it writes a result
+    leaves the result queue locked, and the pool's shutdown then waits for
+    ever."""
+    n_units = len(run[0].tasks)
     mp = multiprocessing.get_context("fork")
-    stop = _CTX["stop"] = mp.Event()
+    stop = mp.Event()
     results: List[UnitTallies] = []
     error: Optional[BaseException] = None
     chunk = max(n_units // (n_workers * 4), 1)
-    pool = mp.Pool(processes=n_workers, initializer=_ignore_interrupts)
+    pool = mp.Pool(processes=n_workers, initializer=_init_worker, initargs=(run, stop))
     try:
         # imap yields in unit order, so the first error met is the first
         # failing unit's, not the first to reach the parent
@@ -219,11 +239,14 @@ def _eval_in_pool(n_workers: int, n_units: int) -> List[UnitTallies]:
     return results
 
 
-def _macro_average(reports: Sequence[MetricReport], cfg: EvalConfig) -> MetricReport:
-    n = len(reports)
+# the float fields of an AlphaMetrics and of a MetricReport, averaged over
+# units by _macro_average
+_MEANS = ("hota", "det_a", "ass_a", "det_re", "det_pr", "ass_re", "ass_pr", "loc_a")
 
-    def mean(vals: Sequence[float]) -> float:
-        return math.fsum(vals) / n
+
+def _macro_average(reports: Sequence[MetricReport], cfg: EvalConfig) -> MetricReport:
+    def means(rows: Sequence) -> Dict[str, float]:
+        return {k: math.fsum([getattr(r, k) for r in rows]) / len(rows) for k in _MEANS}
 
     per_alpha = []
     for i, alpha in enumerate(cfg.alpha_grid):
@@ -234,28 +257,12 @@ def _macro_average(reports: Sequence[MetricReport], cfg: EvalConfig) -> MetricRe
                 tp=sum(r.tp for r in rows),
                 fn=sum(r.fn for r in rows),
                 fp=sum(r.fp for r in rows),
-                hota=mean([r.hota for r in rows]),
-                det_a=mean([r.det_a for r in rows]),
-                ass_a=mean([r.ass_a for r in rows]),
-                det_re=mean([r.det_re for r in rows]),
-                det_pr=mean([r.det_pr for r in rows]),
-                ass_re=mean([r.ass_re for r in rows]),
-                ass_pr=mean([r.ass_pr for r in rows]),
-                loc_a=mean([r.loc_a for r in rows]),
                 empty=all(r.empty for r in rows),
+                **means(rows),
             )
         )
     return MetricReport(
-        hota=mean([r.hota for r in reports]),
-        det_a=mean([r.det_a for r in reports]),
-        ass_a=mean([r.ass_a for r in reports]),
-        det_re=mean([r.det_re for r in reports]),
-        det_pr=mean([r.det_pr for r in reports]),
-        ass_re=mean([r.ass_re for r in reports]),
-        ass_pr=mean([r.ass_pr for r in reports]),
-        loc_a=mean([r.loc_a for r in reports]),
-        per_alpha=tuple(per_alpha),
-        flags=("MACRO_AGGREGATION",),
+        **means(reports), per_alpha=tuple(per_alpha), flags=("MACRO_AGGREGATION",)
     )
 
 
@@ -280,26 +287,14 @@ def evaluate(
     their sequence's frames and the labels of a sequence the bundle lacks
     (validation violations) are neither scored nor counted.
     """
-    global _CTX
     n_workers = resolve_workers(workers)
-    n_units = len(bundle.tasks)
     attribute_frames = _attribute_frames(bundle)
-
-    _CTX = {
-        "tasks": bundle.tasks,
-        "predictions": predictions,
-        "cfg": cfg,
-        "solver": solver,
-        "sequences": bundle.sequences,
-        "attribute_frames": attribute_frames,
-    }
-    try:
-        if n_workers == 1 or n_units <= 1:
-            results = [_eval_unit(i) for i in range(n_units)]
-        else:
-            results = _eval_in_pool(n_workers, n_units)
-    finally:
-        _CTX = None
+    run: Run = (bundle, predictions, cfg, solver, attribute_frames)
+    n_units = len(bundle.tasks)
+    if n_workers == 1 or n_units <= 1:
+        results = [_eval_unit(run, i) for i in range(n_units)]
+    else:
+        results = _eval_in_pool(run, n_workers)
 
     alphas = cfg.alpha_grid
     if macro and results:

@@ -39,7 +39,15 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from rmot_eval.assignment import WeightMatrix, solve_oracle
-from rmot_eval.model import Attribute, BoundingBox, Detection, EvalConfig, iou
+from rmot_eval.model import (
+    MOTION_ATTRIBUTES,
+    SCENE_ATTRIBUTES,
+    Attribute,
+    BoundingBox,
+    Detection,
+    EvalConfig,
+    iou,
+)
 
 # (alpha, tp, fn, fp, iou_sum, ass_a_sum, ass_re_sum, ass_pr_sum)
 Tally = Tuple[float, int, int, int, float, float, float, float]
@@ -239,8 +247,8 @@ def reference_evaluate(bundle, predictions, cfg: EvalConfig, macro: bool = False
         present = [scores[a.value] for a in members if scores[a.value] is not None]
         return (geometric_mean(present) if present else None), len(present)
 
-    hota_s, n_s = compose(cfg.scene_attributes)
-    hota_m, n_m = compose(cfg.motion_attributes)
+    hota_s, n_s = compose(SCENE_ATTRIBUTES)
+    hota_m, n_m = compose(MOTION_ATTRIBUTES)
     attrs = {
         "per_attribute": scores,
         "frame_counts": {

@@ -214,6 +214,26 @@ class TestValidateDataset:
         assert [v.code for v in out] == ["NEGATIVE_EXTENT"]
         assert out[0].track_id == "t"
 
+    def test_non_finite_box(self):
+        # built from dicts, so no parser has checked the coordinates
+        seq = SequenceData("s", 5, {
+            "t": track("t", [2], box(0, float("nan"), 3, 4)),
+            "u": track("u", [1], box(0, 0, -float("inf"), 4)),
+        })
+        task = ExpressionTask("s", "e", "text", {3: {"t": box(float("inf"), 0, 1, 1)}})
+        out = validate_dataset({"s": seq}, [task])
+        assert [(v.code, v.expression_id, v.frame, v.track_id) for v in out] == [
+            ("NON_FINITE", None, 2, "t"),
+            ("NON_FINITE", None, 1, "u"),
+            ("NEGATIVE_EXTENT", None, 1, "u"),
+            ("NON_FINITE", "e", 3, "t"),
+        ]
+        assert {v.sequence_id for v in out} == {"s"}
+        assert out[0].message == "box coordinates x, y, w, h must be finite, got 0.0, nan, 3.0, 4.0"
+        assert out[3].message == (
+            "target box coordinates x, y, w, h must be finite, got inf, 0.0, 1.0, 1.0"
+        )
+
     def test_frame_out_of_bounds(self):
         seq = SequenceData("s", 5, {"t": track("t", [7], box(0, 0, 3, 4))})
         out = validate_dataset({"s": seq}, [])

@@ -2,17 +2,20 @@
 
 import dataclasses
 import json
+import math
 import multiprocessing.pool
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
 
+from rmot_eval import pipeline
 from rmot_eval.hota import match_unit_all_alphas
 from rmot_eval.io_formats import (
     DatasetBundle,
@@ -51,6 +54,16 @@ def perturbed_setup(seed=21, **pert):
     return bundle, preds
 
 
+@pytest.fixture(params=["fork", "forkserver", "spawn"])
+def start_method(request, monkeypatch):
+    """Pools that ``evaluate`` makes start their workers by this method."""
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method=None: get_context(request.param)
+    )
+    return request.param
+
+
 class TestResolveWorkers:
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "7")
@@ -82,7 +95,7 @@ class TestEvaluate:
         assert report.per_alpha[0].fp == 0
         assert report.hota == 0.0
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, start_method):
         bundle, preds = perturbed_setup(miss_rate=0.2, fp_rate=0.4, jitter=2,
                                         idswitch_rate=0.03)
         cfg = EvalConfig()
@@ -96,6 +109,7 @@ class TestEvaluate:
                 for w in (1, 2, 3)
             ]
             assert payloads[0] == payloads[1] == payloads[2]
+            assert pipeline._WORKER is None  # set in the workers only
             payload = json.loads(payloads[0])
             assert ("MACRO_AGGREGATION" in payload["metrics"]["flags"]) is macro
             assert any(v is not None for v in payload["attributes"]["per_attribute"].values())
@@ -167,6 +181,49 @@ class TestEvaluate:
         )
 
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "bad, expected",
+        [
+            pytest.param(
+                det(4, box(math.nan, 0, 5, 5), "p"),
+                "has box coordinates x, y, w, h nan, 0.0, 5.0, 5.0; they must be finite",
+                id="nan-x",
+            ),
+            pytest.param(
+                det(4, box(0, 0, math.inf, 5), "p"),
+                "has box coordinates x, y, w, h 0.0, 0.0, inf, 5.0; they must be finite",
+                id="inf-w",
+            ),
+            pytest.param(
+                det(4, box(0, 0, 5, 5), "p", confidence=math.nan),
+                "has a confidence/referring score outside [0, 1]: nan, 1.0",
+                id="nan-confidence",
+            ),
+            pytest.param(
+                det(4, box(0, 0, 5, 5), "p", confidence=-0.25),
+                "has a confidence/referring score outside [0, 1]: -0.25, 1.0",
+                id="negative-confidence",
+            ),
+            pytest.param(
+                det(4, box(0, 0, 5, 5), "p", referring_score=1.5),
+                "has a confidence/referring score outside [0, 1]: 1.0, 1.5",
+                id="referring-score-above-1",
+            ),
+        ],
+    )
+    def test_malformed_prediction_rejected(
+        self, mini_bundle, mini_predictions, workers, bad, expected
+    ):
+        # the parser's NON_FINITE and SCORE_RANGE rules, for predictions
+        # passed in memory; seq-a/e2 fails before seq-b/e1
+        preds = dict(mini_predictions)
+        preds[("seq-a", "e2")] = preds[("seq-a", "e2")] + [bad]
+        preds[("seq-b", "e1")] = [det(1, box(0, 0, 5, 5), "q", confidence=math.inf)]
+        with pytest.raises(ValueError) as exc:
+            evaluate(mini_bundle, preds, EvalConfig(), workers=workers)
+        assert str(exc.value) == f"unit seq-a/e2: a prediction on frame 4 {expected}"
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_prediction_past_int64_rejected(self, mini_bundle, mini_predictions, workers):
         preds = dict(mini_predictions)
         preds[("seq-a", "e2")] = [det(2**64, box(0, 0, 5, 5), "late")]
@@ -202,6 +259,55 @@ class TestEvaluate:
         via_oracle, _ = evaluate(no_attrs, mini_predictions, EvalConfig(),
                                  solver=solve_oracle)
         assert report_payload(base) == report_payload(via_oracle)
+
+    def test_nested_evaluate(self, mini_bundle, mini_predictions):
+        # a lookup that runs a whole evaluation of its own before it answers
+        bundle, preds = perturbed_setup(miss_rate=0.2, fp_rate=0.4)
+        cfg = EvalConfig()
+        inner = []
+
+        class Nested(Mapping):
+            def __getitem__(self, key):
+                if not inner:
+                    inner.append(report_payload(*evaluate(bundle, preds, cfg)))
+                return mini_predictions[key]
+
+            def __iter__(self):
+                return iter(mini_predictions)
+
+            def __len__(self):
+                return len(mini_predictions)
+
+        got = report_payload(*evaluate(mini_bundle, Nested(), cfg))
+        assert got == report_payload(*evaluate(mini_bundle, mini_predictions, cfg))
+        assert inner == [report_payload(*evaluate(bundle, preds, cfg))]
+
+    def test_concurrent_calls(self):
+        runs = [
+            perturbed_setup(seed=21, miss_rate=0.2, fp_rate=0.4, jitter=2),
+            perturbed_setup(seed=58, miss_rate=0.4, fp_rate=0.2, idswitch_rate=0.05),
+        ]
+        cfg = EvalConfig()
+        expected = [report_payload(*evaluate(b, p, cfg)) for b, p in runs]
+        assert expected[0] != expected[1]
+        got = [[], []]
+
+        def work(i):
+            for _ in range(10):
+                got[i].append(report_payload(*evaluate(*runs[i], cfg)))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[expected[0]] * 10, [expected[1]] * 10]
 
 
 class TestInputForms:
@@ -275,7 +381,7 @@ class TestPerUnitLookup:
         assert report_payload(r2, attributes=a2) == report_payload(r1, attributes=a1)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_first_failing_unit_in_order_wins(self, tmp_path, workers):
+    def test_first_failing_unit_in_order_wins(self, tmp_path, workers, start_method):
         bundle, preds = perturbed_setup()
         keys = [(t.sequence_id, t.expression_id) for t in bundle.tasks]
         # unit 1 fails slowly and unit 3 at once, so unit 3's error reaches
@@ -329,7 +435,7 @@ except Exception as exc:
 
 
 class TestWorkerErrors:
-    def test_error_closes_and_joins_the_pool(self, tmp_path, monkeypatch):
+    def test_error_closes_and_joins_the_pool(self, tmp_path, monkeypatch, start_method):
         # a worker killed by terminate() while it writes a result can leave
         # the result queue locked and the pool's shutdown waiting for ever
         bundle, preds = perturbed_setup()
@@ -350,6 +456,7 @@ class TestWorkerErrors:
             evaluate(bundle, lookups, EvalConfig(), workers=2)
         assert exc.value.path == "u"
         assert calls == ["close", "join"]
+        assert pipeline._WORKER is None  # set in the workers only
 
     @pytest.mark.parametrize(
         "workers, expected",
