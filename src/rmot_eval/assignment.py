@@ -15,10 +15,12 @@ pairs. The order is made exact by lossless integer encoding:
 Pairs with negative weight or a false feasibility mask are never matched.
 Zero-weight feasible pairs are matched (the tie-break prefers inclusion).
 
-The production solver splits the feasibility graph (rows and columns are
-nodes, feasible cells are edges) into connected components and solves each
-one on its own sub-matrix, rows and columns kept in ascending global order.
-The answer is the same as solving the whole matrix, because:
+A caller may split the feasibility graph (rows and columns are nodes,
+feasible cells are edges) into connected components and solve each one on
+its own sub-matrix, rows and columns kept in ascending order; the HOTA
+matcher does, so :func:`solve_max_weight` is handed one component at a time
+and solves the matrix it is given, whole. The answer is the same as
+solving the whole matrix, because:
 
 * the combined objective (scaled weight * base + bonus) is a sum over
   components, so a best matching is a best matching of every component;
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,33 +153,6 @@ def _finish(m: WeightMatrix, pairs: Sequence[Tuple[int, int]]) -> Matching:
     ordered = tuple(sorted(pairs))
     total = math.fsum(float(m.weights[r, c]) for r, c in ordered)
     return Matching(pairs=ordered, total_weight=total)
-
-
-def _components(feas: np.ndarray) -> List[Tuple[List[int], List[int]]]:
-    """Connected components of the feasibility graph that hold an edge.
-
-    Each component is (rows, cols), both ascending. Rows and columns without
-    a feasible cell belong to no component.
-    """
-    rows = feas.shape[0]
-    parent = list(range(rows + feas.shape[1]))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    rr, cc = np.nonzero(feas)
-    for r, c in zip(rr.tolist(), cc.tolist()):
-        a, b = find(r), find(rows + c)
-        if a != b:
-            parent[b] = a
-    groups: Dict[int, Tuple[List[int], List[int]]] = {}
-    for r in np.flatnonzero(feas.any(1)).tolist():
-        groups.setdefault(find(r), ([], []))[0].append(r)
-    for c in np.flatnonzero(feas.any(0)).tolist():
-        groups[find(rows + c)][1].append(c)
-    return list(groups.values())
 
 
 def _hungarian(weights: np.ndarray, feas: np.ndarray) -> List[Tuple[int, int]]:
@@ -317,18 +292,12 @@ def match_closed_form(
 def solve_max_weight(m: WeightMatrix) -> Matching:
     """Exact maximum-weight matching; rows/cols may stay unmatched.
 
-    Solves each connected component of the feasibility graph separately, by
-    the exact Hungarian method on its sub-matrix (see the module docstring
-    for why this is the whole matrix's answer). O(n^3) in the size of the
-    largest component.
+    Solves the whole matrix by the exact Hungarian method, O(n^3) in its
+    larger side. A caller that splits a sparse matrix into the connected
+    components of its feasibility graph may solve each one on its own (see
+    the module docstring); this function does not split.
     """
-    feas = m.feasible()
-    pairs: List[Tuple[int, int]] = []
-    for sub_rows, sub_cols in _components(feas):
-        idx = np.ix_(sub_rows, sub_cols)
-        for r, c in _hungarian(m.weights[idx], feas[idx]):
-            pairs.append((sub_rows[r], sub_cols[c]))
-    return _finish(m, pairs)
+    return _finish(m, _hungarian(m.weights, m.feasible()))
 
 
 def solve_oracle(m: WeightMatrix) -> Matching:

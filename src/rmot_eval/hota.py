@@ -17,11 +17,13 @@ matched by assignment at the alphas below ``t[f]``, the largest ``lo`` on
 the frame, on only the candidates not forced there. Those of every such
 (layout, alpha, frame) are split into connected components in one numpy
 pass; a star (one row or one column) or a 2x2 component is matched in
-closed form (``assignment.match_closed_form``), and the rest of each
-(layout, alpha, frame) goes to the exact solver (or the enumeration oracle
-in tests) in one call. ``force_solver`` turns off both the forced matches
-and the closed forms, so every (layout, alpha, frame) with a feasible pair
-goes to the solver whole. All paths produce bit-identical statistics.
+closed form (``assignment.match_closed_form``), and every other component
+goes to the exact solver (or the enumeration oracle in tests) on its own,
+one call per component: components are found here, and the solver solves
+the matrix it is given. ``force_solver`` turns off the forced matches, the
+closed forms and the split, so every (layout, alpha, frame) with a
+feasible pair goes to the solver whole. All paths produce bit-identical
+statistics.
 
 A unit is scored on its layouts together: layout 0 is the whole unit, and
 each restriction to a frame subset (the attribute scores) is a layout of its
@@ -72,6 +74,10 @@ import numpy as np
 from .assignment import Matching, WeightMatrix, match_closed_form, solve_max_weight
 from .model import Detection, ExpressionTask, TargetsView, UnitBoxes, box_iou
 
+# Matches one matrix exactly. It is handed one connected component of a
+# (layout, alpha, frame)'s feasibility graph per call, or under
+# ``force_solver`` one whole (layout, alpha, frame), rows and columns in
+# ascending order either way.
 Solver = Callable[[WeightMatrix], Matching]
 
 
@@ -421,11 +427,13 @@ def _solve(
     The (todo row, gt) and (todo row, pred) nodes are numbered by sorting,
     so components never join two todo rows. With ``closed_form``, every
     star and 2x2 component is matched by ``match_closed_form``, and each
-    todo row's other components go to ``solver`` in one matrix, rows and
-    columns ascending; without it, each todo row goes to ``solver`` whole.
-    Either way each component's matches are those of the todo row's whole
-    matrix (the assignment module's component argument). Returns the
-    matches as (alpha, candidate) index arrays."""
+    other component goes to ``solver`` on its own, one connected component
+    per call; without it, each todo row goes to ``solver`` whole. Either
+    way a matrix's rows and columns are ascending, so each component's
+    matches are those of the todo row's whole matrix (the assignment
+    module's component argument). A solver's pair off its matrix's edges,
+    or two pairs that share a row or a column, raise ``ValueError``.
+    Returns the matches as (alpha, candidate) index arrays."""
     ai, first, stop = todo.T
     n = stop - first
     tr = np.repeat(np.arange(ai.size), n)
@@ -435,24 +443,27 @@ def _solve(
     a = ai[tr]
     weight = s_prior[u[c], a] + tie[c]
     gs, ps = g[c], p[c]
+    # each edge's problem: its component, or its todo row under force_solver
+    key = tr
     chosen = np.zeros(c.size, dtype=bool)
     left = ~chosen
     if closed_form and c.size:
-        comp = _components(_number(tr, gs), _number(tr, ps))
-        chosen, left = match_closed_form(comp, gs, ps, weight)
+        key = _components(_number(tr, gs), _number(tr, ps))
+        chosen, left = match_closed_form(key, gs, ps, weight)
 
     solved_a, solved_c = [a[chosen]], [c[chosen]]
 
-    # The rest, still in todo row order: each todo row's remaining rows and
-    # columns ranked ascending, then one solver call per todo row.
+    # The rest, grouped by problem: each problem's rows and columns ranked
+    # ascending, then one solver call per problem.
     rest = np.flatnonzero(left)
     if rest.size:
-        tr, c, a, weight = tr[rest], c[rest], a[rest], weight[rest]
+        rest = rest[np.argsort(key[rest], kind="stable")]
+        key, c, a, weight = key[rest], c[rest], a[rest], weight[rest]
         head = np.ones(rest.size, dtype=bool)
-        head[1:] = tr[1:] != tr[:-1]
+        head[1:] = key[1:] != key[:-1]
         at = np.flatnonzero(head)
         bounds = np.append(at, rest.size)
-        ri, ci = (_number(tr, x[rest])[0] for x in (gs, ps))
+        ri, ci = (_number(key, x[rest])[0] for x in (gs, ps))
         ri -= np.repeat(np.minimum.reduceat(ri, at), np.diff(bounds))
         ci -= np.repeat(np.minimum.reduceat(ci, at), np.diff(bounds))
         size = [(np.maximum.reduceat(x, at) + 1).tolist() for x in (ri, ci)]
@@ -465,11 +476,26 @@ def _solve(
             weights[rs, cs] = weight[s0:s1]
             result = solver(WeightMatrix(weights=weights, mask=mask))
             if result.pairs:
-                cand = np.empty(mask.shape, dtype=np.intp)
+                cand = np.full(mask.shape, -1, dtype=np.intp)
                 cand[rs, cs] = np.arange(s0, s1)
-                solved_c.append(c[cand[tuple(zip(*result.pairs))]])
-                solved_a.append(np.full(len(result.pairs), a[s0]))
+                picked = _checked_pairs(result.pairs, cand)
+                solved_c.append(c[picked])
+                solved_a.append(np.full(len(picked), a[s0]))
     return np.concatenate(solved_a), np.concatenate(solved_c)
+
+
+def _checked_pairs(pairs: Sequence[Tuple[int, int]], cand: np.ndarray) -> List[int]:
+    """The edge numbers ``cand`` holds at a solver's ``pairs`` (-1 off the
+    matrix's edges). A pair off the edges or out of range, or two pairs that
+    share a row or a column, raise ``ValueError``: such an answer is no
+    matching of the matrix. Plain Python, as a solver returns a few pairs."""
+    n_r, n_c = cand.shape
+    edges = [cand[r, c] if 0 <= r < n_r and 0 <= c < n_c else -1 for r, c in pairs]
+    if min(edges) < 0:
+        raise ValueError(f"solver matched a pair off the {n_r}x{n_c} matrix's edges: {pairs}")
+    if len({r for r, _ in pairs}) < len(pairs) or len({c for _, c in pairs}) < len(pairs):
+        raise ValueError(f"solver matched a row or a column twice: {pairs}")
+    return edges
 
 
 def _row_sums(

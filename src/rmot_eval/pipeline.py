@@ -206,8 +206,9 @@ def _eval_unit_in_worker(index: int) -> Union[UnitTallies, BaseException, None]:
 
 
 def _eval_in_pool(run: Run, n_workers: int) -> List[UnitTallies]:
-    """Every unit's tallies from a pool of ``n_workers`` forked workers; the
-    first failing unit's error, in unit order, is raised.
+    """Every unit's tallies from a pool of ``n_workers`` forked workers, or
+    one per unit if there are fewer units; the first failing unit's error,
+    in unit order, is raised.
 
     Each worker gets the run and a stop event once, through the pool's
     initializer. On an error the parent sets the event, so the workers skip
@@ -216,6 +217,7 @@ def _eval_in_pool(run: Run, n_workers: int) -> List[UnitTallies]:
     leaves the result queue locked, and the pool's shutdown then waits for
     ever."""
     n_units = len(run[0].tasks)
+    n_workers = min(n_workers, n_units)
     mp = multiprocessing.get_context("fork")
     stop = mp.Event()
     results: List[UnitTallies] = []

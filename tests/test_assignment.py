@@ -197,8 +197,10 @@ def block_matrices(draw):
 
 
 class TestComponentSplit:
-    """The solver matches each connected component on its own; the answer
-    must still be the whole matrix's (weight, greedy-lex) optimum."""
+    """The solver matches a matrix of disjoint blocks whole; its answer must
+    be each block's own (weight, greedy-lex) optimum, which is what a caller
+    that splits a matrix into components, as the HOTA matcher does, relies
+    on."""
 
     @given(block_matrices())
     @settings(max_examples=300, deadline=None)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmot_eval import hota
-from rmot_eval.assignment import solve_oracle
+from rmot_eval.assignment import Matching, solve_oracle
 from rmot_eval.attributes import restrict_to_attribute
 from rmot_eval.hota import (
     AlphaStats,
@@ -25,7 +25,14 @@ from rmot_eval.hota import (
     pool_tallies,
     tally_arrays,
 )
-from rmot_eval.model import DEFAULT_ALPHA_GRID, ExpressionTask
+from rmot_eval.io_formats import load_bundle, parse_predictions, unit_filename
+from rmot_eval.model import (
+    DEFAULT_ALPHA_GRID,
+    Attribute,
+    EvalConfig,
+    ExpressionTask,
+    filter_predictions,
+)
 
 from .conftest import box, det, task_from_tracks, track
 
@@ -245,6 +252,114 @@ class TestSolverRouting:
         assert slow_calls == len(DEFAULT_ALPHA_GRID) * sum(map(len, layouts))
         assert fast == slow
         assert fast_r == slow_r
+
+
+def is_connected(m):
+    """Whether every row and column of ``m`` lies on one connected
+    component of its feasibility graph."""
+    feas = m.feasible()
+    rows = np.zeros(m.rows, dtype=bool)
+    rows[0] = True
+    while True:
+        cols = feas[rows].any(0)
+        grown = feas[:, cols].any(1)
+        if np.array_equal(grown, rows):
+            return bool(rows.all() and cols.all())
+        rows = grown
+
+
+def match_both_ways(task, preds, frames, restrictions):
+    """The unit's stats on the default path, whose solver calls must each
+    get one connected component, and under ``force_solver``; and the
+    default path's solver matrices."""
+    calls = []
+
+    def components_only(m):
+        assert is_connected(m), m
+        calls.append(m)
+        return hota.solve_max_weight(m)
+
+    fast = match_unit_all_alphas(
+        task, preds, DEFAULT_ALPHA_GRID, frames, solver=components_only,
+        restrictions=restrictions,
+    )
+    slow = match_unit_all_alphas(
+        task, preds, DEFAULT_ALPHA_GRID, frames, force_solver=True, restrictions=restrictions,
+    )
+    return fast, slow, calls
+
+
+class TestComponentsOnly:
+    """On the default path the solver is handed one connected component per
+    call, never a frame's whole matrix, and the stats are those of
+    ``force_solver``, which hands it each (layout, alpha, frame) whole."""
+
+    def test_two_dense_clusters_on_one_frame(self):
+        # two 3x3 clusters, every gt box overlapping every prediction of its
+        # own cluster and none of the other's; frame 2 holds one of them
+        targets, preds = {}, []
+        for x0 in (0.0, 100.0):
+            for i in range(3):
+                for f in (1, 2) if x0 == 0.0 else (1,):
+                    targets.setdefault(f, {})[f"g{x0:.0f}-{i}"] = box(x0 + i, 0, 10, 10)
+                    preds.append(det(f, box(x0 + i + 0.5, 0, 10, 10), f"p{x0:.0f}-{i}"))
+        task = ExpressionTask("s", "e", "t", targets)
+        fast, slow, calls = match_both_ways(task, preds, [1, 2], {"r": [1]})
+        assert fast == slow
+        assert calls and {(m.rows, m.cols) for m in calls} == {(3, 3)}
+
+    def test_crowded_golden_bundle(self):
+        root = Path(__file__).resolve().parent / "data" / "golden" / "crowded"
+        bundle = load_bundle(root / "bundle")
+        n_calls = 0
+        for task in bundle.tasks:
+            seq = bundle.sequences[task.sequence_id]
+            boxes = parse_predictions(
+                root / "predictions" / unit_filename(task.sequence_id, task.expression_id),
+                seq.length,
+            )
+            restrictions = {
+                attr.value: labels
+                for attr in Attribute
+                if (labels := bundle.attributes[task.sequence_id].frames_with(attr))
+            }
+            fast, slow, calls = match_both_ways(
+                task, filter_predictions(boxes, EvalConfig()), range(1, seq.length + 1),
+                restrictions,
+            )
+            assert fast == slow
+            n_calls += len(calls)
+        assert n_calls > 0
+
+
+class TestSolverAnswerChecked:
+    """A solver's answer that is no matching of its matrix raises
+    ``ValueError``; it is never counted."""
+
+    # with g2 and p1 apart, cell (1, 0) of the frame's 2x2 matrix has no edge
+    TARGETS = {1: {"g1": box(0, 0, 10, 10), "g2": box(12, 0, 10, 10)}}
+    PREDS = [det(1, box(1, 0, 10, 10), "p1"), det(1, box(6, 0, 10, 10), "p2")]
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            (((1, 0),), "off the 2x2 matrix's edges"),
+            (((0, 0), (2, 1)), "off the 2x2 matrix's edges"),
+            (((0, -1),), "off the 2x2 matrix's edges"),
+            (((0, 0), (0, 1)), "a row or a column twice"),
+            (((0, 1), (1, 1)), "a row or a column twice"),
+        ],
+    )
+    def test_bad_answer_raises(self, pairs, message):
+        def bad(m):
+            assert (m.rows, m.cols) == (2, 2) and not m.mask[1, 0]
+            return Matching(pairs=pairs, total_weight=0.0)
+
+        task = ExpressionTask("s", "e", "t", self.TARGETS)
+        with pytest.raises(ValueError, match=message):
+            match_unit_all_alphas(
+                task, self.PREDS, DEFAULT_ALPHA_GRID, [1], solver=bad, force_solver=True
+            )
 
 
 # a few overlapping boxes with non-integer corners, so ties and float sums

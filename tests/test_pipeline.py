@@ -114,6 +114,25 @@ class TestEvaluate:
             assert ("MACRO_AGGREGATION" in payload["metrics"]["flags"]) is macro
             assert any(v is not None for v in payload["attributes"]["per_attribute"].values())
 
+    @pytest.mark.parametrize("workers, n_units, processes", [(4, 2, 2), (2, 3, 2)])
+    def test_never_more_workers_than_units(self, start_method, workers, n_units, processes):
+        bundle, preds = perturbed_setup(miss_rate=0.2, fp_rate=0.4, jitter=2)
+        bundle = dataclasses.replace(bundle, tasks=bundle.tasks[:n_units])
+        ctx = multiprocessing.get_context()
+        make_pool, made = ctx.Pool, []
+
+        def recording_pool(processes=None, *args, **kwargs):
+            made.append(processes)
+            return make_pool(processes, *args, **kwargs)
+
+        ctx.Pool = recording_pool
+        try:
+            pooled = evaluate(bundle, preds, EvalConfig(), workers=workers)
+        finally:
+            del ctx.Pool
+        assert made == [processes]
+        assert report_payload(*pooled) == report_payload(*evaluate(bundle, preds, EvalConfig()))
+
     def test_unit_order_invariance_bitwise(self):
         bundle, preds = perturbed_setup(miss_rate=0.3, fp_rate=0.5, jitter=3)
         cfg = EvalConfig()
