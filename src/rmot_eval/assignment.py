@@ -31,10 +31,12 @@ solving the whole matrix, because:
   power of two, which orders its matchings the same way.
 
 :func:`match_closed_form` matches many small problems at once, on edge
-lists, without the encoding, where the optimum has a closed form. Every
-edge is feasible (weight >= 0), so every cell's bonus is positive and
-adding an edge to a matching only raises its objective; the best matching
-is therefore a maximal one:
+lists, without the encoding, where the optimum has a closed form; the
+caller groups the edges into problems, ranks each problem's rows and
+columns from 0 and marks the stars, and the HOTA matcher sends it every
+star and 2x2 component. Every edge is feasible (weight >= 0), so every
+cell's bonus is positive and adding an edge to a matching only raises its
+objective; the best matching is therefore a maximal one:
 
 * a star (one row or one column) matches one edge, and the encoded
   objective orders one-edge matchings as their weights, since scaling by a
@@ -233,60 +235,43 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def match_closed_form(
-    group: np.ndarray, row: np.ndarray, col: np.ndarray, weight: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+    problem: np.ndarray, row: np.ndarray, col: np.ndarray, weight: np.ndarray, star: np.ndarray
+) -> np.ndarray:
     """Exact matchings of many small problems at once, where they have a
     closed form (see the module docstring).
 
-    Edge i is the cell (``row[i]``, ``col[i]``) of problem ``group[i]``, with
-    a finite ``weight[i] >= 0``; a problem's cells are distinct. A problem
-    whose edges lie in one row, one column, or two rows and two columns is
-    matched under the shared (weight, greedy-lex) order, as
-    :func:`solve_max_weight` matches its sub-matrix. Returns two boolean
-    arrays over the edges: ``chosen``, the matched edges, and ``left``, the
-    edges of every other problem, which are not matched here.
+    Edge i is the cell (``row[i]``, ``col[i]``) of problem ``problem[i]``,
+    with a finite ``weight[i] >= 0``. Problems are numbered from 0, their
+    rows and columns are ranked from 0 in ascending order, and a problem's
+    cells are distinct. ``star[i]`` marks an edge of a problem that lies in
+    one row or one column; every other problem has two rows and two
+    columns. Each problem is matched under the shared (weight, greedy-lex)
+    order, as :func:`solve_max_weight` matches its sub-matrix. Returns the
+    boolean mask of the matched edges.
     """
-    n = group.size
-    chosen = np.zeros(n, dtype=bool)
-    if n == 0:
-        return chosen, chosen.copy()
-    by = np.argsort(group, kind="stable")
-    sg = group[by]
-    new = np.ones(n, dtype=bool)
-    new[1:] = sg[1:] != sg[:-1]
-    start = np.flatnonzero(new)
-    gid = np.empty(n, dtype=np.intp)
-    gid[by] = np.cumsum(new) - 1
-    (r0, r1), (c0, c1) = (
-        (np.minimum.reduceat(x[by], start)[gid], np.maximum.reduceat(x[by], start)[gid])
-        for x in (row, col)
-    )
-    star = (r0 == r1) | (c0 == c1)
-    # a problem with a third row or column anywhere is left to the solver
-    wide = np.zeros(start.size, dtype=bool)
-    wide[gid[((row != r0) & (row != r1)) | ((col != c0) & (col != c1))]] = True
-    square = ~star & ~wide[gid]
+    chosen = np.zeros(problem.size, dtype=bool)
 
     # stars: the heaviest edge, the smallest (row, col) on a tie
     s = np.flatnonzero(star)
-    s = s[np.lexsort((col[s], row[s], -weight[s], gid[s]))]
+    s = s[np.lexsort((col[s], row[s], -weight[s], problem[s]))]
     head = np.ones(s.size, dtype=bool)
-    head[1:] = gid[s][1:] != gid[s][:-1]
+    head[1:] = problem[s][1:] != problem[s][:-1]
     chosen[s[head]] = True
 
     # 2x2s: the present diagonal cells (0 and 3) or anti-diagonal cells (1
     # and 2), whichever weighs more exactly; on a tie, the side of the
     # earliest present cell
-    q = np.flatnonzero(square)
-    cell = 2 * (row[q] != r0[q]) + (col[q] != c0[q])
-    w = np.zeros((start.size, 4), dtype=np.float64)
-    w[gid[q], cell] = weight[q]
-    has_00 = np.zeros(start.size, dtype=bool)
-    has_00[gid[q][cell == 0]] = True
+    q = np.flatnonzero(~star)
+    pq, cell = problem[q], 2 * row[q] + col[q]
+    n = int(pq.max(initial=-1)) + 1
+    w = np.zeros((n, 4), dtype=np.float64)
+    w[pq, cell] = weight[q]
+    has_00 = np.zeros(n, dtype=bool)
+    has_00[pq[cell == 0]] = True
     (ds, de), (as_, ae) = _two_sum(w[:, 0], w[:, 3]), _two_sum(w[:, 1], w[:, 2])
     diagonal = (ds > as_) | ((ds == as_) & ((de > ae) | ((de == ae) & has_00)))
-    chosen[q] = (cell % 3 == 0) == diagonal[gid[q]]
-    return chosen, ~(star | square)
+    chosen[q] = (cell % 3 == 0) == diagonal[pq]
+    return chosen
 
 
 def solve_max_weight(m: WeightMatrix) -> Matching:

@@ -87,11 +87,23 @@ class CommandError(Exception):
 
 class _Commands(click.Group):
     """The command group; every command's input faults exit here, as
-    ``error: …`` and exit code 1."""
+    ``error: …`` and exit code 1, and so do click's usage errors (a bad
+    option value, a missing argument, an unknown option or command), with
+    click's message."""
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_IO
+            raise
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_IO
+            raise
         except (CommandError, ParseError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_IO)

@@ -12,18 +12,18 @@ feasible at sorted alpha index ``a`` exactly when ``a < k``, and the
 candidates of level 0 are dropped. A feasible candidate alone in its row
 and its column is a component of its own, matched without invoking the
 assignment solver: it is forced from ``lo`` up, the larger second-largest
-level of its (frame, gt row) and its (frame, pred column). Frame f is
-matched by assignment at the alphas below ``t[f]``, the largest ``lo`` on
-the frame, on only the candidates not forced there. Those of every such
-(layout, alpha, frame) are split into connected components in one numpy
+level of its (frame, gt row) and its (frame, pred column). At each alpha
+below ``lo`` it is an edge of its (layout, alpha, frame)'s assignment
+problem instead. The edges of every problem are split into connected
+components, and each component's rows and columns ranked, in one numpy
 pass; a star (one row or one column) or a 2x2 component is matched in
 closed form (``assignment.match_closed_form``), and every other component
 goes to the exact solver (or the enumeration oracle in tests) on its own,
 one call per component: components are found here, and the solver solves
-the matrix it is given. ``force_solver`` turns off the forced matches, the
-closed forms and the split, so every (layout, alpha, frame) with a
-feasible pair goes to the solver whole. All paths produce bit-identical
-statistics.
+the matrix it is given. ``force_solver`` turns off the forced matches
+(``lo`` is the level), the closed forms and the split, so every (layout,
+alpha, frame) with a feasible pair goes to the solver whole. All paths
+produce bit-identical statistics.
 
 A unit is scored on its layouts together: layout 0 is the whole unit, and
 each restriction to a frame subset (the attribute scores) is a layout of its
@@ -324,33 +324,19 @@ def _second_largest(group: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _forced_from(
-    f: np.ndarray,
-    g: np.ndarray,
-    p: np.ndarray,
-    k: np.ndarray,
-    shape: Tuple[int, int, int],
-    n_alpha: int,
-    force_solver: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The forced thresholds of candidates (frame ``f``, gt ``g``, pred
-    ``p``) of levels ``k`` (> 0) in a unit of ``shape`` (frames, gts,
-    preds). At sorted alpha index ``a`` a candidate is feasible and its row
-    and column hold no other feasible pair exactly when ``lo <= a < k``,
-    ``lo`` the smaller of its level and the larger second-largest level of
-    its (frame, gt row) and its (frame, pred column); such a pair is a
-    component of its own and is matched without the solver. Returns ``lo``
-    and the (F,) ``t``, the largest ``lo`` on each frame: at ``a >= t[f]``
-    every row and column of frame f has at most one feasible pair.
-    ``force_solver`` makes every threshold ``n_alpha``, so nothing is
-    forced."""
-    n_frames, n_g, n_p = shape
-    if force_solver:
-        return k, np.full(n_frames, n_alpha, dtype=np.intp)
+    f: np.ndarray, g: np.ndarray, p: np.ndarray, k: np.ndarray, shape: Tuple[int, int]
+) -> np.ndarray:
+    """The forced thresholds ``lo`` of candidates (frame ``f``, gt ``g``,
+    pred ``p``) of levels ``k`` (> 0) in a unit of ``shape`` (gts, preds).
+    At sorted alpha index ``a`` a candidate is feasible and its row and
+    column hold no other feasible pair exactly when ``lo <= a < k``, ``lo``
+    the smaller of its level and the larger second-largest level of its
+    (frame, gt row) and its (frame, pred column); such a pair is a component
+    of its own and is matched without the solver. Below ``lo`` it is an edge
+    of its (alpha, frame)'s assignment problem."""
+    n_g, n_p = shape
     row, col = _second_largest(f * n_g + g, k), _second_largest(f * n_p + p, k)
-    lo = np.minimum(k, np.maximum(row, col))
-    t = np.zeros(n_frames, dtype=np.intp)
-    np.maximum.at(t, f, lo)
-    return lo, t
+    return np.minimum(k, np.maximum(row, col))
 
 
 # One side's tracks in every layout of a unit, as ``_Tracks.order`` gives
@@ -405,82 +391,84 @@ def _components(rows: Tuple[np.ndarray, ...], cols: Tuple[np.ndarray, ...]) -> n
             return lab[rn]
 
 
+def _rank_in(group: np.ndarray, node: np.ndarray, n_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per edge, its node's rank among its group's nodes, in node order, and
+    the group's node count. Edge i lies in ``group[i]`` at node ``node[i]``,
+    one of the nodes ``range(n_nodes)``, each with an edge; the edges at a
+    node share its group."""
+    of = np.empty(n_nodes, dtype=np.intp)
+    of[node] = group
+    by = np.argsort(of, kind="stable")
+    sorted_of = of[by]
+    first = np.searchsorted(sorted_of, sorted_of)
+    rank, size = np.empty_like(of), np.empty_like(of)
+    rank[by] = np.arange(n_nodes) - first
+    size[by] = np.searchsorted(sorted_of, sorted_of, side="right") - first
+    return rank[node], size[node]
+
+
 def _solve(
-    todo: np.ndarray,
-    lo: np.ndarray,
+    problem: np.ndarray,
+    a: np.ndarray,
+    c: np.ndarray,
     g: np.ndarray,
     p: np.ndarray,
-    u: np.ndarray,
-    s_prior: np.ndarray,
-    tie: np.ndarray,
+    weight: np.ndarray,
     solver: Solver,
     closed_form: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Pass 2 on the unforced (layout, alpha, frame)s, all at once. ``todo``
-    holds rows (alpha, first, stop): the layout's candidates on the frame
-    are ``first:stop`` of the stacked candidates, given by their forced
-    thresholds ``lo`` (a row takes those with ``alpha < lo``: feasible pairs
-    that share a row or column with another), layout ranks ``g`` and ``p``,
-    cells ``u``, whose prior scores per alpha are the rows of ``s_prior``,
-    and tie-break terms ``tie``.
+    """Pass 2 on the unforced (layout, alpha, frame) problems, all at once.
+    Edge i is candidate ``c[i]`` at sorted alpha index ``a[i]``: the cell
+    (gt rank ``g[i]``, pred rank ``p[i]``), of weight ``weight[i]``, of
+    problem ``problem[i]``, a key in (layout, alpha, frame) order.
 
-    The (todo row, gt) and (todo row, pred) nodes are numbered by sorting,
-    so components never join two todo rows. With ``closed_form``, every
-    star and 2x2 component is matched by ``match_closed_form``, and each
-    other component goes to ``solver`` on its own, one connected component
-    per call; without it, each todo row goes to ``solver`` whole. Either
-    way a matrix's rows and columns are ascending, so each component's
-    matches are those of the todo row's whole matrix (the assignment
-    module's component argument). A solver's pair off its matrix's edges,
-    or two pairs that share a row or a column, raise ``ValueError``.
-    Returns the matches as (alpha, candidate) index arrays."""
-    ai, first, stop = todo.T
-    n = stop - first
-    tr = np.repeat(np.arange(ai.size), n)
-    c = np.arange(tr.size) + np.repeat(first - (np.cumsum(n) - n), n)
-    keep = np.flatnonzero(lo[c] > ai[tr])
-    tr, c = tr[keep], c[keep]
-    a = ai[tr]
-    weight = s_prior[u[c], a] + tie[c]
-    gs, ps = g[c], p[c]
-    # each edge's problem: its component, or its todo row under force_solver
-    key = tr
-    chosen = np.zeros(c.size, dtype=bool)
-    left = ~chosen
-    if closed_form and c.size:
-        key = _components(_number(tr, gs), _number(tr, ps))
-        chosen, left = match_closed_form(key, gs, ps, weight)
+    The (problem, gt) and (problem, pred) nodes are numbered once, so a
+    group never joins two problems. With ``closed_form`` the edges are
+    grouped by connected component, without it by problem; the edges are
+    sorted by group once, and each group's rows and columns ranked from 0
+    and counted. With ``closed_form``, every star (one row or one column)
+    and 2x2 group is matched by ``match_closed_form``, and each other group
+    goes to ``solver`` on its own, one per call, in (problem, first row)
+    order. Either way a matrix's rows and columns are ascending, so each
+    component's matches are those of the problem's whole matrix (the
+    assignment module's component argument). A solver's pair off its
+    matrix's edges, or two pairs that share a row or a column, raise
+    ``ValueError``. Returns the matches as (alpha, candidate) index
+    arrays."""
+    rows, cols = _number(problem, g), _number(problem, p)
+    key = _components(rows, cols) if closed_form else problem
+    by = np.argsort(key, kind="stable")
+    key, a, c, weight = key[by], a[by], c[by], weight[by]
+    head = np.ones(key.size, dtype=bool)
+    head[1:] = key[1:] != key[:-1]
+    group = np.cumsum(head) - 1
+    (ri, n_r), (ci, n_c) = (_rank_in(group, x[0][by], x[2].size) for x in (rows, cols))
+    star = (n_r == 1) | (n_c == 1)
+    easy = (star | ((n_r == 2) & (n_c == 2))) & closed_form
+    e = np.flatnonzero(easy)
+    e = e[match_closed_form(group[e], ri[e], ci[e], weight[e], star[e])]
+    solved_a, solved_c = [a[e]], [c[e]]
 
-    solved_a, solved_c = [a[chosen]], [c[chosen]]
-
-    # The rest, grouped by problem: each problem's rows and columns ranked
-    # ascending, then one solver call per problem.
-    rest = np.flatnonzero(left)
-    if rest.size:
-        rest = rest[np.argsort(key[rest], kind="stable")]
-        key, c, a, weight = key[rest], c[rest], a[rest], weight[rest]
-        head = np.ones(rest.size, dtype=bool)
-        head[1:] = key[1:] != key[:-1]
-        at = np.flatnonzero(head)
-        bounds = np.append(at, rest.size)
-        ri, ci = (_number(key, x[rest])[0] for x in (gs, ps))
-        ri -= np.repeat(np.minimum.reduceat(ri, at), np.diff(bounds))
-        ci -= np.repeat(np.minimum.reduceat(ci, at), np.diff(bounds))
-        size = [(np.maximum.reduceat(x, at) + 1).tolist() for x in (ri, ci)]
-        for s0, s1, n_r, n_c in zip(bounds[:-1].tolist(), bounds[1:].tolist(), *size):
-            rs, cs = ri[s0:s1], ci[s0:s1]
-            mask = np.zeros((n_r, n_c), dtype=bool)
-            mask[rs, cs] = True
-            # a masked-out cell's weight is never read
-            weights = np.zeros(mask.shape, dtype=np.float64)
-            weights[rs, cs] = weight[s0:s1]
-            result = solver(WeightMatrix(weights=weights, mask=mask))
-            if result.pairs:
-                cand = np.full(mask.shape, -1, dtype=np.intp)
-                cand[rs, cs] = np.arange(s0, s1)
-                picked = _checked_pairs(result.pairs, cand)
-                solved_c.append(c[picked])
-                solved_a.append(np.full(len(picked), a[s0]))
+    # one solver call per other group
+    bounds = np.append(np.flatnonzero(head), key.size)
+    hard = np.flatnonzero(~easy[bounds[:-1]])
+    starts = bounds[hard]
+    for s0, s1, n_rows, n_cols in zip(
+        starts.tolist(), bounds[hard + 1].tolist(), n_r[starts].tolist(), n_c[starts].tolist()
+    ):
+        rs, cs = ri[s0:s1], ci[s0:s1]
+        mask = np.zeros((n_rows, n_cols), dtype=bool)
+        mask[rs, cs] = True
+        # a masked-out cell's weight is never read
+        weights = np.zeros(mask.shape, dtype=np.float64)
+        weights[rs, cs] = weight[s0:s1]
+        result = solver(WeightMatrix(weights=weights, mask=mask))
+        if result.pairs:
+            cand = np.full(mask.shape, -1, dtype=np.intp)
+            cand[rs, cs] = np.arange(s0, s1)
+            picked = _checked_pairs(result.pairs, cand)
+            solved_c.append(c[picked])
+            solved_a.append(np.full(len(picked), a[s0]))
     return np.concatenate(solved_a), np.concatenate(solved_c)
 
 
@@ -527,7 +515,6 @@ def _row_sums(
 def _score_layouts(
     n_alpha: int,
     cands: Tuple[np.ndarray, ...],
-    t: np.ndarray,
     member: np.ndarray,
     gts: Side,
     preds: Side,
@@ -537,12 +524,12 @@ def _score_layouts(
     """Passes 1-3 on every layout of one unit together, at ``n_alpha``
     sorted alphas. ``cands`` holds the unit's candidate pairs (level > 0) in
     (frame, gt, pred) order: their frame, gt and pred indices, levels,
-    forced thresholds ``lo`` and IoUs; ``t`` the (F,) forced thresholds of
-    the frames; ``member`` the (layouts, F) mask of each layout's frames;
-    ``gts`` and ``preds`` the layouts' tracks. A candidate is matched
-    without the solver at the alphas from its ``lo`` up to its level; each
-    layout's other (alpha, frame)s are matched by ``_solve``, with
-    ``closed_form``, with its own priors and tie-break scale.
+    forced thresholds ``lo`` and IoUs; ``member`` the (layouts, F) mask of
+    each layout's frames; ``gts`` and ``preds`` the layouts' tracks. A
+    candidate is matched without the solver at the alphas from its ``lo``
+    up to its level; below its ``lo`` it is an edge of its layout's (alpha,
+    frame) problem, matched by ``_solve``, with ``closed_form``, with the
+    layout's own priors and tie-break scale.
 
     Returns the (layouts, alpha, 3) int64 tp, fn, fp; the (layouts, alpha,
     4) float64 iou_sum, ass_a_sum, ass_re_sum, ass_pr_sum; and layout 0's
@@ -601,28 +588,22 @@ def _score_layouts(
     counts = counts.reshape(2, n_used, width).cumsum(2)[:, :, :n_alpha]
     n_pair, pair_tpa = counts[0], counts[1]
 
-    # Pass 2 on the unforced (layout, alpha, frame)s, in that order. The
-    # candidates are sorted by (layout, frame), so each one's are a slice.
-    tl, tf = np.nonzero(member & (t > 0))
-    n_todo = t[tf]
-    ta = np.arange(int(n_todo.sum())) - np.repeat(np.cumsum(n_todo) - n_todo, n_todo)
-    tl, tf = np.repeat(tl, n_todo), np.repeat(tf, n_todo)
+    # Pass 2 on the unforced (layout, alpha, frame) problems: candidate c is
+    # an edge at each sorted alpha a below its lo, where it is feasible and
+    # shares its row or its column with another feasible pair.
+    ec = np.repeat(np.arange(lay.size), lo)
     solved_a = solved_c = np.empty(0, dtype=np.intp)
-    if ta.size:
-        by = np.lexsort((tf, ta, tl))
-        tl, ta, tf = tl[by], ta[by], tf[by]
-        seg = lay * n_frames + cf
-        todo = np.stack([
-            ta,
-            np.searchsorted(seg, tl * n_frames + tf, side="left"),
-            np.searchsorted(seg, tl * n_frames + tf, side="right"),
-        ], axis=1)
+    if ec.size:
+        ea = np.arange(ec.size) - np.repeat(np.cumsum(lo) - lo, lo)
         # Pass 1: per used cell and alpha, the prior association score
         # n / (|gt| + |pred| - n) of its n feasible frames; a candidate's
         # weight adds its IoU over twice its layout's frame count
         s_prior = n_pair / (box_sum[:, None] - n_pair)
         tie = ciou / (2.0 * n_f)[lay]
-        solved_a, solved_c = _solve(todo, lo, g, p, u, s_prior, tie, solver, closed_form)
+        problem = (lay[ec] * n_alpha + ea) * n_frames + cf[ec]
+        solved_a, solved_c = _solve(
+            problem, ea, ec, g[ec], p[ec], s_prior[u[ec], ea] + tie[ec], solver, closed_form
+        )
         np.add.at(pair_tpa, (u[solved_c], solved_a), 1)
     # TP per layout: the TPA of its used cells, which follow each other
     used_at = np.searchsorted(ulay, np.arange(n_lay + 1))
@@ -641,7 +622,9 @@ def _score_layouts(
     # levels (a forced pair stops being feasible). Any other alpha has the
     # same matches as the one before it, so the same sums. A layout with no
     # match at any alpha has only zero sums and gets no rows.
-    fresh = np.arange(width) <= np.where(member, t, 0).max(1, initial=0)[:, None]
+    top = np.zeros(n_lay, dtype=np.intp)
+    np.maximum.at(top, lay, lo)
+    fresh = np.arange(width) <= top[:, None]
     fresh[lay, ck] = True
     below = np.zeros((n_lay, width), dtype=np.intp)  # fresh alphas below each
     np.cumsum(fresh[:, :n_alpha], axis=1, out=below[:, 1:])
@@ -742,12 +725,12 @@ def match_unit_all_alphas(
     # A pair that is alone in its row and column is a component of its own,
     # with one optimum for any positive weights, so its match holds under
     # every restriction that keeps its frame.
-    shape = (ua.n_frames, len(ua.gt_ids), len(ua.pred_ids))
-    lo, t = _forced_from(f, g, p, k, shape, order.size, force_solver)
+    # ``force_solver`` forces nothing: every feasible pair is an edge.
+    lo = k if force_solver else _forced_from(f, g, p, k, (len(ua.gt_ids), len(ua.pred_ids)))
     # a layout has its tracks in content order over its frames, so every sum
     # and tie runs as it would alone
     ints, floats, (ta, tg, tpr, tn) = _score_layouts(
-        order.size, (f, g, p, k, lo, iou), t, member,
+        order.size, (f, g, p, k, lo, iou), member,
         ua.gt.order(member), ua.pred.order(member), solver, not force_solver,
     )
 

@@ -158,10 +158,12 @@ def _fields(node: object, keys: Sequence[str], path: Path, where: str) -> Mappin
 
 def _typed(value: object, kind: type, path: Path, where: str):
     """``value`` as ``kind``: a str must be one already, an int goes through
-    ``int()``; FIELD_TYPE otherwise."""
+    ``int()`` unless that would lose something (a bool, or a float that is
+    not integral); FIELD_TYPE otherwise."""
     if kind is str and isinstance(value, str):
         return value
-    if kind is int:
+    lossy = isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    if kind is int and not lossy:
         try:
             return int(value)  # type: ignore[arg-type]
         except (TypeError, ValueError, OverflowError):

@@ -242,14 +242,15 @@ TIE_HEAVY = (0.0, 2.0**-54, 2.0**-53, 0.5, 1.0, 1.0 + 2.0**-52)
 
 @st.composite
 def closed_form_problems(draw):
-    """Many small problems in one edge list: 1xn and nx1 stars (n <= 5) and
-    2x2s with three or four edges, each on its own ascending rows and
-    columns drawn from a shared range, under distinct group labels, with
-    the edges shuffled. Returns the edge arrays and, per problem, its label,
-    rows, columns and local cells."""
+    """Many small problems in one edge list, as ``hota._solve`` hands them
+    over: 1xn and nx1 stars (n <= 5) and 2x2s with three or four edges,
+    numbered from 0 (not every number used), rows and columns ranked from 0,
+    each edge flagged by whether its problem is a star, with the edges
+    shuffled. Returns the edge arrays and, per problem, its number, local
+    cells and weights."""
     problems = []
-    labels = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
-    for label in labels:
+    numbers = draw(st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True))
+    for number in numbers:
         kind = draw(st.sampled_from(["row", "col", "square"]))
         n = draw(st.integers(1, 5))
         if kind == "row":
@@ -261,60 +262,49 @@ def closed_form_problems(draw):
             missing = draw(st.integers(-1, 3))
             if missing >= 0:
                 del cells[missing]
-        n_rows = 1 + max(r for r, _ in cells)
-        n_cols = 1 + max(c for _, c in cells)
-        rows = sorted(draw(st.sets(st.integers(0, 20), min_size=n_rows, max_size=n_rows)))
-        cols = sorted(draw(st.sets(st.integers(0, 20), min_size=n_cols, max_size=n_cols)))
         weights = [draw(st.sampled_from(TIE_HEAVY)) for _ in cells]
-        problems.append((label, rows, cols, cells, weights))
+        problems.append((number, kind != "square", cells, weights))
     edges = [
-        (label, rows[r], cols[c], w)
-        for label, rows, cols, cells, weights in problems
+        (number, r, c, w, star)
+        for number, star, cells, weights in problems
         for (r, c), w in zip(cells, weights)
     ]
     edges = draw(st.permutations(edges))
-    group, row, col, weight = (np.array(x) for x in zip(*edges))
-    return (group, row, col, weight.astype(np.float64)), problems
+    problem, row, col, weight, star = (np.array(x) for x in zip(*edges))
+    return (problem, row, col, weight.astype(np.float64), star.astype(bool)), problems
 
 
 class TestClosedForm:
     """Stars and 2x2 problems matched in closed form equal the oracle's
-    matching of each problem's sub-matrix."""
+    matching of each problem's matrix."""
 
     @given(closed_form_problems())
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_oracle(self, drawn):
-        (group, row, col, weight), problems = drawn
-        chosen, left = match_closed_form(group, row, col, weight)
-        assert not left.any()
-        for label, rows, cols, cells, weights in problems:
-            w = np.zeros((len(rows), len(cols)))
+        (problem, row, col, weight, star), problems = drawn
+        chosen = match_closed_form(problem, row, col, weight, star)
+        for number, _, cells, weights in problems:
+            n_rows = 1 + max(r for r, _ in cells)
+            n_cols = 1 + max(c for _, c in cells)
+            w = np.zeros((n_rows, n_cols))
             mask = np.zeros(w.shape, dtype=bool)
             for (r, c), x in zip(cells, weights):
                 w[r, c], mask[r, c] = x, True
-            expected = {(rows[r], cols[c]) for r, c in solve_oracle(WeightMatrix(w, mask)).pairs}
-            mine = chosen & (group == label)
+            expected = set(solve_oracle(WeightMatrix(w, mask)).pairs)
+            mine = chosen & (problem == number)
             assert set(zip(row[mine].tolist(), col[mine].tolist())) == expected
 
     def test_sums_that_round_alike(self):
         # diagonal 1 + 2**-54 against anti-diagonal 1 + 2**-53: both round
         # to 1.0, and the anti-diagonal is heavier exactly
         for diag, anti in (((1.0, 2.0**-54), (1.0, 2.0**-53)), ((1.0, 0.0), (2.0**-53, 1.0))):
-            group = np.zeros(4, dtype=np.intp)
+            problem = np.zeros(4, dtype=np.intp)
             row, col = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])
-            chosen, _ = match_closed_form(group, row, col, np.array(diag + anti))
+            star = np.zeros(4, dtype=bool)
+            chosen = match_closed_form(problem, row, col, np.array(diag + anti), star)
             assert chosen.tolist() == [False, False, True, True]
-
-    def test_larger_problems_are_left(self):
-        # a 2x3 problem and a path over three rows next to a 2x2 and a star
-        group = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3])
-        row = np.array([0, 0, 1, 1, 0, 1, 2, 0, 0, 1, 5, 5])
-        col = np.array([0, 1, 1, 2, 0, 0, 1, 0, 1, 1, 3, 4])
-        chosen, left = match_closed_form(group, row, col, np.ones(row.size))
-        assert left.tolist() == [True] * 7 + [False] * 5
-        assert chosen.tolist() == [False] * 7 + [True, False, True, True, False]
 
     def test_empty(self):
         empty = np.empty(0, dtype=np.intp)
-        chosen, left = match_closed_form(empty, empty, empty, np.empty(0))
-        assert chosen.size == left.size == 0
+        chosen = match_closed_form(empty, empty, empty, np.empty(0), np.empty(0, dtype=bool))
+        assert chosen.size == 0

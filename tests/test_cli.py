@@ -54,6 +54,21 @@ def _start_frame_not_int(doc):
     return doc
 
 
+def _start_frame_bool(doc):
+    doc[0]["targets"][0]["start_frame"] = True
+    return doc
+
+
+def _end_frame_fractional(doc):
+    doc[0]["targets"][0]["end_frame"] += 0.7
+    return doc
+
+
+def _length_fractional(doc):
+    doc["sequences"][0]["length"] += 0.9
+    return doc
+
+
 def _entry_not_object(doc):
     return doc + [7]
 
@@ -200,6 +215,10 @@ class TestEvaluateCommand:
         [
             ("expressions.json", _target_without_end, "DOC_FIELD"),
             ("expressions.json", _start_frame_not_int, "FIELD_TYPE"),
+            # int() would truncate these silently
+            ("expressions.json", _start_frame_bool, "FIELD_TYPE"),
+            ("expressions.json", _end_frame_fractional, "FIELD_TYPE"),
+            ("manifest.json", _length_fractional, "FIELD_TYPE"),
             ("expressions.json", _entry_not_object, "DOC_SHAPE"),
             ("manifest.json", _manifest_as_list, "DOC_SHAPE"),
             ("manifest.json", _sequence_without_length, "DOC_FIELD"),
@@ -215,6 +234,27 @@ class TestEvaluateCommand:
         assert result.exit_code == EXIT_IO
         assert f"{code} at {path}" in result.stderr
         assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["evaluate", "{gt}", "{pred}", "--workers", "abc"], "Invalid value for '--workers'"),
+            (["evaluate", "{gt}", "{gt}/missing"], "Invalid value for 'PRED_DIR'"),
+            (["evaluate", "{gt}"], "Missing argument 'PRED_DIR'"),
+            (["evaluate", "{gt}", "{pred}", "--bogus"], "No such option '--bogus'"),
+            (["--bogus"], "No such option '--bogus'"),
+            (["bogus"], "No such command 'bogus'"),
+        ],
+    )
+    def test_usage_error_exits_1(self, runner, mini_dirs, args, message):
+        gt_dir, pred_dir = mini_dirs
+        result = runner.invoke(main, [a.format(gt=gt_dir, pred=pred_dir) for a in args])
+        assert result.exit_code == EXIT_IO
+        assert f"Error: {message}" in result.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["evaluate", "--help"]])
+    def test_help_and_version_exit_0(self, runner, args):
+        assert runner.invoke(main, args).exit_code == 0
 
     def test_out_of_range_prediction_exits_1(self, runner, mini_dirs, tmp_path):
         gt_dir, pred_dir = mini_dirs

@@ -309,27 +309,74 @@ class TestComponentsOnly:
         assert calls and {(m.rows, m.cols) for m in calls} == {(3, 3)}
 
     def test_crowded_golden_bundle(self):
-        root = Path(__file__).resolve().parent / "data" / "golden" / "crowded"
-        bundle = load_bundle(root / "bundle")
         n_calls = 0
-        for task in bundle.tasks:
-            seq = bundle.sequences[task.sequence_id]
-            boxes = parse_predictions(
-                root / "predictions" / unit_filename(task.sequence_id, task.expression_id),
-                seq.length,
-            )
-            restrictions = {
-                attr.value: labels
-                for attr in Attribute
-                if (labels := bundle.attributes[task.sequence_id].frames_with(attr))
-            }
-            fast, slow, calls = match_both_ways(
-                task, filter_predictions(boxes, EvalConfig()), range(1, seq.length + 1),
-                restrictions,
-            )
+        for unit in golden_crowded_units():
+            fast, slow, calls = match_both_ways(*unit)
             assert fast == slow
             n_calls += len(calls)
         assert n_calls > 0
+
+
+def golden_crowded_units():
+    """(task, filtered predictions, frames, attribute restrictions) of each
+    unit of the checked-in crowded golden bundle."""
+    root = Path(__file__).resolve().parent / "data" / "golden" / "crowded"
+    bundle = load_bundle(root / "bundle")
+    for task in bundle.tasks:
+        seq = bundle.sequences[task.sequence_id]
+        boxes = parse_predictions(
+            root / "predictions" / unit_filename(task.sequence_id, task.expression_id),
+            seq.length,
+        )
+        restrictions = {
+            attr.value: labels
+            for attr in Attribute
+            if (labels := bundle.attributes[task.sequence_id].frames_with(attr))
+        }
+        yield task, filter_predictions(boxes, EvalConfig()), range(1, seq.length + 1), restrictions
+
+
+def is_closed_form(m):
+    """Whether ``m`` is a star (one row or one column) or a 2x2."""
+    return m.rows == 1 or m.cols == 1 or (m.rows, m.cols) == (2, 2)
+
+
+class TestClosedFormRouting:
+    """Every star and 2x2 component is matched in closed form, and every
+    larger component goes to the solver, with the stats of
+    ``force_solver``."""
+
+    # one frame, four clusters far apart, every pair of a cluster with IoU
+    # above 0.1 or 0: gt and pred x extents (width 10) per cluster
+    CLUSTERS = {
+        "wide": ([0, 10], [2, 8, 14]),  # a 2x3 of five edges
+        "path": ([0, 10, 20], [5, 15]),  # g0-p0-g1-p1-g2, three rows
+        "star": ([0], [1, -1]),
+        "square": ([0, 3], [1, 2]),  # a 2x2 of four edges
+    }
+    ALPHAS = (0.05, 0.1)
+
+    def test_only_larger_components_reach_the_solver(self):
+        targets, preds = {1: {}}, []
+        for y, (name, (gxs, pxs)) in zip((0, 100, 200, 300), self.CLUSTERS.items()):
+            for i, x in enumerate(gxs):
+                targets[1][f"{name}-g{i}"] = box(x, y, 10, 10)
+            preds += [det(1, box(x, y, 10, 10), f"{name}-p{i}") for i, x in enumerate(pxs)]
+        task = ExpressionTask("s", "e", "t", targets)
+        calls = []
+
+        def recording(m):
+            calls.append(m)
+            return hota.solve_max_weight(m)
+
+        fast = match_unit_all_alphas(task, preds, self.ALPHAS, [1], solver=recording)
+        slow = match_unit_all_alphas(task, preds, self.ALPHAS, [1], force_solver=True)
+        assert fast == slow
+        got = sorted((m.rows, m.cols, int(m.mask.sum())) for m in calls)
+        assert got == [(2, 3, 5)] * len(self.ALPHAS) + [(3, 2, 4)] * len(self.ALPHAS)
+
+        golden = [m for unit in golden_crowded_units() for m in match_both_ways(*unit)[2]]
+        assert golden and not any(is_closed_form(m) for m in golden)
 
 
 class TestSolverAnswerChecked:
@@ -518,27 +565,21 @@ class TestLevels:
             k = np.searchsorted(alphas, iou3, side="right") * present
             f, gi, pi = np.nonzero(k)
             kc = k[f, gi, pi]
-            for force_solver in (False, True):
-                lo, t = _forced_from(f, gi, pi, kc, (nf, g, p), alphas.size, force_solver)
-                assert lo.shape == kc.shape and t.shape == (nf,)
-                for a, alpha in enumerate(alphas.tolist()):
-                    feas = (iou3 >= alpha) & present
-                    assert np.array_equal(a < k, feas)
-                    forced = (lo <= a) & (a < kc)
-                    if force_solver:
-                        assert not forced.any() and np.all(t == alphas.size)
-                        continue
-                    rows = [[sum(feas[fr, r]) for r in range(g)] for fr in range(nf)]
-                    cols = [[sum(feas[fr, :, c]) for c in range(p)] for fr in range(nf)]
-                    # a candidate is forced where it is feasible and alone in
-                    # its row and its column
-                    alone = [
-                        bool(feas[fr, r, c]) and rows[fr][r] == 1 and cols[fr][c] == 1
-                        for fr, r, c in zip(f.tolist(), gi.tolist(), pi.tolist())
-                    ]
-                    assert forced.tolist() == alone
-                    for fr in range(nf):
-                        assert (a >= t[fr]) == all(d <= 1 for d in rows[fr] + cols[fr])
+            lo = _forced_from(f, gi, pi, kc, (g, p))
+            assert lo.shape == kc.shape
+            for a, alpha in enumerate(alphas.tolist()):
+                feas = (iou3 >= alpha) & present
+                assert np.array_equal(a < k, feas)
+                forced = (lo <= a) & (a < kc)
+                rows = [[sum(feas[fr, r]) for r in range(g)] for fr in range(nf)]
+                cols = [[sum(feas[fr, :, c]) for c in range(p)] for fr in range(nf)]
+                # a candidate is forced where it is feasible and alone in its
+                # row and its column
+                alone = [
+                    bool(feas[fr, r, c]) and rows[fr][r] == 1 and cols[fr][c] == 1
+                    for fr, r, c in zip(f.tolist(), gi.tolist(), pi.tolist())
+                ]
+                assert forced.tolist() == alone
 
 
 def random_unit(rng):
