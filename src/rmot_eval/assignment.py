@@ -5,8 +5,8 @@ strict total order: maximize total weight, and among weight-ties prefer the
 matching that greedily includes the lexicographically earliest (row, col)
 pairs. The order is made exact by lossless integer encoding:
 
-* every finite float weight is scaled to an integer with a shared power-of-two
-  denominator (no rounding), and
+* a finite float is ``num / den`` with ``den`` a power of two, so every
+  feasible weight times the largest ``den`` is an integer (no rounding), and
 * each cell (r, c) carries a tie-break bonus of 3 ** (rows*cols - (r*cols+c)).
   Bonus sums of distinct pair sets are distinct, and the whole bonus range is
   smaller than one unit of scaled weight, so the combined integer objective
@@ -27,8 +27,10 @@ solving the whole matrix, because:
 * row-major cell order restricted to sorted sub-rows and sub-columns is the
   global cell order, so each component's greedy-lex winner is the global
   winner restricted to that component; and
-* a per-component ``min_exp`` only rescales that component's weights by a
-  power of two, which orders its matchings the same way.
+* a per-component scale only multiplies that component's weights by
+  another exact integer, which orders its matchings the same way: two
+  matchings of different exact weight still differ by at least one scaled
+  unit times the bonus base, more than the whole bonus range.
 
 :func:`match_closed_form` matches many small problems at once, on edge
 lists, without the encoding, where the optimum has a closed form; the
@@ -110,44 +112,21 @@ class Matching:
 
 
 def _encode(weights: np.ndarray, feas: np.ndarray) -> List[List[int]]:
-    """Losslessly encode weights into combined integer objectives.
+    """Losslessly encode weights into combined integer objectives, in one
+    pass over the feasible cells: weight ``num / den`` scales to
+    ``num * (scale // den)``, ``scale`` the largest ``den``.
 
     combined[r][c] is meaningful only where feasible; infeasible cells hold 0.
     """
     rows, cols = weights.shape
     k = rows * cols
     bonus_base = 3 ** (k + 1)
-
-    # Exact integer mantissas over a common power-of-two denominator.
-    min_exp = None
-    parts: List[List[Tuple[int, int]]] = []
-    for r in range(rows):
-        row_parts = []
-        for c in range(cols):
-            if feas[r, c]:
-                mant, exp = math.frexp(float(weights[r, c]))
-                imant = int(mant * (1 << 53))
-                texp = exp - 53
-                if imant != 0 and (min_exp is None or texp < min_exp):
-                    min_exp = texp
-                row_parts.append((imant, texp))
-            else:
-                row_parts.append((0, 0))
-        parts.append(row_parts)
-    if min_exp is None:
-        min_exp = 0
-
-    combined: List[List[int]] = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            if feas[r, c]:
-                imant, texp = parts[r][c]
-                scaled = imant << (texp - min_exp) if imant else 0
-                row.append(scaled * bonus_base + 3 ** (k - (r * cols + c)))
-            else:
-                row.append(0)
-        combined.append(row)
+    at_r, at_c = np.nonzero(feas)
+    ratios = [w.as_integer_ratio() for w in weights[at_r, at_c].tolist()]
+    scale = max((den for _, den in ratios), default=1)
+    combined = [[0] * cols for _ in range(rows)]
+    for r, c, (num, den) in zip(at_r.tolist(), at_c.tolist(), ratios):
+        combined[r][c] = num * (scale // den) * bonus_base + 3 ** (k - (r * cols + c))
     return combined
 
 
@@ -158,34 +137,34 @@ def _finish(m: WeightMatrix, pairs: Sequence[Tuple[int, int]]) -> Matching:
 
 
 def _hungarian(weights: np.ndarray, feas: np.ndarray) -> List[Tuple[int, int]]:
-    """Exact O(n^3) matching of one matrix under the shared strict order.
+    """Exact O(n^2 m) matching of one matrix with sides n <= m under the
+    shared strict order.
 
-    Shortest-augmenting-path Hungarian method on the padded square integer
-    objective, so results are bit-stable across runs and platforms.
+    Shortest-augmenting-path Hungarian method on the integer objective with
+    the shorter side as rows (a tall matrix is solved transposed), so
+    results are bit-stable across runs and platforms. Every row is
+    assigned; an infeasible cell has benefit 0, below every feasible one,
+    and means "leave unmatched".
     """
-    combined = _encode(weights, feas)
+    benefit = _encode(weights, feas)
     rows, cols = weights.shape
-    n = max(rows, cols)
-    # benefit[r][c]: 0 pads mean "leave unmatched"
-    benefit = [[0] * n for _ in range(n)]
-    for r in range(rows):
-        brow = benefit[r]
-        crow = combined[r]
-        for c in range(cols):
-            brow[c] = crow[c]
+    flip = rows > cols
+    if flip:
+        benefit = [list(col) for col in zip(*benefit)]
+        rows, cols = cols, rows
 
     # Hungarian on cost = -benefit via the classic potentials formulation
     # (1-based arrays internally).
     INF = None  # sentinel for "unreached"
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)  # p[c] = row matched to column c (0 = none)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
+    u = [0] * (rows + 1)
+    v = [0] * (cols + 1)
+    p = [0] * (cols + 1)  # p[c] = row matched to column c (0 = none)
+    way = [0] * (cols + 1)
+    for i in range(1, rows + 1):
         p[0] = i
         j0 = 0
-        minv: List[Optional[int]] = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        minv: List[Optional[int]] = [INF] * (cols + 1)
+        used = [False] * (cols + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
@@ -193,7 +172,7 @@ def _hungarian(weights: np.ndarray, feas: np.ndarray) -> List[Tuple[int, int]]:
             j1 = -1
             bi = benefit[i0 - 1]
             ui = u[i0]
-            for j in range(1, n + 1):
+            for j in range(1, cols + 1):
                 if not used[j]:
                     cur = -bi[j - 1] - ui - v[j]
                     mj = minv[j]
@@ -204,7 +183,7 @@ def _hungarian(weights: np.ndarray, feas: np.ndarray) -> List[Tuple[int, int]]:
                     if delta is None or mj < delta:
                         delta = mj
                         j1 = j
-            for j in range(n + 1):
+            for j in range(cols + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
@@ -218,12 +197,10 @@ def _hungarian(weights: np.ndarray, feas: np.ndarray) -> List[Tuple[int, int]]:
             p[j0] = p[j1]
             j0 = j1
 
-    pairs = []
-    for c in range(1, n + 1):
-        r = p[c]
-        if r and r - 1 < rows and c - 1 < cols and feas[r - 1, c - 1]:
-            pairs.append((r - 1, c - 1))
-    return pairs
+    pairs = [(r - 1, c - 1) for c, r in enumerate(p) if c and r]
+    if flip:
+        pairs = [(r, c) for c, r in pairs]
+    return [(r, c) for r, c in pairs if feas[r, c]]
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -277,8 +254,8 @@ def match_closed_form(
 def solve_max_weight(m: WeightMatrix) -> Matching:
     """Exact maximum-weight matching; rows/cols may stay unmatched.
 
-    Solves the whole matrix by the exact Hungarian method, O(n^3) in its
-    larger side. A caller that splits a sparse matrix into the connected
+    Solves the whole matrix by the exact Hungarian method, O(n^2 m) for
+    sides n <= m. A caller that splits a sparse matrix into the connected
     components of its feasibility graph may solve each one on its own (see
     the module docstring); this function does not split.
     """

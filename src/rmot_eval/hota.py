@@ -456,19 +456,14 @@ def _solve(
     for s0, s1, n_rows, n_cols in zip(
         starts.tolist(), bounds[hard + 1].tolist(), n_r[starts].tolist(), n_c[starts].tolist()
     ):
-        rs, cs = ri[s0:s1], ci[s0:s1]
-        mask = np.zeros((n_rows, n_cols), dtype=bool)
-        mask[rs, cs] = True
-        # a masked-out cell's weight is never read
-        weights = np.zeros(mask.shape, dtype=np.float64)
-        weights[rs, cs] = weight[s0:s1]
-        result = solver(WeightMatrix(weights=weights, mask=mask))
-        if result.pairs:
-            cand = np.full(mask.shape, -1, dtype=np.intp)
-            cand[rs, cs] = np.arange(s0, s1)
-            picked = _checked_pairs(result.pairs, cand)
-            solved_c.append(c[picked])
-            solved_a.append(np.full(len(picked), a[s0]))
+        # each cell's edge number, -1 off the edges
+        cand = np.full((n_rows, n_cols), -1, dtype=np.intp)
+        cand[ri[s0:s1], ci[s0:s1]] = np.arange(s0, s1)
+        mask = cand >= 0
+        result = solver(WeightMatrix(weights=np.where(mask, weight[cand], 0.0), mask=mask))
+        picked = _checked_pairs(result.pairs, cand)
+        solved_c.append(c[picked])
+        solved_a.append(np.full(len(picked), a[s0]))
     return np.concatenate(solved_a), np.concatenate(solved_c)
 
 
@@ -479,7 +474,7 @@ def _checked_pairs(pairs: Sequence[Tuple[int, int]], cand: np.ndarray) -> List[i
     matching of the matrix. Plain Python, as a solver returns a few pairs."""
     n_r, n_c = cand.shape
     edges = [cand[r, c] if 0 <= r < n_r and 0 <= c < n_c else -1 for r, c in pairs]
-    if min(edges) < 0:
+    if -1 in edges:
         raise ValueError(f"solver matched a pair off the {n_r}x{n_c} matrix's edges: {pairs}")
     if len({r for r, _ in pairs}) < len(pairs) or len({c for _, c in pairs}) < len(pairs):
         raise ValueError(f"solver matched a row or a column twice: {pairs}")

@@ -121,7 +121,7 @@ def _encoding_error(path: Path) -> ParseError:
 
 
 def _lines(path: Path) -> Iterable[Tuple[int, str]]:
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\r\n")
@@ -351,7 +351,7 @@ def _line_blocks(path: Path, n_fields: int, length: Optional[int]) -> Optional[_
     n_values = n_fields - 2
     values = [np.empty((0, n_values))]
     index: Dict[str, int] = {}  # track id -> its index, in first-appearance order
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         for at, block in enumerate(iter(lambda: list(islice(fh, _BLOCK_LINES)), [])):
             if at == 0:
                 head = block[0].rstrip("\r\n")

@@ -1,6 +1,7 @@
 """Exact matching: solver examples, tie-break order, oracle equivalence."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -238,6 +239,72 @@ class TestComponentSplit:
 # Ties everywhere: equal weights, zeros, and sums that round alike but differ
 # exactly, since fl(1 + 2**-54) == fl(1 + 2**-53) == 1.0 == fl(1 + 0.0).
 TIE_HEAVY = (0.0, 2.0**-54, 2.0**-53, 0.5, 1.0, 1.0 + 2.0**-52)
+
+
+# the smallest subnormal, the smallest normal and a huge weight share a
+# matrix with the ties above, so the solver's integer scale spans the whole
+# float range; -0.0 is feasible, as 0.0 is
+EXTREME = (5e-324, 2.0**-1022, 1e300, -0.0) + TIE_HEAVY
+
+
+@st.composite
+def extreme_matrices(draw):
+    """Matrices of up to 4x5 and 5x4 cells drawn from ``EXTREME``, with a mask."""
+    shape = (draw(st.integers(0, 4)), draw(st.integers(0, 5)))
+    if draw(st.booleans()):
+        shape = shape[::-1]
+    weights = draw(arrays(np.float64, shape, elements=st.sampled_from(EXTREME)))
+    return WeightMatrix(weights=weights, mask=draw(arrays(np.bool_, shape)))
+
+
+def exact_best(wm: WeightMatrix) -> tuple:
+    """The best matching's pairs by enumeration, without the solvers'
+    encoding: the largest exact (``Fraction``) weight sum, and among equal
+    sums the matching that holds the earliest row-major cell at which two
+    matchings differ."""
+    feas = wm.feasible()
+    rows, cols = feas.shape
+
+    def matchings(r, used):
+        if r == rows:
+            yield ()
+            return
+        yield from matchings(r + 1, used)
+        for c in range(cols):
+            if feas[r, c] and c not in used:
+                for rest in matchings(r + 1, used | {c}):
+                    yield ((r, c),) + rest
+
+    def order(pairs):
+        held = set(pairs)
+        weight = sum(Fraction(float(wm.weights[r, c])) for r, c in pairs)
+        return weight, [(r, c) in held for r in range(rows) for c in range(cols)]
+
+    return max(matchings(0, frozenset()), key=order)
+
+
+class TestExactOrder:
+    """Both solvers find the exact (weight, greedy-lex) optimum, however far
+    apart the weights' exponents lie."""
+
+    @given(extreme_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_exact_enumeration(self, wm):
+        expected = exact_best(wm)
+        for solve in (solve_max_weight, solve_oracle):
+            m = solve(wm)
+            assert m.pairs == expected, solve.__name__
+            assert m.total_weight == math.fsum(wm.weights[r, c] for r, c in expected)
+
+    def test_tiny_weights_keep_their_order(self):
+        # 5e-324 and 2**-1022 both have numerator 1, so only the shared
+        # scale makes the anti-diagonal heavier; 1e300 has denominator 1
+        weights = np.array(
+            [[5e-324, 2.0**-1022, 0.0], [2.0**-1022, 5e-324, 0.0], [0.0, 0.0, 1e300]]
+        )
+        wm = WeightMatrix(weights=weights)
+        expected = ((0, 1), (1, 0), (2, 2))
+        assert solve_max_weight(wm).pairs == solve_oracle(wm).pairs == expected
 
 
 @st.composite

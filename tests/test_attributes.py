@@ -140,6 +140,20 @@ class TestBuildAttributeReport:
         assert report.n_m_effective == 0
         assert report.hota_m is None
         assert any("rotation" in w for w in report.warnings)
+        assert "HOTA_S composed from 2 of 3 attributes" in report.warnings
+
+    def test_partial_motion_composite_warns(self):
+        seq, task, _ = day_night_setup()
+        labels = AttributeFrameLabels("s", {
+            1: frozenset({Attribute.DAY, Attribute.FAST_MOTION}),
+            2: frozenset({Attribute.DAY}),
+            3: frozenset({Attribute.NIGHT, Attribute.ROTATION}),
+            4: frozenset({Attribute.NIGHT}),
+        })
+        preds = {("s", "e"): perfect_predictions(task)}
+        report = evaluated_attributes({"s": seq}, [task], preds, {"s": labels})
+        assert (report.n_m_effective, report.hota_m) == (2, 100.0)
+        assert "HOTA_M composed from 2 of 4 attributes" in report.warnings
 
     def test_frame_counts(self):
         seq, task, labels = day_night_setup()

@@ -97,6 +97,21 @@ def _text_null(doc):
     return doc
 
 
+def _targets_not_list(doc):
+    doc[0]["targets"] = {"track_id": "a1"}
+    return doc
+
+
+def _unknown_sequence(doc):
+    doc[0]["sequence_id"] = "seq-z"
+    return doc
+
+
+def _sequences_not_list(doc):
+    doc["sequences"] = {}
+    return doc
+
+
 class TestEvaluateCommand:
     def test_perfect_run(self, runner, mini_dirs, tmp_path):
         gt_dir, pred_dir = mini_dirs
@@ -119,6 +134,22 @@ class TestEvaluateCommand:
         )
         assert result.exit_code == 0
         assert "treating as empty" in result.output
+
+    def test_absent_target_frames_warn(self, runner, mini_dirs, tmp_path):
+        # a2 exists on frames 3-7 only; widen seq-a/e2's interval to 1-7
+        gt_dir, pred_dir = mini_dirs
+        path = gt_dir / "expressions.json"
+        doc = json.loads(path.read_text())
+        (entry,) = [e for e in doc if (e["sequence_id"], e["expression_id"]) == ("seq-a", "e2")]
+        entry["targets"][0]["start_frame"] = 1
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["evaluate", str(gt_dir), str(pred_dir), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines()[0] == (
+            "warning: seq-a/e2: track a2 absent on 2 frame(s) of interval [1, 7]"
+        )
+        assert (out / "report.json").exists()
 
     def test_missing_prediction_file_strict_errors(self, runner, mini_dirs, tmp_path):
         gt_dir, pred_dir = mini_dirs
@@ -222,6 +253,9 @@ class TestEvaluateCommand:
             ("expressions.json", _entry_not_object, "DOC_SHAPE"),
             ("manifest.json", _manifest_as_list, "DOC_SHAPE"),
             ("manifest.json", _sequence_without_length, "DOC_FIELD"),
+            ("expressions.json", _targets_not_list, "DOC_SHAPE"),
+            ("expressions.json", _unknown_sequence, "UNKNOWN_SEQUENCE"),
+            ("manifest.json", _sequences_not_list, "DOC_SHAPE"),
         ],
     )
     def test_malformed_document_exits_1(self, runner, mini_dirs, tmp_path, doc, edit, code):

@@ -37,7 +37,7 @@ from rmot_eval.io_formats import (
 from rmot_eval.hota import AlphaStats, finalize
 from rmot_eval.model import DEFAULT_ALPHA_GRID, Attribute, BoundingBox, SequenceData
 
-from .conftest import build_mini_bundle, perfect_predictions
+from .conftest import build_mini_bundle, perfect_predictions, task_from_tracks
 
 
 class TestGtFormat:
@@ -129,7 +129,11 @@ class TestAttributesFormat:
         assert exc.value.code == "NON_BINARY_CELL"
 
     @pytest.mark.parametrize(
-        "frame, code", [(0, "FRAME_INDEX"), (-4, "FRAME_INDEX"), (99, "FRAME_OUT_OF_RANGE")]
+        "frame, code",
+        [
+            (0, "FRAME_INDEX"), (-4, "FRAME_INDEX"), (99, "FRAME_OUT_OF_RANGE"),
+            (1, "DUPLICATE_FRAME_ROW"),  # a frame listed twice
+        ],
     )
     def test_row_outside_sequence(self, tmp_path, frame, code):
         p = tmp_path / "attributes.txt"
@@ -138,6 +142,15 @@ class TestAttributesFormat:
         with pytest.raises(ParseError) as exc:
             parse_attributes(p, "s", 3)
         assert exc.value.code == code and exc.value.line == 4
+
+    @pytest.mark.parametrize("header", ["", "frame,day,night,vc,sv,occ,fm,rot,lr\n"])
+    def test_byte_order_mark_skipped(self, tmp_path, header):
+        # the mark must not turn the first row into a header
+        p = tmp_path / "attributes.txt"
+        rows = "1,0,1,0,0,0,0,0,0\n2,1,0,0,0,0,0,0,0\n"
+        p.write_text(header + rows, encoding="utf-8-sig")
+        labels = parse_attributes(p, "s", 2)
+        assert labels.flags == {1: frozenset({Attribute.NIGHT}), 2: frozenset({Attribute.DAY})}
 
     def test_round_trip(self, tmp_path, mini_bundle):
         labels = mini_bundle.attributes["seq-a"]
@@ -206,8 +219,9 @@ _PRED_HEADER = "frame,track_id,x,y,w,h,confidence,referring_score"
 _INT64_MAX = 2**63 - 1
 _FAULT_KINDS = (
     "field_count", "non_integer", "int64_overflow", "below_one", "after_length",
-    "non_finite", "score", "duplicate",
+    "non_numeric", "non_finite", "score", "duplicate",
 )
+_NOT_NUMBERS = ("x", "", "1.2.3", "0x1", "--1")
 
 
 def _pred_row(length):
@@ -252,8 +266,10 @@ _SPELLINGS = ("plain", "space", "plus", "underscore", "arabic")
 def _prediction_files(draw):
     """(file text, length, valid rows in file order, first fault's (code,
     line) or None): valid rows with their numbers spelled in any way
-    ``int``/``float`` accept, an optional header, LF, CRLF or lone CR line
-    ends, blank lines, and 0-2 faulty lines of different kinds."""
+    ``int``/``float`` accept, an optional header, an optional UTF-8
+    byte-order mark before the first line (a header or a row), LF, CRLF or
+    lone CR line ends, blank lines, and 0-2 faulty lines of different
+    kinds."""
     length = draw(st.none() | st.integers(1, 30))
     rows = draw(st.lists(_pred_row(length), max_size=12, unique_by=lambda r: r[:2]))
     body = []
@@ -272,6 +288,7 @@ def _prediction_files(draw):
             "int64_overflow": "FIELD_TYPE" if length is None else "FRAME_OUT_OF_RANGE",
             "below_one": "FRAME_INDEX",
             "after_length": "FRAME_OUT_OF_RANGE",
+            "non_numeric": "FIELD_TYPE",
             "non_finite": "NON_FINITE",
             "score": "SCORE_RANGE",
             "duplicate": "DUPLICATE_BOX",
@@ -287,6 +304,8 @@ def _prediction_files(draw):
             fields[0] = str(draw(st.integers(-5, 0)))
         elif kind == "after_length":
             fields[0] = str(length + draw(st.integers(1, 5)))
+        elif kind == "non_numeric":
+            fields[draw(st.integers(2, 5))] = draw(st.sampled_from(_NOT_NUMBERS))
         elif kind == "non_finite":
             bad = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
             fields[draw(st.integers(2, 5))] = bad
@@ -306,7 +325,7 @@ def _prediction_files(draw):
     if draw(st.booleans()):
         body.insert(0, (_PRED_HEADER, None))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = "".join(line + eol for line, _ in body)
+    text = draw(st.sampled_from(["", "\ufeff"])) + "".join(line + eol for line, _ in body)
     faults = [(c, i) for i, (_, c) in enumerate(body, start=1) if c is not None]
     return text, length, rows, faults[0] if faults else None
 
@@ -342,6 +361,7 @@ _GT_FAULTS = {
     "non_integer": "FIELD_TYPE",
     "int64_overflow": "FIELD_TYPE",
     "below_one": "FRAME_INDEX",
+    "non_numeric": "FIELD_TYPE",
     "non_finite": "NON_FINITE",
     "duplicate": "DUPLICATE_BOX",
 }
@@ -373,6 +393,8 @@ def _gt_files(draw):
             fields[0] = str(_INT64_MAX + draw(st.integers(1, 10**6)))
         elif kind == "below_one":
             fields[0] = str(draw(st.integers(-5, 0)))
+        elif kind == "non_numeric":
+            fields[draw(st.integers(2, 5))] = draw(st.sampled_from(_NOT_NUMBERS))
         elif kind == "non_finite":
             bad = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
             fields[draw(st.integers(2, 5))] = bad
@@ -389,7 +411,7 @@ def _gt_files(draw):
     if draw(st.booleans()):
         body.insert(0, (_GT_HEADER, None))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    text = "".join(line + eol for line, _ in body)
+    text = draw(st.sampled_from(["", "\ufeff"])) + "".join(line + eol for line, _ in body)
     faults = [(c, i) for i, (_, c) in enumerate(body, start=1) if c is not None]
     return text, draw(st.integers(1, 5)), rows, faults[0] if faults else None
 
@@ -580,6 +602,23 @@ class TestExpressionsFormat:
         write_expressions(tasks_to_intervals(mini_bundle.tasks), p)
         tasks, _ = parse_expressions(p, mini_bundle.sequences)
         assert tuple(tasks) == mini_bundle.tasks
+
+    def test_track_split_at_a_frame_gap(self, mini_bundle, tmp_path):
+        # a1 is a target on frames 1-3 and 6-8: two intervals, and the
+        # bundle written with them loads back as the same task
+        seq = mini_bundle.sequences["seq-a"]
+        task = task_from_tracks(
+            "seq-a", "e9", "x", [(seq.tracks["a1"], [1, 2, 3, 6, 7, 8]), (seq.tracks["a2"], [3])]
+        )
+        assert tasks_to_intervals([task])[0]["targets"] == [
+            {"track_id": "a1", "start_frame": 1, "end_frame": 3},
+            {"track_id": "a1", "start_frame": 6, "end_frame": 8},
+            {"track_id": "a2", "start_frame": 3, "end_frame": 3},
+        ]
+        root = tmp_path / "bundle"
+        write_bundle(root, {"seq-a": seq}, [task], {})
+        loaded = load_bundle(root)
+        assert loaded.tasks == (task,) and loaded.warnings == ()
 
     @pytest.mark.parametrize("text", [None, 7, ["x"]])
     def test_non_string_text_rejected(self, mini_bundle, tmp_path, text):
