@@ -243,7 +243,7 @@ def cmd_stats(gt_dir: Path, out_dir: Path) -> None:
 def cmd_synth(config_file: Path, out_dir: Path) -> None:
     """Generate a synthetic bundle plus predictions from CONFIG_FILE (JSON)."""
     try:
-        with config_file.open("r", encoding="utf-8") as fh:
+        with config_file.open("r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
         scenarios = doc.get("scenarios") if isinstance(doc, dict) else None
         if not scenarios:

@@ -133,7 +133,7 @@ def _lines(path: Path) -> Iterable[Tuple[int, str]]:
 
 def _load_json(path: Path) -> object:
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with path.open("r", encoding="utf-8-sig") as fh:
             return json.load(fh)
     except UnicodeDecodeError:
         raise _encoding_error(path) from None
@@ -202,7 +202,7 @@ def _records(
     given)."""
     for lineno, line in _lines(path):
         fields = line.split(",")
-        if lineno == 1 and not _is_number(fields[0]):
+        if lineno == 1 and not any(map(_is_number, fields)):
             continue  # optional header
         if len(fields) != n_fields:
             raise ParseError(
@@ -355,7 +355,7 @@ def _line_blocks(path: Path, n_fields: int, length: Optional[int]) -> Optional[_
         for at, block in enumerate(iter(lambda: list(islice(fh, _BLOCK_LINES)), [])):
             if at == 0:
                 head = block[0].rstrip("\r\n")
-                if head and not _is_number(head.split(",", 1)[0]):
+                if head and not any(map(_is_number, head.split(","))):
                     block[0] = ""  # optional header
             lines = list(filter(None, map(str.rstrip, block, repeat("\r\n"))))
             if not lines:

@@ -5,12 +5,30 @@ spawn keys per entity (track, expression, frame), so outputs are bit-identical
 for a given seed regardless of iteration order, platform, or parallelism.
 All generated coordinates are integer-valued, which keeps IoU values exactly
 reproducible under uniform box scaling in downstream invariance checks.
+
+``perturb``'s false positives are defined by scalar draws, one frame's
+generator at a time (``_scalar_false_positives``): a Poisson count, then per
+false positive four ``integers`` (w, h, x, y) and two ``uniform`` (confidence,
+referring score). ``_false_positives`` takes each frame's raw 64-bit outputs
+after its count instead and decodes all frames of a call in one numpy pass,
+the way numpy decodes each scalar draw: Lemire's method on the low and high
+32-bit halves for the integers, ``(raw >> 11) * 2**-53`` for the uniforms.
+The streams and every output are unchanged. A frame goes back through the
+scalar draws when the decode cannot prove numpy's result: when a draw's low
+word ``(u * n) & 0xFFFFFFFF`` is below its range size ``n`` (numpy might
+reject it and draw again), or when a range holds one value (a size range
+with lo == hi, a box as wide as the frame), where numpy draws nothing, or
+2**32 values or more, where it draws 64 bits. The decode was checked against
+numpy 2.4.6 only; the Lemire and PCG64 half-word paths it reads date from
+numpy 1.17, and ``tests/test_synth.py`` compares it with the scalar draws.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from itertools import islice
+from numbers import Integral
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,6 +108,19 @@ class PerturbationConfig:
             raise ValueError("idswitch_rate must lie in [0, 1]")
         if self.fp_rate < 0 or self.jitter < 0:
             raise ValueError("fp_rate and jitter must be non-negative")
+        fw, fh = self.frame_size
+        if not (isinstance(fw, Integral) and isinstance(fh, Integral) and fw >= 1 and fh >= 1):
+            raise ValueError(f"frame_size must hold integers >= 1, got {self.frame_size!r}")
+        lo, hi = self.fp_box_size_range
+        if not (isinstance(lo, Integral) and isinstance(hi, Integral) and 1 <= lo <= hi):
+            raise ValueError(
+                "fp_box_size_range must hold integers 1 <= lo <= hi, "
+                f"got {self.fp_box_size_range!r}"
+            )
+        for name in ("confidence_range", "referring_range"):
+            lo, hi = getattr(self, name)
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise ValueError(f"{name} must satisfy 0 <= lo <= hi <= 1, got {(lo, hi)!r}")
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -232,7 +263,6 @@ def perturb(dets: Sequence[Detection], cfg: PerturbationConfig) -> List[Detectio
     sets nested across increasing miss rates for a fixed seed.
     """
     ordered = sorted(dets, key=lambda d: (d.frame, d.track_id))
-    fw, fh = cfg.frame_size
 
     # per-track switch schedules: fresh id from the switch frame onward
     track_ids = sorted({d.track_id for d in ordered})
@@ -283,26 +313,108 @@ def perturb(dets: Sequence[Detection], cfg: PerturbationConfig) -> List[Detectio
             )
 
     if cfg.fp_rate > 0.0:
-        lo, hi = cfg.fp_box_size_range
-        for frame in range(1, cfg.sequence_length + 1):
-            rng = _rng(cfg.seed, _K_FP, frame)
-            count = int(rng.poisson(cfg.fp_rate))
-            for k in range(count):
-                w = int(rng.integers(lo, hi + 1))
-                h = int(rng.integers(lo, hi + 1))
-                x = int(rng.integers(0, max(fw - w, 0) + 1))
-                y = int(rng.integers(0, max(fh - h, 0) + 1))
-                conf = float(rng.uniform(*cfg.confidence_range))
-                ref = float(rng.uniform(*cfg.referring_range))
-                out.append(
-                    Detection(
-                        frame=frame,
-                        box=BoundingBox(float(x), float(y), float(w), float(h)),
-                        confidence=conf,
-                        referring_score=ref,
-                        track_id=f"fp-{frame}-{k}",
-                    )
-                )
+        out.extend(_false_positives(cfg))
 
     out.sort(key=lambda d: (d.frame, d.track_id))
+    return out
+
+
+_U32 = 0xFFFFFFFF
+
+
+def _false_positive(
+    frame: int, k: int, xywh: Sequence[float], conf: float, ref: float
+) -> Detection:
+    return Detection(frame, BoundingBox(*xywh), conf, ref, f"fp-{frame}-{k}")
+
+
+def _scalar_false_positives(cfg: PerturbationConfig, frame: int) -> List[Detection]:
+    """Frame ``frame``'s false positives, drawn one numpy scalar at a time.
+
+    This defines the stream: a Poisson count, then for each false positive
+    its width, height, x and y (``integers``) and its confidence and
+    referring score (``uniform``). ``_false_positives`` decodes the same
+    stream in one pass and falls back to this for a frame it cannot decode.
+    """
+    lo, hi = cfg.fp_box_size_range
+    fw, fh = cfg.frame_size
+    rng = _rng(cfg.seed, _K_FP, frame)
+    out = []
+    for k in range(int(rng.poisson(cfg.fp_rate))):
+        w = int(rng.integers(lo, hi + 1))
+        h = int(rng.integers(lo, hi + 1))
+        x = int(rng.integers(0, max(fw - w, 0) + 1))
+        y = int(rng.integers(0, max(fh - h, 0) + 1))
+        conf = float(rng.uniform(*cfg.confidence_range))
+        ref = float(rng.uniform(*cfg.referring_range))
+        out.append(_false_positive(frame, k, (float(x), float(y), float(w), float(h)), conf, ref))
+    return out
+
+
+def _lemire(u32: np.ndarray, n: int | np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """numpy's draw of one of ``n`` values from 32 random bits, and where it is exact.
+
+    ``Generator.integers`` over ``n`` values (2 <= n < 2**32) takes 32 bits
+    ``u`` and returns ``(u * n) >> 32`` (Lemire's method), unless the low
+    word ``(u * n) & 0xFFFFFFFF`` falls below its rejection threshold, which
+    is less than ``n``; then it draws again. A low word of at least ``n``
+    therefore proves the draw. A range of one value draws no bits at all.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    m = u32 * n
+    return (m >> 32).astype(np.int64), (n >= 2) & ((m & _U32) >= n)
+
+
+def _uniform(raw: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """numpy's ``uniform(lo, hi)`` from one raw 64-bit output, as
+    ``lo + (hi - lo) * next_double`` with ``next_double = (raw >> 11) * 2**-53``."""
+    return lo + (hi - lo) * ((raw >> 11) * 2.0**-53)
+
+
+def _false_positives(cfg: PerturbationConfig) -> List[Detection]:
+    """Every frame's false positives, equal to ``_scalar_false_positives``'s
+    (the module docstring gives the decode and when a frame falls back).
+
+    Poisson draws only doubles, so after a frame's count no buffered 32-bit
+    half is pending, and each false positive's scalar draws read the next
+    four raw outputs: w and h from the low and high half of the first, x and
+    y from those of the second, the two scores from the third and fourth.
+    """
+    lo, hi = cfg.fp_box_size_range
+    fw, fh = cfg.frame_size
+    frames = range(1, cfg.sequence_length + 1)
+    # sides below 2**32 keep every x and y range, max(fw - w, 0) + 1 with
+    # w >= 1, below 2**32 values
+    if not (0 < hi - lo < _U32 and max(fw, fh) <= _U32):
+        return [d for frame in frames for d in _scalar_false_positives(cfg, frame)]
+
+    counts = []
+    raws = [np.empty(0, np.uint64)]
+    for frame in frames:
+        rng = _rng(cfg.seed, _K_FP, frame)
+        count = int(rng.poisson(cfg.fp_rate))
+        counts.append(count)
+        raws.append(rng.bit_generator.random_raw(4 * count))
+    raw = np.concatenate(raws).reshape(-1, 4)
+    low, high = raw[:, :2] & _U32, raw[:, :2] >> 32
+
+    w, w_ok = _lemire(low[:, 0], hi - lo + 1)
+    h, h_ok = _lemire(high[:, 0], hi - lo + 1)
+    w += lo
+    h += lo
+    x, x_ok = _lemire(low[:, 1], np.maximum(fw - w, 0) + 1)
+    y, y_ok = _lemire(high[:, 1], np.maximum(fh - h, 0) + 1)
+    conf = _uniform(raw[:, 2], *cfg.confidence_range)
+    ref = _uniform(raw[:, 3], *cfg.referring_range)
+    inexact = set(np.repeat(frames, counts)[~(w_ok & h_ok & x_ok & y_ok)].tolist())
+
+    xywh = np.stack([x, y, w, h], axis=1).astype(np.float64)
+    rows = zip(xywh.tolist(), conf.tolist(), ref.tolist())
+    out: List[Detection] = []
+    for frame, count in zip(frames, counts):
+        drawn = list(islice(rows, count))
+        if frame in inexact:
+            out.extend(_scalar_false_positives(cfg, frame))
+        else:
+            out.extend(_false_positive(frame, k, *row) for k, row in enumerate(drawn))
     return out

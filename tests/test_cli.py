@@ -651,6 +651,41 @@ class TestSynthCommand:
         result = runner.invoke(main, ["synth", str(cfg), str(tmp_path / "gen")])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "pert",
+        [
+            {"confidence_range": [0.5, 1.5]},
+            {"referring_range": [0.6, 0.4]},
+            {"fp_box_size_range": [0, 0]},
+            {"fp_box_size_range": [80, 20]},
+            {"fp_box_size_range": [20.5, 80]},
+        ],
+    )
+    def test_invalid_perturbation_exits_1(self, runner, tmp_path, pert):
+        cfg = tmp_path / "cfg.json"
+        doc = {**SYNTH_CONFIG, "perturbation": {"seed": 5, "fp_rate": 2.0, **pert}}
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["synth", str(cfg), str(tmp_path / "gen")])
+        assert result.exit_code == EXIT_IO
+        assert result.stderr.startswith("error: invalid config: ")
+        assert isinstance(result.exception, SystemExit)
+        assert not (tmp_path / "gen").exists()
+
+    def test_byte_order_mark_skipped(self, runner, tmp_path):
+        for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(SYNTH_CONFIG), encoding=encoding)
+            result = runner.invoke(main, ["synth", str(cfg), str(tmp_path / name)])
+            assert result.exit_code == 0, result.output
+        tree = {
+            name: {
+                str(p.relative_to(tmp_path / name)): p.read_bytes()
+                for p in (tmp_path / name).rglob("*") if p.is_file()
+            }
+            for name in ("plain", "marked")
+        }
+        assert tree["plain"] and tree["plain"] == tree["marked"]
+
 
 class TestValidateCommand:
     def test_clean_fixture(self, runner, mini_dirs):

@@ -54,6 +54,27 @@ class TestGtFormat:
         p.write_text("frame,track_id,x,y,w,h\n1,7,0,0,5,5\n")
         assert set(parse_gt(p)) == {"7"}
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("gt.txt", ",7,0,0,5,5\n2,7,0,0,5,5\n"),
+            ("pred.txt", ",p1,1,1,5,5,0.9,0.9\n2,p1,1,1,5,5,0.9,0.9\n"),
+            ("attributes.txt", "x,0,1,0,0,0,0,0,0\n2,1,0,0,0,0,0,0,0\n"),
+        ],
+    )
+    def test_first_line_with_a_number_is_data(self, tmp_path, name, text):
+        # a header holds no number, so a first row with a bad frame is an error
+        p = tmp_path / name
+        p.write_text(text)
+        parse = {
+            "gt.txt": parse_gt,
+            "pred.txt": parse_predictions,
+            "attributes.txt": lambda path: parse_attributes(path, "s", 2),
+        }[name]
+        with pytest.raises(ParseError) as exc:
+            parse(p)
+        assert (exc.value.code, exc.value.line) == ("FIELD_TYPE", 1)
+
     def test_field_count_error(self, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_text("1,7,10,10\n")
@@ -297,7 +318,7 @@ def _prediction_files(draw):
             n = draw(st.sampled_from([1, 2, 6, 7, 9]))
             fields = (fields + ["0"])[:n]
         elif kind == "non_integer":
-            fields[0] = draw(st.sampled_from(["1.5", "2e3", "nan", "inf"]))
+            fields[0] = draw(st.sampled_from(["1.5", "2e3", "nan", "inf", "x", ""]))
         elif kind == "int64_overflow":
             fields[0] = str(_INT64_MAX + draw(st.integers(1, 10**6)))
         elif kind == "below_one":
@@ -388,7 +409,7 @@ def _gt_files(draw):
             n = draw(st.sampled_from([1, 2, 5, 7, 8]))
             fields = (fields + ["0", "0"])[:n]
         elif kind == "non_integer":
-            fields[0] = draw(st.sampled_from(["1.5", "2e3", "nan", "inf"]))
+            fields[0] = draw(st.sampled_from(["1.5", "2e3", "nan", "inf", "x", ""]))
         elif kind == "int64_overflow":
             fields[0] = str(_INT64_MAX + draw(st.integers(1, 10**6)))
         elif kind == "below_one":
@@ -645,6 +666,17 @@ class TestBundleRoundTrip:
             }
         assert loaded.tasks == mini_bundle.tasks
         assert loaded.attributes == dict(mini_bundle.attributes)
+
+    @pytest.mark.parametrize("doc", ["manifest.json", "expressions.json"])
+    def test_byte_order_mark_skipped(self, tmp_path, mini_bundle, doc):
+        root = tmp_path / "bundle"
+        write_bundle(root, mini_bundle.sequences, mini_bundle.tasks, mini_bundle.attributes)
+        path = root / doc
+        path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        loaded = load_bundle(root)
+        assert set(loaded.sequences) == set(mini_bundle.sequences)
+        assert loaded.tasks == mini_bundle.tasks
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ParseError) as exc:

@@ -1,7 +1,13 @@
 """Synthetic scenario generation and seeded perturbation."""
 
-import pytest
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rmot_eval import synth
 from rmot_eval.io_formats import DatasetBundle
 from rmot_eval.model import Detection, EvalConfig
 from rmot_eval.pipeline import evaluate
@@ -176,3 +182,122 @@ class TestPerturb:
             PerturbationConfig(seed=1, miss_rate=1.5)
         with pytest.raises(ValueError):
             PerturbationConfig(seed=1, fp_rate=-0.1)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(frame_size=(0, 480)),
+            dict(frame_size=(640.0, 480)),
+            dict(fp_box_size_range=(0, 0)),
+            dict(fp_box_size_range=(80, 20)),
+            dict(fp_box_size_range=(20.5, 80)),
+            dict(confidence_range=(0.5, 1.5)),
+            dict(confidence_range=(-0.1, 0.5)),
+            dict(referring_range=(0.6, 0.4)),
+            dict(referring_range=(float("nan"), 1.0)),
+        ],
+    )
+    def test_rejects_invalid_ranges(self, bad):
+        with pytest.raises(ValueError):
+            PerturbationConfig(seed=1, **bad)
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            dict(fp_box_size_range=(1, 1)),
+            dict(confidence_range=(0.0, 0.0), referring_range=(1.0, 1.0)),
+            dict(frame_size=(1, 1)),
+        ],
+    )
+    def test_accepts_edge_ranges(self, edge):
+        PerturbationConfig(seed=1, **edge)
+
+
+def scalar_false_positives(cfg):
+    """Every frame's false positives from the scalar draws alone."""
+    frames = range(1, cfg.sequence_length + 1)
+    return [d for f in frames for d in synth._scalar_false_positives(cfg, f)]
+
+
+class TestFalsePositiveDecode:
+    """``_false_positives`` decodes the raw stream in one pass; it must equal
+    numpy's scalar draws, frame by frame, on the decoded and fallback paths."""
+
+    def perturb_both_ways(self, cfg):
+        sc = generate_scenario(
+            ScenarioConfig(seed=123, sequence_length=cfg.sequence_length, n_expressions=1)
+        )
+        preds = full_coverage_predictions(sc)
+        with mock.patch.object(
+            synth, "_scalar_false_positives", wraps=synth._scalar_false_positives
+        ) as scalar:
+            out = perturb(preds, cfg)
+        with mock.patch.object(synth, "_false_positives", scalar_false_positives):
+            expected = perturb(preds, cfg)
+        assert out == expected
+        fps = [d for d in out if d.track_id.startswith("fp-")]
+        return fps, {c.args[1] for c in scalar.call_args_list}
+
+    def test_decoded_without_fallback(self):
+        cfg = PerturbationConfig(seed=7, fp_rate=12.0, miss_rate=0.1, jitter=2,
+                                 sequence_length=200)
+        fps, fallback = self.perturb_both_ways(cfg)
+        assert len(fps) > 2000 and fallback == set()
+
+    def test_one_value_size_range_falls_back(self):
+        cfg = PerturbationConfig(seed=7, fp_rate=3.0, sequence_length=200,
+                                 fp_box_size_range=(30, 30))
+        fps, fallback = self.perturb_both_ways(cfg)
+        assert fps and {d.box.w for d in fps} == {30.0}
+        assert fallback == set(range(1, 201))
+
+    def test_box_as_wide_as_the_frame_falls_back(self):
+        cfg = PerturbationConfig(seed=7, fp_rate=3.0, sequence_length=200,
+                                 frame_size=(60, 480))
+        fps, fallback = self.perturb_both_ways(cfg)
+        wide = {d.frame for d in fps if d.box.w >= 60}
+        assert wide and fallback == wide
+
+    def test_every_frame_forced_to_the_scalar_path(self):
+        lemire = synth._lemire
+
+        def never_exact(u32, n):
+            value, exact = lemire(u32, n)
+            return value, np.zeros_like(exact)
+
+        cfg = PerturbationConfig(seed=7, fp_rate=3.0, sequence_length=200)
+        with mock.patch.object(synth, "_lemire", never_exact):
+            fps, fallback = self.perturb_both_ways(cfg)
+        assert fallback == {d.frame for d in fps} != set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        fp_rate=st.floats(0.0, 15.0),
+        sizes=st.one_of(
+            st.tuples(st.integers(1, 100), st.integers(0, 60)),
+            st.tuples(st.integers(1, 2**31), st.integers(0, 2**32)),
+        ),
+        frame_size=st.one_of(
+            st.tuples(st.integers(1, 200), st.integers(1, 200)),
+            st.tuples(st.integers(2**31, 2**32 + 2), st.integers(2**31, 2**32 + 2)),
+        ),
+        conf=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+        ref=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+        length=st.integers(0, 8),
+    )
+    # a size range of one value; boxes as wide as the frame; ranges past 32 bits
+    @example(5, 4.0, (30, 0), (640, 480), [0.5, 1.0], [0.4, 1.0], 8)
+    @example(5, 15.0, (20, 60), (60, 40), [0.5, 1.0], [0.4, 1.0], 8)
+    @example(5, 15.0, (1, 2**32), (2**32, 2**32), [0.0, 1.0], [0.0, 1.0], 4)
+    # a range of 3 * 2**30 values: about half the low words fall below it, a
+    # quarter below numpy's rejection threshold
+    @example(5, 15.0, (1, 3 * 2**30 - 1), (2**32 - 1, 2**32 - 1), [0.0, 1.0], [0.0, 1.0], 4)
+    def test_equals_the_scalar_draws(self, seed, fp_rate, sizes, frame_size, conf, ref, length):
+        lo, extra = sizes
+        cfg = PerturbationConfig(
+            seed=seed, fp_rate=fp_rate, sequence_length=length, frame_size=frame_size,
+            fp_box_size_range=(lo, lo + extra), confidence_range=tuple(conf),
+            referring_range=tuple(ref),
+        )
+        assert synth._false_positives(cfg) == scalar_false_positives(cfg)
