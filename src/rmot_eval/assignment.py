@@ -32,32 +32,16 @@ solving the whole matrix, because:
   matchings of different exact weight still differ by at least one scaled
   unit times the bonus base, more than the whole bonus range.
 
-:func:`match_closed_form` matches many small problems at once, on edge
-lists, without the encoding, where the optimum has a closed form; the
-caller groups the edges into problems, ranks each problem's rows and
-columns from 0 and marks the stars, and the HOTA matcher sends it every
-star and 2x2 component. Every edge is feasible (weight >= 0), so every
-cell's bonus is positive and adding an edge to a matching only raises its
-objective; the best matching is therefore a maximal one:
-
-* a star (one row or one column) matches one edge, and the encoded
-  objective orders one-edge matchings as their weights, since scaling by a
-  power of two is exact and keeps the order; equal weights are equal
-  scaled weights, and the larger bonus is the earlier cell. So the heaviest
-  edge wins, the smallest (row, col) on a tie;
-* a 2x2 problem (two rows, two columns) matches the present cells of its
-  diagonal or of its anti-diagonal, since every maximal matching is one of
-  the two; a missing cell counts as weight 0. The encoded weights are the
-  exact weights times one power of two, so the exact sums decide, compared
-  without rounding: if ``fl(a+b)`` and ``fl(c+d)`` differ they decide,
-  since rounding is monotone; if they are equal, the exact difference is
-  that of the TwoSum error terms, compared exactly. Equal sums leave it to
-  the bonus, whose largest term is the earliest present cell: the diagonal
-  wins if cell (0, 0) is present, the anti-diagonal otherwise.
+:func:`match_small` decides many small problems at once, on edge lists,
+without the encoding, where the heaviest matching's float weight beats
+every other's by more than a rounding margin (the argument stands beside
+it). The HOTA matcher sends it every component, and each component it
+leaves undecided (a tie, a near tie or a larger one) to the solver.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -203,52 +187,67 @@ def _hungarian(weights: np.ndarray, feas: np.ndarray) -> List[Tuple[int, int]]:
     return [(r, c) for r, c in pairs if feas[r, c]]
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Knuth's TwoSum: ``s = fl(a + b)`` and the error ``e`` with ``a + b ==
-    s + e`` exactly, elementwise, for finite a and b that do not overflow."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+# Why a decided problem gets the solver's matching. Let u = 2**-53. Absent
+# cells are -inf, so only the problem's own matchings sum finite; the
+# empty one sums to 0, and weights of at most 2**1021 cannot overflow, so
+# the largest sum ``top`` and the largest other ``next`` obey 0 <= next <=
+# top. A sum fl(x + y) of finite x, y >= 0 is (x + y)(1 + d), |d| <= u
+# (d = 0 if it is subnormal), so a matching of exact weight S sums to s =
+# fl(fl(a + b) + c) with S (1 - u)**2 <= s <= S (1 + u)**2 (a pad adds 0).
+# The test fl(top - next) > fl(top * 2**-51) means top - next > 4u top:
+# trivially if next < top / 2; otherwise the difference is exact
+# (Sterbenz), and the product is exact or subnormal, within 2**-1075 of
+# exact and so below the difference, a multiple of 2**-1074 above it.
+# Then top (1 - u)**2 - next (1 + u)**2 = (top - next)(1 + u**2) -
+# 2u (top + next) > 0, so the matching of sum ``top`` weighs more exactly
+# than any other, whose weight is at most next / (1 - u)**2. Different
+# exact weights differ in the solver's objective by more than the whole
+# bonus range (module docstring), so this unique optimum is the solver's
+# answer under any tie-break. Transposing changes no matching's weight.
+
+# The 73 partial matchings of a 3x4 canvas, as the cells (4 r + c) they
+# hold in rows 0, 1 and 2, or _PAD (a zero) where a row is unmatched.
+_PAD = 12
+_MATCHINGS = np.array([
+    [_PAD if c < 0 else 4 * r + c for r, c in enumerate(cols)]
+    for cols in itertools.product(range(-1, 4), repeat=3)
+    if len({c for c in cols if c >= 0}) == sum(c >= 0 for c in cols)
+])
 
 
-def match_closed_form(
-    problem: np.ndarray, row: np.ndarray, col: np.ndarray, weight: np.ndarray, star: np.ndarray
-) -> np.ndarray:
-    """Exact matchings of many small problems at once, where they have a
-    closed form (see the module docstring).
+def match_small(
+    problem: np.ndarray, row: np.ndarray, col: np.ndarray, weight: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact matchings of many small problems at once, where the float
+    margin rule (the argument above) decides them.
 
     Edge i is the cell (``row[i]``, ``col[i]``) of problem ``problem[i]``,
-    with a finite ``weight[i] >= 0``. Problems are numbered from 0, their
-    rows and columns are ranked from 0 in ascending order, and a problem's
-    cells are distinct. ``star[i]`` marks an edge of a problem that lies in
-    one row or one column; every other problem has two rows and two
-    columns. Each problem is matched under the shared (weight, greedy-lex)
-    order, as :func:`solve_max_weight` matches its sub-matrix. Returns the
-    boolean mask of the matched edges.
+    of finite ``weight[i] >= 0``; problems are numbered from 0, their rows
+    and columns ranked from 0 in ascending order, and their cells distinct.
+    A problem of at most 3x4 or 4x3 cells, none heavier than ``2**1021``,
+    is decided when its heaviest matching's float sum beats the runner-up
+    by more than ``2**-51`` times itself; its matching is then the one
+    :func:`solve_max_weight` gives its sub-matrix. Returns boolean masks of
+    the edges of decided problems and of the matched edges.
     """
-    chosen = np.zeros(problem.size, dtype=bool)
-
-    # stars: the heaviest edge, the smallest (row, col) on a tie
-    s = np.flatnonzero(star)
-    s = s[np.lexsort((col[s], row[s], -weight[s], problem[s]))]
-    head = np.ones(s.size, dtype=bool)
-    head[1:] = problem[s][1:] != problem[s][:-1]
-    chosen[s[head]] = True
-
-    # 2x2s: the present diagonal cells (0 and 3) or anti-diagonal cells (1
-    # and 2), whichever weighs more exactly; on a tie, the side of the
-    # earliest present cell
-    q = np.flatnonzero(~star)
-    pq, cell = problem[q], 2 * row[q] + col[q]
-    n = int(pq.max(initial=-1)) + 1
-    w = np.zeros((n, 4), dtype=np.float64)
-    w[pq, cell] = weight[q]
-    has_00 = np.zeros(n, dtype=bool)
-    has_00[pq[cell == 0]] = True
-    (ds, de), (as_, ae) = _two_sum(w[:, 0], w[:, 3]), _two_sum(w[:, 1], w[:, 2])
-    diagonal = (ds > as_) | ((ds == as_) & ((de > ae) | ((de == ae) & has_00)))
-    chosen[q] = (cell % 3 == 0) == diagonal[pq]
-    return chosen
+    n = int(problem.max(initial=-1)) + 1
+    shape = np.zeros((n, 2), dtype=np.intp)
+    np.maximum.at(shape, problem, np.stack([row, col], axis=1) + 1)
+    fits = (shape.min(1) <= 3) & (shape.max(1) <= 4)
+    fits[problem[weight > 2.0**1021]] = False
+    tall = (shape[:, 0] > shape[:, 1])[problem]
+    cell = 4 * np.where(tall, col, row) + np.where(tall, row, col)
+    on = fits[problem]
+    canvas = np.full((n, _PAD + 1), -np.inf)
+    canvas[:, _PAD] = 0.0
+    canvas[problem[on], cell[on]] = weight[on]
+    terms = canvas[:, _MATCHINGS]
+    sums = (terms[:, :, 0] + terms[:, :, 1]) + terms[:, :, 2]
+    best = sums.argmax(1)
+    top = sums[np.arange(n), best]
+    sums[np.arange(n), best] = -np.inf
+    decided = (fits & (top - sums.max(1) > top * 2.0**-51))[problem]
+    return decided, decided & (_MATCHINGS[best[problem]] == cell[:, None]).any(1)
 
 
 def solve_max_weight(m: WeightMatrix) -> Matching:

@@ -256,10 +256,6 @@ def cmd_synth(config_file: Path, out_dir: Path) -> None:
         for i, entry in enumerate(scenarios):
             entry = dict(entry)
             entry.setdefault("sequence_id", f"synth-{i:04d}")
-            if "frame_size" in entry:
-                entry["frame_size"] = tuple(entry["frame_size"])
-            if "box_size_range" in entry:
-                entry["box_size_range"] = tuple(entry["box_size_range"])
             cfg = ScenarioConfig(**entry)
             scenario = generate_scenario(cfg)
             sequences[cfg.sequence_id] = scenario.sequence
@@ -271,10 +267,6 @@ def cmd_synth(config_file: Path, out_dir: Path) -> None:
         if pert:
             pert = dict(pert)
             pert.pop("sequence_length", None)  # each sequence supplies its own
-            if "frame_size" in pert:
-                pert["frame_size"] = tuple(pert["frame_size"])
-            if "fp_box_size_range" in pert:
-                pert["fp_box_size_range"] = tuple(pert["fp_box_size_range"])
             for key, dets in list(all_preds.items()):
                 pcfg = PerturbationConfig(
                     sequence_length=sequences[key[0]].length,

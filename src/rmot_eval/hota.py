@@ -16,14 +16,15 @@ level of its (frame, gt row) and its (frame, pred column). At each alpha
 below ``lo`` it is an edge of its (layout, alpha, frame)'s assignment
 problem instead. The edges of every problem are split into connected
 components, and each component's rows and columns ranked, in one numpy
-pass; a star (one row or one column) or a 2x2 component is matched in
-closed form (``assignment.match_closed_form``), and every other component
-goes to the exact solver (or the enumeration oracle in tests) on its own,
-one call per component: components are found here, and the solver solves
-the matrix it is given. ``force_solver`` turns off the forced matches
-(``lo`` is the level), the closed forms and the split, so every (layout,
-alpha, frame) with a feasible pair goes to the solver whole. All paths
-produce bit-identical statistics.
+pass. ``assignment.match_small`` decides, all at once, every component
+whose shorter side is at most 3 and longer side at most 4 and whose best
+matching outweighs every other by a rounding margin; every component it
+leaves undecided goes to the exact solver (or the enumeration oracle in
+tests) on its own, one call per component: components are found here,
+and the solver solves the matrix it is given.
+``force_solver`` turns off the forced matches (``lo`` is the level), the
+margin rule and the split, so every (layout, alpha, frame) with a feasible
+pair goes to the solver whole. All paths produce bit-identical statistics.
 
 A unit is scored on its layouts together: layout 0 is the whole unit, and
 each restriction to a frame subset (the attribute scores) is a layout of its
@@ -71,7 +72,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from .assignment import Matching, WeightMatrix, match_closed_form, solve_max_weight
+from .assignment import Matching, WeightMatrix, match_small, solve_max_weight
 from .model import Detection, ExpressionTask, TargetsView, UnitBoxes, box_iou
 
 # Matches one matrix exactly. It is handed one connected component of a
@@ -391,20 +392,18 @@ def _components(rows: Tuple[np.ndarray, ...], cols: Tuple[np.ndarray, ...]) -> n
             return lab[rn]
 
 
-def _rank_in(group: np.ndarray, node: np.ndarray, n_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Per edge, its node's rank among its group's nodes, in node order, and
-    the group's node count. Edge i lies in ``group[i]`` at node ``node[i]``,
-    one of the nodes ``range(n_nodes)``, each with an edge; the edges at a
-    node share its group."""
+def _rank_in(group: np.ndarray, node: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Per edge, its node's rank among its group's nodes, in node order.
+    Edge i lies in ``group[i]`` at node ``node[i]``, one of the nodes
+    ``range(n_nodes)``, each with an edge; the edges at a node share its
+    group."""
     of = np.empty(n_nodes, dtype=np.intp)
     of[node] = group
     by = np.argsort(of, kind="stable")
     sorted_of = of[by]
-    first = np.searchsorted(sorted_of, sorted_of)
-    rank, size = np.empty_like(of), np.empty_like(of)
-    rank[by] = np.arange(n_nodes) - first
-    size[by] = np.searchsorted(sorted_of, sorted_of, side="right") - first
-    return rank[node], size[node]
+    rank = np.empty_like(of)
+    rank[by] = np.arange(n_nodes) - np.searchsorted(sorted_of, sorted_of)
+    return rank[node]
 
 
 def _solve(
@@ -415,7 +414,7 @@ def _solve(
     p: np.ndarray,
     weight: np.ndarray,
     solver: Solver,
-    closed_form: bool,
+    split: bool,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pass 2 on the unforced (layout, alpha, frame) problems, all at once.
     Edge i is candidate ``c[i]`` at sorted alpha index ``a[i]``: the cell
@@ -423,11 +422,10 @@ def _solve(
     problem ``problem[i]``, a key in (layout, alpha, frame) order.
 
     The (problem, gt) and (problem, pred) nodes are numbered once, so a
-    group never joins two problems. With ``closed_form`` the edges are
-    grouped by connected component, without it by problem; the edges are
-    sorted by group once, and each group's rows and columns ranked from 0
-    and counted. With ``closed_form``, every star (one row or one column)
-    and 2x2 group is matched by ``match_closed_form``, and each other group
+    group never joins two problems. With ``split`` the edges are grouped
+    by connected component, without it by problem; the edges are sorted by
+    group once, and each group's rows and columns ranked from 0. With
+    ``split``, ``match_small`` decides the groups it can; every other group
     goes to ``solver`` on its own, one per call, in (problem, first row)
     order. Either way a matrix's rows and columns are ascending, so each
     component's matches are those of the problem's whole matrix (the
@@ -436,29 +434,26 @@ def _solve(
     ``ValueError``. Returns the matches as (alpha, candidate) index
     arrays."""
     rows, cols = _number(problem, g), _number(problem, p)
-    key = _components(rows, cols) if closed_form else problem
+    key = _components(rows, cols) if split else problem
     by = np.argsort(key, kind="stable")
     key, a, c, weight = key[by], a[by], c[by], weight[by]
     head = np.ones(key.size, dtype=bool)
     head[1:] = key[1:] != key[:-1]
     group = np.cumsum(head) - 1
-    (ri, n_r), (ci, n_c) = (_rank_in(group, x[0][by], x[2].size) for x in (rows, cols))
-    star = (n_r == 1) | (n_c == 1)
-    easy = (star | ((n_r == 2) & (n_c == 2))) & closed_form
-    e = np.flatnonzero(easy)
-    e = e[match_closed_form(group[e], ri[e], ci[e], weight[e], star[e])]
-    solved_a, solved_c = [a[e]], [c[e]]
+    ri, ci = (_rank_in(group, x[0][by], x[2].size) for x in (rows, cols))
+    decided = chosen = np.zeros(key.size, dtype=bool)
+    if split:
+        decided, chosen = match_small(group, ri, ci, weight)
+    solved_a, solved_c = [a[chosen]], [c[chosen]]
 
-    # one solver call per other group
+    # one solver call per undecided group
     bounds = np.append(np.flatnonzero(head), key.size)
-    hard = np.flatnonzero(~easy[bounds[:-1]])
-    starts = bounds[hard]
-    for s0, s1, n_rows, n_cols in zip(
-        starts.tolist(), bounds[hard + 1].tolist(), n_r[starts].tolist(), n_c[starts].tolist()
-    ):
+    hard = np.flatnonzero(~decided[bounds[:-1]])
+    for s0, s1 in zip(bounds[hard].tolist(), bounds[hard + 1].tolist()):
         # each cell's edge number, -1 off the edges
-        cand = np.full((n_rows, n_cols), -1, dtype=np.intp)
-        cand[ri[s0:s1], ci[s0:s1]] = np.arange(s0, s1)
+        r, q = ri[s0:s1], ci[s0:s1]
+        cand = np.full((r.max() + 1, q.max() + 1), -1, dtype=np.intp)
+        cand[r, q] = np.arange(s0, s1)
         mask = cand >= 0
         result = solver(WeightMatrix(weights=np.where(mask, weight[cand], 0.0), mask=mask))
         picked = _checked_pairs(result.pairs, cand)
@@ -514,7 +509,7 @@ def _score_layouts(
     gts: Side,
     preds: Side,
     solver: Solver,
-    closed_form: bool,
+    split: bool,
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Passes 1-3 on every layout of one unit together, at ``n_alpha``
     sorted alphas. ``cands`` holds the unit's candidate pairs (level > 0) in
@@ -523,7 +518,7 @@ def _score_layouts(
     each layout's frames; ``gts`` and ``preds`` the layouts' tracks. A
     candidate is matched without the solver at the alphas from its ``lo``
     up to its level; below its ``lo`` it is an edge of its layout's (alpha,
-    frame) problem, matched by ``_solve``, with ``closed_form``, with the
+    frame) problem, matched by ``_solve``, with ``split``, with the
     layout's own priors and tie-break scale.
 
     Returns the (layouts, alpha, 3) int64 tp, fn, fp; the (layouts, alpha,
@@ -597,7 +592,7 @@ def _score_layouts(
         tie = ciou / (2.0 * n_f)[lay]
         problem = (lay[ec] * n_alpha + ea) * n_frames + cf[ec]
         solved_a, solved_c = _solve(
-            problem, ea, ec, g[ec], p[ec], s_prior[u[ec], ea] + tie[ec], solver, closed_form
+            problem, ea, ec, g[ec], p[ec], s_prior[u[ec], ea] + tie[ec], solver, split
         )
         np.add.at(pair_tpa, (u[solved_c], solved_a), 1)
     # TP per layout: the TPA of its used cells, which follow each other

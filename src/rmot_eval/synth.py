@@ -64,6 +64,22 @@ _TEMPLATES = (
 )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_pair(cfg: object, name: str, ordered: bool) -> None:
+    """Store the field ``name`` of ``cfg`` as a tuple. Raise ``ValueError``
+    unless it holds two integers >= 1 (a bool is none), the first at most
+    the second if ``ordered``."""
+    pair = tuple(getattr(cfg, name))
+    ok = len(pair) == 2 and all(_is_int(v) and v >= 1 for v in pair)
+    if not ok or (ordered and pair[0] > pair[1]):
+        order = ", the first at most the second" if ordered else ""
+        raise ValueError(f"{name} must hold two integers >= 1{order}, got {pair!r}")
+    object.__setattr__(cfg, name, pair)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
@@ -82,10 +98,12 @@ class ScenarioConfig:
             raise ValueError("counts must be non-negative")
         if not 0.0 <= self.no_target_fraction <= 1.0:
             raise ValueError("no_target_fraction must lie in [0, 1]")
+        _check_pair(self, "frame_size", ordered=False)
+        _check_pair(self, "box_size_range", ordered=True)
+        if not _is_int(self.max_step) or self.max_step < 0:
+            raise ValueError(f"max_step must be an integer >= 0, got {self.max_step!r}")
         if self.box_size_range[1] > min(self.frame_size):
             raise ValueError("boxes cannot exceed the frame")
-        if self.box_size_range[0] < 1 or self.box_size_range[0] > self.box_size_range[1]:
-            raise ValueError("invalid box size range")
 
 
 @dataclass(frozen=True)
@@ -108,15 +126,8 @@ class PerturbationConfig:
             raise ValueError("idswitch_rate must lie in [0, 1]")
         if self.fp_rate < 0 or self.jitter < 0:
             raise ValueError("fp_rate and jitter must be non-negative")
-        fw, fh = self.frame_size
-        if not (isinstance(fw, Integral) and isinstance(fh, Integral) and fw >= 1 and fh >= 1):
-            raise ValueError(f"frame_size must hold integers >= 1, got {self.frame_size!r}")
-        lo, hi = self.fp_box_size_range
-        if not (isinstance(lo, Integral) and isinstance(hi, Integral) and 1 <= lo <= hi):
-            raise ValueError(
-                "fp_box_size_range must hold integers 1 <= lo <= hi, "
-                f"got {self.fp_box_size_range!r}"
-            )
+        _check_pair(self, "frame_size", ordered=False)
+        _check_pair(self, "fp_box_size_range", ordered=True)
         for name in ("confidence_range", "referring_range"):
             lo, hi = getattr(self, name)
             if not 0.0 <= lo <= hi <= 1.0:

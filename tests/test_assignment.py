@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rmot_eval.assignment import (
     Matching,
     WeightMatrix,
-    match_closed_form,
+    match_small,
     solve_max_weight,
     solve_oracle,
 )
@@ -307,71 +307,115 @@ class TestExactOrder:
         assert solve_max_weight(wm).pairs == solve_oracle(wm).pairs == expected
 
 
-@st.composite
-def closed_form_problems(draw):
-    """Many small problems in one edge list, as ``hota._solve`` hands them
-    over: 1xn and nx1 stars (n <= 5) and 2x2s with three or four edges,
-    numbered from 0 (not every number used), rows and columns ranked from 0,
-    each edge flagged by whether its problem is a star, with the edges
-    shuffled. Returns the edge arrays and, per problem, its number, local
-    cells and weights."""
-    problems = []
-    numbers = draw(st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True))
-    for number in numbers:
-        kind = draw(st.sampled_from(["row", "col", "square"]))
-        n = draw(st.integers(1, 5))
-        if kind == "row":
-            cells = [(0, j) for j in range(n)]
-        elif kind == "col":
-            cells = [(i, 0) for i in range(n)]
-        else:
-            cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
-            missing = draw(st.integers(-1, 3))
-            if missing >= 0:
-                del cells[missing]
-        weights = [draw(st.sampled_from(TIE_HEAVY)) for _ in cells]
-        problems.append((number, kind != "square", cells, weights))
+def edge_list(matrices):
+    """The edges of (number, ``WeightMatrix``) problems in one list, as
+    ``hota._solve`` hands them to ``match_small``: each masked-in cell's
+    problem number, row, column and weight."""
     edges = [
-        (number, r, c, w, star)
-        for number, star, cells, weights in problems
-        for (r, c), w in zip(cells, weights)
+        (number, r, c, wm.weights[r, c])
+        for number, wm in matrices
+        for r, c in zip(*np.nonzero(wm.mask))
     ]
-    edges = draw(st.permutations(edges))
-    problem, row, col, weight, star = (np.array(x) for x in zip(*edges))
-    return (problem, row, col, weight.astype(np.float64), star.astype(bool)), problems
+    problem, row, col, weight = (np.array(x) for x in zip(*edges))
+    return problem, row, col, weight.astype(np.float64)
 
 
-class TestClosedForm:
-    """Stars and 2x2 problems matched in closed form equal the oracle's
-    matching of each problem's matrix."""
+@st.composite
+def small_problems(draw):
+    """Problems of up to 3x5 and 5x3 cells: 1xn and nx1 stars, 2x2s, every
+    shape up to 3x4 and 4x3 and some larger ones, with weights from
+    ``TIE_HEAVY`` or from ``EXTREME`` and an edge in every row and column.
+    They are numbered from 0, not every number used. Returns their edge
+    list, shuffled, and each problem's number and matrix."""
+    matrices = []
+    values = draw(st.sampled_from([TIE_HEAVY, EXTREME]))
+    for number in draw(st.lists(st.integers(0, 30), min_size=1, max_size=10, unique=True)):
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 5)))
+        if draw(st.booleans()):
+            shape = shape[::-1]
+        weights = draw(arrays(np.float64, shape, elements=st.sampled_from(values)))
+        mask = draw(arrays(np.bool_, shape))
+        cover = draw(st.permutations(range(shape[1])))
+        for i in range(max(shape)):
+            mask[i % shape[0], cover[i % shape[1]]] = True
+        matrices.append((number, WeightMatrix(weights, mask)))
+    order = np.array(draw(st.permutations(range(sum(int(wm.mask.sum()) for _, wm in matrices)))))
+    return tuple(x[order] for x in edge_list(matrices)), matrices
 
-    @given(closed_form_problems())
+
+def pairs_at(row, col, held):
+    return tuple(sorted(zip(row[held].tolist(), col[held].tolist())))
+
+
+def one_problem(weights, mask=None):
+    weights = np.array(weights, dtype=np.float64)
+    wm = WeightMatrix(weights, np.ones(weights.shape, dtype=bool) if mask is None else mask)
+    return edge_list([(0, wm)]), [(0, wm)]
+
+
+# both sums round to 1.0, and the anti-diagonal is heavier exactly
+ROUND_ALIKE = ([[1.0, 1.0], [2.0**-53, 2.0**-54]], [[1.0, 2.0**-53], [1.0, 0.0]])
+# With U = 2**-53, two perfect matchings of exact weight 1.5 + 2U whose
+# float sums are 1.5 and 1.5 + 4U: 4U apart, inside the margin of
+# 2**-51 * (1.5 + 4U), about 6U, but not inside half of it. A halved margin
+# picks the later matching; the exact tie goes to the earlier.
+U = 2.0**-53
+HALVED_MARGIN_TIE = (
+    [[3 * U, 0.0, 0.5], [0.0, 1 - U, 1 - 2 * U], [3 * U, 0.5 + U, 0.0]],
+    np.array([[True, False, True], [False, True, True], [True, True, False]]),
+)
+
+
+class TestMatchSmall:
+    """``match_small`` decides a problem only where its answer is the
+    oracle's, and the solver, as the fallback, matches every other."""
+
+    @given(small_problems())
+    @example(one_problem(ROUND_ALIKE[0]))
+    @example(one_problem(ROUND_ALIKE[1]))
+    @example(one_problem(*HALVED_MARGIN_TIE))
+    @example(one_problem([[1.5e308, 1e308, 2.0**1021]]))
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_oracle(self, drawn):
-        (problem, row, col, weight, star), problems = drawn
-        chosen = match_closed_form(problem, row, col, weight, star)
-        for number, _, cells, weights in problems:
-            n_rows = 1 + max(r for r, _ in cells)
-            n_cols = 1 + max(c for _, c in cells)
-            w = np.zeros((n_rows, n_cols))
-            mask = np.zeros(w.shape, dtype=bool)
-            for (r, c), x in zip(cells, weights):
-                w[r, c], mask[r, c] = x, True
-            expected = set(solve_oracle(WeightMatrix(w, mask)).pairs)
-            mine = chosen & (problem == number)
-            assert set(zip(row[mine].tolist(), col[mine].tolist())) == expected
+        (problem, row, col, weight), matrices = drawn
+        decided, chosen = match_small(problem, row, col, weight)
+        for number, wm in matrices:
+            mine = problem == number
+            assert decided[mine].all() or not decided[mine].any()
+            if decided[mine].any():
+                assert min(wm.rows, wm.cols) <= 3 and max(wm.rows, wm.cols) <= 4
+                got = pairs_at(row, col, mine & chosen)
+            else:
+                got = solve_max_weight(wm).pairs
+            assert got == solve_oracle(wm).pairs
 
     def test_sums_that_round_alike(self):
-        # diagonal 1 + 2**-54 against anti-diagonal 1 + 2**-53: both round
-        # to 1.0, and the anti-diagonal is heavier exactly
-        for diag, anti in (((1.0, 2.0**-54), (1.0, 2.0**-53)), ((1.0, 0.0), (2.0**-53, 1.0))):
-            problem = np.zeros(4, dtype=np.intp)
-            row, col = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])
-            star = np.zeros(4, dtype=bool)
-            chosen = match_closed_form(problem, row, col, np.array(diag + anti), star)
-            assert chosen.tolist() == [False, False, True, True]
+        for weights in ROUND_ALIKE:
+            (problem, row, col, weight), _ = one_problem(weights)
+            decided, chosen = match_small(problem, row, col, weight)
+            assert not decided.any() and not chosen.any()
+
+    def test_tie_inside_the_margin_is_left(self):
+        (problem, row, col, weight), [(_, wm)] = one_problem(*HALVED_MARGIN_TIE)
+        assert not match_small(problem, row, col, weight)[0].any()
+        assert solve_oracle(wm).pairs == ((0, 0), (1, 2), (2, 1))
+
+    def test_decides_up_to_3x4(self):
+        rng = np.random.default_rng(0)
+        shapes = [(1, 1), (1, 4), (4, 1), (2, 2), (2, 3), (3, 3), (3, 4), (4, 3), (4, 4), (1, 5)]
+        matrices = [
+            (i, WeightMatrix(rng.random(s), np.ones(s, dtype=bool))) for i, s in enumerate(shapes)
+        ]
+        problem, row, col, weight = edge_list(matrices)
+        decided, chosen = match_small(problem, row, col, weight)
+        for number, wm in matrices:
+            mine = problem == number
+            small = max(wm.rows, wm.cols) <= 4 and min(wm.rows, wm.cols) <= 3
+            assert decided[mine].all() == small and decided[mine].any() == small
+            if small:
+                assert pairs_at(row, col, mine & chosen) == solve_oracle(wm).pairs
 
     def test_empty(self):
         empty = np.empty(0, dtype=np.intp)
-        chosen = match_closed_form(empty, empty, empty, np.empty(0), np.empty(0, dtype=bool))
-        assert chosen.size == 0
+        decided, chosen = match_small(empty, empty, empty, np.empty(0))
+        assert decided.size == chosen.size == 0

@@ -652,6 +652,23 @@ class TestSynthCommand:
         assert result.exit_code == 1
 
     @pytest.mark.parametrize(
+        "scenario, field",
+        [
+            ({"box_size_range": [20.5, 50]}, "box_size_range"),
+            ({"frame_size": [100.5, 100], "box_size_range": [20, 50]}, "frame_size"),
+            ({"max_step": -2}, "max_step"),
+        ],
+    )
+    def test_invalid_scenario_exits_1(self, runner, tmp_path, scenario, field):
+        cfg = tmp_path / "cfg.json"
+        doc = {"scenarios": [{**SYNTH_CONFIG["scenarios"][0], **scenario}]}
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["synth", str(cfg), str(tmp_path / "gen")])
+        assert result.exit_code == EXIT_IO
+        assert result.stderr.startswith(f"error: invalid config: {field} must ")
+        assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize(
         "pert",
         [
             {"confidence_range": [0.5, 1.5]},

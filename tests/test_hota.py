@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmot_eval import hota
-from rmot_eval.assignment import Matching, solve_oracle
+from rmot_eval.assignment import Matching, match_small, solve_oracle
 from rmot_eval.attributes import restrict_to_attribute
 from rmot_eval.hota import (
     AlphaStats,
@@ -207,7 +207,8 @@ class TestAllAlphasConsistency:
 
 
 class TestSolverRouting:
-    """Star and 2x2 components are matched without the solver; with
+    """Star and 2x2 components without ties are decided by
+    ``assignment.match_small``, without the solver; with
     ``force_solver`` every (layout, alpha, frame) with a feasible pair goes
     to the solver whole. Both give the same stats."""
 
@@ -295,18 +296,18 @@ class TestComponentsOnly:
     ``force_solver``, which hands it each (layout, alpha, frame) whole."""
 
     def test_two_dense_clusters_on_one_frame(self):
-        # two 3x3 clusters, every gt box overlapping every prediction of its
+        # two 4x4 clusters, every gt box overlapping every prediction of its
         # own cluster and none of the other's; frame 2 holds one of them
         targets, preds = {}, []
         for x0 in (0.0, 100.0):
-            for i in range(3):
+            for i in range(4):
                 for f in (1, 2) if x0 == 0.0 else (1,):
                     targets.setdefault(f, {})[f"g{x0:.0f}-{i}"] = box(x0 + i, 0, 10, 10)
                     preds.append(det(f, box(x0 + i + 0.5, 0, 10, 10), f"p{x0:.0f}-{i}"))
         task = ExpressionTask("s", "e", "t", targets)
         fast, slow, calls = match_both_ways(task, preds, [1, 2], {"r": [1]})
         assert fast == slow
-        assert calls and {(m.rows, m.cols) for m in calls} == {(3, 3)}
+        assert calls and {(m.rows, m.cols) for m in calls} == {(4, 4)}
 
     def test_crowded_golden_bundle(self):
         n_calls = 0
@@ -336,29 +337,31 @@ def golden_crowded_units():
         yield task, filter_predictions(boxes, EvalConfig()), range(1, seq.length + 1), restrictions
 
 
-def is_closed_form(m):
-    """Whether ``m`` is a star (one row or one column) or a 2x2."""
-    return m.rows == 1 or m.cols == 1 or (m.rows, m.cols) == (2, 2)
+def decided_small(m):
+    """Whether ``match_small`` decides ``m``, a matrix of feasible cells."""
+    r, c = np.nonzero(m.feasible())
+    return bool(match_small(np.zeros(r.size, dtype=np.intp), r, c, m.weights[r, c])[0].any())
 
 
-class TestClosedFormRouting:
-    """Every star and 2x2 component is matched in closed form, and every
-    larger component goes to the solver, with the stats of
+class TestSmallRouting:
+    """A component of at most 3x4 or 4x3 cells reaches the solver only when
+    ``match_small`` leaves it undecided, and the stats are those of
     ``force_solver``."""
 
-    # one frame, four clusters far apart, every pair of a cluster with IoU
+    # one frame, five clusters far apart, every pair of a cluster with IoU
     # above 0.1 or 0: gt and pred x extents (width 10) per cluster
     CLUSTERS = {
         "wide": ([0, 10], [2, 8, 14]),  # a 2x3 of five edges
-        "path": ([0, 10, 20], [5, 15]),  # g0-p0-g1-p1-g2, three rows
-        "star": ([0], [1, -1]),
+        "path": ([0, 10, 20], [4, 16]),  # g0-p0-g1-p1-g2, three rows
+        "star": ([0], [1, -1]),  # two edges of equal weight
         "square": ([0, 3], [1, 2]),  # a 2x2 of four edges
+        "tie": ([0, 10], [5, 5]),  # a 2x2 of four edges of equal weight
     }
     ALPHAS = (0.05, 0.1)
 
-    def test_only_larger_components_reach_the_solver(self):
+    def test_small_components_reach_the_solver_only_when_undecided(self):
         targets, preds = {1: {}}, []
-        for y, (name, (gxs, pxs)) in zip((0, 100, 200, 300), self.CLUSTERS.items()):
+        for y, (name, (gxs, pxs)) in zip(range(0, 500, 100), self.CLUSTERS.items()):
             for i, x in enumerate(gxs):
                 targets[1][f"{name}-g{i}"] = box(x, y, 10, 10)
             preds += [det(1, box(x, y, 10, 10), f"{name}-p{i}") for i, x in enumerate(pxs)]
@@ -373,10 +376,11 @@ class TestClosedFormRouting:
         slow = match_unit_all_alphas(task, preds, self.ALPHAS, [1], force_solver=True)
         assert fast == slow
         got = sorted((m.rows, m.cols, int(m.mask.sum())) for m in calls)
-        assert got == [(2, 3, 5)] * len(self.ALPHAS) + [(3, 2, 4)] * len(self.ALPHAS)
+        assert got == [(1, 2, 2)] * len(self.ALPHAS) + [(2, 2, 4)] * len(self.ALPHAS)
+        assert not any(decided_small(m) for m in calls)
 
         golden = [m for unit in golden_crowded_units() for m in match_both_ways(*unit)[2]]
-        assert golden and not any(is_closed_form(m) for m in golden)
+        assert golden and not any(decided_small(m) for m in golden)
 
 
 class TestSolverAnswerChecked:

@@ -100,6 +100,28 @@ class TestGenerateScenario:
         with pytest.raises(ValueError):
             ScenarioConfig(seed=1, no_target_fraction=1.5)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(box_size_range=(20.5, 50)), "box_size_range must hold two integers"),
+            (dict(box_size_range=(True, 50)), "box_size_range must hold two integers"),
+            (dict(box_size_range=(50, 20)), "the first at most the second"),
+            (dict(box_size_range=(0, 20)), "box_size_range must hold two integers >= 1"),
+            (dict(frame_size=(100.5, 100), box_size_range=(20, 50)), "frame_size must hold"),
+            (dict(frame_size=(640, 480, 3)), "frame_size must hold two integers"),
+            (dict(max_step=-2), "max_step must be an integer >= 0"),
+            (dict(max_step=1.5), "max_step must be an integer >= 0"),
+        ],
+    )
+    def test_rejects_non_integer_sizes(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(seed=1, **bad)
+
+    def test_accepts_edge_sizes_and_lists(self):
+        cfg = ScenarioConfig(seed=1, frame_size=[1, 1], box_size_range=[1, 1], max_step=0)
+        assert (cfg.frame_size, cfg.box_size_range) == ((1, 1), (1, 1))
+        assert generate_scenario(cfg).sequence.tracks
+
 
 class TestPerturb:
     def scenario_1000(self):
