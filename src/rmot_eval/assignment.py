@@ -114,9 +114,22 @@ def _encode(weights: np.ndarray, feas: np.ndarray) -> List[List[int]]:
     return combined
 
 
+# the least real that rounds to inf: halfway from the largest float to 2**1024
+_ROUNDS_TO_INF = 2**1024 - 2**970
+
+
 def _finish(m: WeightMatrix, pairs: Sequence[Tuple[int, int]]) -> Matching:
+    """The matching of ``pairs``, its total the correctly rounded sum of
+    their weights (inf past the float range)."""
     ordered = tuple(sorted(pairs))
-    total = math.fsum(float(m.weights[r, c]) for r, c in ordered)
+    weights = [float(m.weights[r, c]) for r, c in ordered]
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # a partial sum left the float range; sum exactly
+        from fractions import Fraction  # here, so that importing the package stays light
+
+        exact = sum(map(Fraction, weights))
+        total = math.inf if exact >= _ROUNDS_TO_INF else float(exact)
     return Matching(pairs=ordered, total_weight=total)
 
 

@@ -272,7 +272,7 @@ def cmd_synth(config_file: Path, out_dir: Path) -> None:
                     sequence_length=sequences[key[0]].length,
                     **pert,
                 )
-                all_preds[key] = perturb(list(dets), pcfg)
+                all_preds[key] = perturb(dets, pcfg)
 
         bundle_dir = Path(out_dir) / "bundle"
         pred_dir = Path(out_dir) / "predictions"

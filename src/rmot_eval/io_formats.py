@@ -417,7 +417,13 @@ def _check_rows(path: Path, n_fields: int, length: Optional[int]) -> None:
 
 
 def write_predictions(dets: Sequence[Detection], path: Path | str) -> None:
+    """Write one unit's predictions sorted by (frame, track id), rows of one
+    frame and id in their order. A ``UnitBoxes`` is written from its
+    columns, with the bytes the same detections give as a list."""
     path = Path(path)
+    if isinstance(dets, UnitBoxes):
+        _write_unit_boxes(dets, path)
+        return
     ordered = sorted(dets, key=lambda d: (d.frame, d.track_id))
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for d in ordered:
@@ -426,6 +432,29 @@ def write_predictions(dets: Sequence[Detection], path: Path | str) -> None:
                 f"{d.frame},{d.track_id},{_fmt(b.x)},{_fmt(b.y)},{_fmt(b.w)},{_fmt(b.h)},"
                 f"{repr(float(d.confidence))},{repr(float(d.referring_score))}\n"
             )
+
+
+def _write_unit_boxes(boxes: UnitBoxes, path: Path) -> None:
+    ids = boxes.ids  # distinct, so a rank per id orders the rows
+    rank = np.empty(len(ids), np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    order = np.lexsort((rank[boxes.track], boxes.frame))
+    rows = zip(
+        boxes.frame[order].tolist(), boxes.track[order].tolist(),
+        *map(_fmt_column, boxes.xywh[order].T),
+        boxes.confidence[order].tolist(), boxes.referring_score[order].tolist(),
+    )
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        for frame, t, x, y, w, h, conf, ref in rows:
+            fh.write(f"{frame},{ids[t]},{x},{y},{w},{h},{conf!r},{ref!r}\n")
+
+
+def _fmt_column(values: np.ndarray) -> list:
+    """``_fmt`` of each value; a column of whole numbers within int64 is
+    converted in numpy."""
+    if (np.isfinite(values) & (values == np.trunc(values)) & (np.abs(values) < 2.0**63)).all():
+        return values.astype(np.int64).tolist()
+    return [_fmt(v) for v in values.tolist()]
 
 
 def unit_filename(sequence_id: str, expression_id: str) -> str:

@@ -6,30 +6,37 @@ for a given seed regardless of iteration order, platform, or parallelism.
 All generated coordinates are integer-valued, which keeps IoU values exactly
 reproducible under uniform box scaling in downstream invariance checks.
 
-``perturb``'s false positives are defined by scalar draws, one frame's
-generator at a time (``_scalar_false_positives``): a Poisson count, then per
-false positive four ``integers`` (w, h, x, y) and two ``uniform`` (confidence,
-referring score). ``_false_positives`` takes each frame's raw 64-bit outputs
-after its count instead and decodes all frames of a call in one numpy pass,
-the way numpy decodes each scalar draw: Lemire's method on the low and high
-32-bit halves for the integers, ``(raw >> 11) * 2**-53`` for the uniforms.
-The streams and every output are unchanged. A frame goes back through the
-scalar draws when the decode cannot prove numpy's result: when a draw's low
-word ``(u * n) & 0xFFFFFFFF`` is below its range size ``n`` (numpy might
-reject it and draw again), or when a range holds one value (a size range
-with lo == hi, a box as wide as the frame), where numpy draws nothing, or
-2**32 values or more, where it draws 64 bits. The decode was checked against
-numpy 2.4.6 only; the Lemire and PCG64 half-word paths it reads date from
-numpy 1.17, and ``tests/test_synth.py`` compares it with the scalar draws.
+A call seeds all its streams in one numpy pass (``_streams``), applying
+numpy's fixed SeedSequence hash and PCG64 seeding step to the pool of
+``SeedSequence(seed)`` and every key at once, and reads each stream through
+a generator of its own by setting its state: the draws are those of a
+freshly seeded ``PCG64(SeedSequence(seed, spawn_key=(kind, entity)))``.
+``perturb`` works on columns and returns a ``UnitBoxes``.
+
+Its false positives are defined by scalar draws, one frame's generator at a
+time (``_scalar_false_positives``): a Poisson count, then per false positive
+four ``integers`` (w, h, x, y) and two ``uniform`` (confidence, referring
+score). ``_false_positives`` takes each frame's raw 64-bit outputs after its
+count instead and decodes all frames of a call in one numpy pass, the way
+numpy decodes each scalar draw: Lemire's method on the low and high 32-bit
+halves for the integers, ``(raw >> 11) * 2**-53`` for the uniforms. A frame
+goes back through the scalar draws when the decode cannot prove numpy's
+result: when a draw's low word ``(u * n) & 0xFFFFFFFF`` is below its range
+size ``n`` (numpy might reject it and draw again), or when a range holds one
+value (a size range with lo == hi, a box as wide as the frame), where numpy
+draws nothing, or 2**32 values or more, where it draws 64 bits. The seeding
+and the decode were checked against numpy 2.4.6 only; SeedSequence's hash
+dates from numpy 1.17 (its zero padding of short seeds from 1.19), and
+``tests/test_synth.py`` compares both with numpy.
 """
 
 from __future__ import annotations
 
+import operator
 import zlib
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
 from numbers import Integral
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +48,7 @@ from .model import (
     ExpressionTask,
     GroundTruthTrack,
     SequenceData,
+    UnitBoxes,
 )
 
 # spawn-key stream kinds
@@ -66,6 +74,13 @@ _TEMPLATES = (
 
 def _is_int(value: object) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_count(cfg: object, name: str) -> None:
+    """Raise ``ValueError`` unless field ``name`` of ``cfg`` is an integer >= 0."""
+    value = getattr(cfg, name)
+    if not _is_int(value) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 def _check_pair(cfg: object, name: str, ordered: bool) -> None:
@@ -94,14 +109,12 @@ class ScenarioConfig:
     split: str = "in-domain-test"
 
     def __post_init__(self) -> None:
-        if self.sequence_length < 0 or self.n_tracks < 0 or self.n_expressions < 0:
-            raise ValueError("counts must be non-negative")
+        for name in ("seed", "sequence_length", "n_tracks", "n_expressions", "max_step"):
+            _check_count(self, name)
         if not 0.0 <= self.no_target_fraction <= 1.0:
             raise ValueError("no_target_fraction must lie in [0, 1]")
         _check_pair(self, "frame_size", ordered=False)
         _check_pair(self, "box_size_range", ordered=True)
-        if not _is_int(self.max_step) or self.max_step < 0:
-            raise ValueError(f"max_step must be an integer >= 0, got {self.max_step!r}")
         if self.box_size_range[1] > min(self.frame_size):
             raise ValueError("boxes cannot exceed the frame")
 
@@ -124,8 +137,10 @@ class PerturbationConfig:
             raise ValueError("miss_rate must lie in [0, 1]")
         if not 0.0 <= self.idswitch_rate <= 1.0:
             raise ValueError("idswitch_rate must lie in [0, 1]")
-        if self.fp_rate < 0 or self.jitter < 0:
-            raise ValueError("fp_rate and jitter must be non-negative")
+        if self.fp_rate < 0:
+            raise ValueError("fp_rate must be non-negative")
+        for name in ("seed", "jitter", "sequence_length"):
+            _check_count(self, name)
         _check_pair(self, "frame_size", ordered=False)
         _check_pair(self, "fp_box_size_range", ordered=True)
         for name in ("confidence_range", "referring_range"):
@@ -134,8 +149,68 @@ class PerturbationConfig:
                 raise ValueError(f"{name} must satisfy 0 <= lo <= hi <= 1, got {(lo, hi)!r}")
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+_U32 = 0xFFFFFFFF
+_U128 = (1 << 128) - 1
+# numpy's SeedSequence hash constants and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hashmix(words: np.ndarray, const: int, mult: int) -> Tuple[np.ndarray, int]:
+    """SeedSequence's ``hashmix`` of uint32 ``words``, and the next constant."""
+    words = words ^ np.uint32(const)
+    const = const * mult & _U32
+    words = words * np.uint32(const)
+    return words ^ (words >> np.uint32(16)), const
+
+
+def _streams(seed: int, *groups: Tuple[int, Sequence[int]]) -> List[List[dict]]:
+    """For each group ``(kind, entities)``, the list of
+    ``PCG64(SeedSequence(seed, spawn_key=(kind, entity))).state``, all from
+    one numpy pass (an entity outside 0..2**32 - 1, which numpy keys by more
+    words or rejects, goes through numpy itself)."""
+    pool = np.random.SeedSequence(seed).pool  # rejects a seed numpy rejects
+    words = max(-(-operator.index(seed).bit_length() // 32), 1)
+    # the seed took 4 hashmix calls to fill the pool, 12 to mix it and 4
+    # per word past the fourth
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(words - 4, 0), 1 << 32) & _U32
+    sizes = [len(entities) for _, entities in groups]
+    kinds = np.repeat([kind for kind, _ in groups], sizes).astype(np.int64)
+    entities = np.concatenate([np.asarray(e, np.int64) for _, e in groups] + [np.empty(0, int)])
+    mixer = np.tile(pool, (len(entities), 1))
+    for key in (kinds.astype(np.uint32), entities.astype(np.uint32)):
+        for d in range(4):
+            mixed, const = _hashmix(key, const, _MULT_A)
+            m = np.uint32(_MIX_L) * mixer[:, d] - np.uint32(_MIX_R) * mixed
+            mixer[:, d] = m ^ (m >> np.uint32(16))
+    const, state = _INIT_B, np.empty((len(entities), 8), np.uint64)
+    for i in range(8):
+        state[:, i], const = _hashmix(mixer[:, i % 4], const, _MULT_B)
+    out = []
+    # PCG64 seeds with (seed, inc) = the words as two 128-bit values, high first
+    for s_hi, s_lo, i_hi, i_lo in (state[:, ::2] | state[:, 1::2] << np.uint64(32)).tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _U128
+        s = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _U128
+        out.append({"bit_generator": "PCG64", "state": {"state": s, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0})
+    for i in np.flatnonzero((entities < 0) | (entities > _U32)).tolist():
+        key = (int(kinds[i]), int(entities[i]))
+        out[i] = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state
+    ends = np.cumsum(sizes).tolist()
+    return [out[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _at(gen: np.random.Generator, state: dict) -> np.random.Generator:
+    """``gen``, a generator of the caller's own, set to read the stream ``state``."""
+    gen.bit_generator.state = state
+    return gen
+
+
+def _ranks(ids: Sequence[str], table: List[str]) -> np.ndarray:
+    """Each of ``ids``' index in ``table``, its distinct values in order."""
+    index = {t: i for i, t in enumerate(table)}
+    return np.fromiter(map(index.__getitem__, ids), np.intp, len(ids))
 
 
 def _crc(text: str) -> int:
@@ -152,8 +227,7 @@ class Scenario:
     predictions: Mapping[Tuple[str, str], Tuple[Detection, ...]]
 
 
-def _generate_track(cfg: ScenarioConfig, index: int) -> GroundTruthTrack:
-    rng = _rng(cfg.seed, _K_TRACK, index)
+def _generate_track(cfg: ScenarioConfig, index: int, rng: np.random.Generator) -> GroundTruthTrack:
     fw, fh = cfg.frame_size
     lo, hi = cfg.box_size_range
     w = int(rng.integers(lo, hi + 1))
@@ -170,8 +244,7 @@ def _generate_track(cfg: ScenarioConfig, index: int) -> GroundTruthTrack:
     return GroundTruthTrack(track_id=f"t{index:03d}", boxes=boxes)
 
 
-def _generate_labels(cfg: ScenarioConfig) -> AttributeFrameLabels:
-    rng = _rng(cfg.seed, _K_ATTR, 0)
+def _generate_labels(cfg: ScenarioConfig, rng: np.random.Generator) -> AttributeFrameLabels:
     n = cfg.sequence_length
     night_len = max(n // 4, 1)
     night_start = int(rng.integers(1, max(n - night_len + 1, 1) + 1))
@@ -211,20 +284,24 @@ def _generate_labels(cfg: ScenarioConfig) -> AttributeFrameLabels:
 
 def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     """Deterministically generate ground truth and perfect predictions."""
-    tracks = {t.track_id: t for t in (_generate_track(cfg, i) for i in range(cfg.n_tracks))}
+    groups = (_K_TRACK, range(cfg.n_tracks)), (_K_ATTR, [0]), (_K_EXPR, range(cfg.n_expressions))
+    track_s, (attr_s,), expr_s = _streams(cfg.seed, *groups)
+    gen = np.random.Generator(np.random.PCG64(0))
+    made = (_generate_track(cfg, i, _at(gen, state)) for i, state in enumerate(track_s))
+    tracks = {t.track_id: t for t in made}
     sequence = SequenceData(
         sequence_id=cfg.sequence_id,
         length=cfg.sequence_length,
         tracks=tracks,
         split=cfg.split,
     )
-    labels = _generate_labels(cfg)
+    labels = _generate_labels(cfg, _at(gen, attr_s))
 
     track_ids = sorted(tracks)
     tasks: List[ExpressionTask] = []
     predictions: Dict[Tuple[str, str], Tuple[Detection, ...]] = {}
-    for i in range(cfg.n_expressions):
-        rng = _rng(cfg.seed, _K_EXPR, i)
+    for i, state in enumerate(expr_s):
+        rng = _at(gen, state)
         expr_id = f"e{i:03d}"
         text = _TEMPLATES[int(rng.integers(0, len(_TEMPLATES)))] + f" variant {i}"
         no_target = bool(rng.random() < cfg.no_target_fraction)
@@ -264,7 +341,7 @@ def generate_scenario(cfg: ScenarioConfig) -> Scenario:
     )
 
 
-def perturb(dets: Sequence[Detection], cfg: PerturbationConfig) -> List[Detection]:
+def perturb(dets: Sequence[Detection], cfg: PerturbationConfig) -> UnitBoxes:
     """Apply seeded misses, false positives, ID switches, and jitter.
 
     Deterministic in (input set, seed): detections are processed in sorted
@@ -272,75 +349,66 @@ def perturb(dets: Sequence[Detection], cfg: PerturbationConfig) -> List[Detectio
     caller's ordering never changes the outcome. Miss decisions use one
     uniform draw per detection thresholded by miss_rate, which makes retained
     sets nested across increasing miss rates for a fixed seed.
+
+    The result is sorted by (frame, track id); rows of one frame and id
+    keep their order, the input's before the false positives.
     """
-    ordered = sorted(dets, key=lambda d: (d.frame, d.track_id))
+    src = UnitBoxes.from_detections(dets)
+    names = sorted(set(src.ids))
+    tid = _ranks(src.ids, names)[src.track]
+    order = np.lexsort((tid, src.frame))
+    frame, tid = src.frame[order], tid[order]
+    rows = np.column_stack([src.xywh, src.confidence, src.referring_score])[order]
+    frames, first, counts = np.unique(frame, return_index=True, return_counts=True)
+    length = cfg.sequence_length
+    switch_s, miss_s, jitter_s, fp_s = _streams(
+        cfg.seed,
+        (_K_SWITCH, [_crc(t) for t in names] if cfg.idswitch_rate > 0.0 else []),
+        (_K_MISS, frames),
+        (_K_JITTER, frames),
+        (_K_FP, range(1, length + 1) if cfg.fp_rate > 0.0 else []),
+    )
+    gen = np.random.Generator(np.random.PCG64(0))
 
-    # per-track switch schedules: fresh id from the switch frame onward
-    track_ids = sorted({d.track_id for d in ordered})
-    remap: Dict[str, Dict[int, str]] = {}
-    for tid in track_ids:
-        rng = _rng(cfg.seed, _K_SWITCH, _crc(tid))
-        u = rng.random(size=cfg.sequence_length)
-        current = tid
-        n_switch = 0
-        table: Dict[int, str] = {}
-        for f in range(1, cfg.sequence_length + 1):
-            if cfg.idswitch_rate > 0.0 and u[f - 1] < cfg.idswitch_rate:
-                n_switch += 1
-                current = f"{tid}#sw{n_switch}"
-            table[f] = current
-        remap[tid] = table
+    # per-track switch schedules: a fresh id from each switch frame onward
+    switches = np.zeros(len(frame), np.int64)
+    if switch_s:
+        u = np.stack([_at(gen, s).random(length) for s in switch_s])
+        inside = (frame >= 1) & (frame <= length)
+        switches[inside] = np.cumsum(u < cfg.idswitch_rate, axis=1)[tid[inside], frame[inside] - 1]
 
-    out: List[Detection] = []
-    by_frame: Dict[int, List[Detection]] = {}
-    for d in ordered:
-        by_frame.setdefault(d.frame, []).append(d)
-
-    for frame in sorted(by_frame):
-        group = by_frame[frame]
-        miss_rng = _rng(cfg.seed, _K_MISS, frame)
-        jit_rng = _rng(cfg.seed, _K_JITTER, frame)
-        miss_u = miss_rng.random(size=len(group))
-        jit = jit_rng.integers(-cfg.jitter, cfg.jitter + 1, size=(len(group), 4))
-        for i, d in enumerate(group):
-            if miss_u[i] < cfg.miss_rate:
-                continue
-            box = d.box
-            if cfg.jitter > 0:
-                x1 = box.x + float(jit[i, 0])
-                y1 = box.y + float(jit[i, 1])
-                x2 = box.x + box.w + float(jit[i, 2])
-                y2 = box.y + box.h + float(jit[i, 3])
-                box = BoundingBox(x1, y1, max(x2 - x1, 1.0), max(y2 - y1, 1.0))
-            tid = remap[d.track_id].get(d.frame, d.track_id)
-            out.append(
-                Detection(
-                    frame=d.frame,
-                    box=box,
-                    confidence=d.confidence,
-                    referring_score=d.referring_score,
-                    track_id=tid,
-                )
-            )
-
-    if cfg.fp_rate > 0.0:
-        out.extend(_false_positives(cfg))
-
-    out.sort(key=lambda d: (d.frame, d.track_id))
-    return out
+    miss_u = np.empty(len(frame))
+    jit = np.zeros((len(frame), 4))
+    for start, count, miss, jitter in zip(first.tolist(), counts.tolist(), miss_s, jitter_s):
+        miss_u[start:start + count] = _at(gen, miss).random(count)
+        if cfg.jitter > 0:
+            draw = _at(gen, jitter).integers(-cfg.jitter, cfg.jitter + 1, size=(count, 4))
+            jit[start:start + count] = draw
+    if cfg.jitter > 0:
+        x, y, w, h = rows[:, :4].T
+        x1, y1, x2, y2 = x + jit[:, 0], y + jit[:, 1], x + w + jit[:, 2], y + h + jit[:, 3]
+        rows[:, :4] = np.stack([x1, y1, np.maximum(x2 - x1, 1.0), np.maximum(y2 - y1, 1.0)], 1)
+    kept = np.flatnonzero(miss_u >= cfg.miss_rate)
+    labels = [names[t] if n == 0 else f"{names[t]}#sw{n}"
+              for t, n in zip(tid[kept].tolist(), switches[kept].tolist())]
+    fp_frame, fp_k, fp = _false_positives(cfg, gen, fp_s)
+    labels += [f"fp-{f}-{k}" for f, k in zip(fp_frame.tolist(), fp_k.tolist())]
+    frame = np.concatenate([frame[kept], fp_frame])
+    table = sorted(set(labels))
+    code = _ranks(labels, table)
+    order = np.lexsort((code, frame))
+    # ids in first-appearance order, as UnitBoxes.from_detections gives them
+    seen, at, track = np.unique(code[order], return_index=True, return_inverse=True)
+    appear = np.argsort(at)
+    values = np.concatenate([rows[kept], fp])[order]
+    ids = [table[c] for c in seen[appear].tolist()]
+    track = np.argsort(appear)[track]
+    return UnitBoxes(frame[order], track, ids, values[:, :4], values[:, 4], values[:, 5])
 
 
-_U32 = 0xFFFFFFFF
-
-
-def _false_positive(
-    frame: int, k: int, xywh: Sequence[float], conf: float, ref: float
-) -> Detection:
-    return Detection(frame, BoundingBox(*xywh), conf, ref, f"fp-{frame}-{k}")
-
-
-def _scalar_false_positives(cfg: PerturbationConfig, frame: int) -> List[Detection]:
-    """Frame ``frame``'s false positives, drawn one numpy scalar at a time.
+def _scalar_false_positives(cfg: PerturbationConfig, rng: np.random.Generator) -> List[tuple]:
+    """One frame's false positives as (x, y, w, h, confidence, referring
+    score), drawn one numpy scalar at a time from the frame's stream ``rng``.
 
     This defines the stream: a Poisson count, then for each false positive
     its width, height, x and y (``integers``) and its confidence and
@@ -349,16 +417,15 @@ def _scalar_false_positives(cfg: PerturbationConfig, frame: int) -> List[Detecti
     """
     lo, hi = cfg.fp_box_size_range
     fw, fh = cfg.frame_size
-    rng = _rng(cfg.seed, _K_FP, frame)
     out = []
-    for k in range(int(rng.poisson(cfg.fp_rate))):
+    for _ in range(int(rng.poisson(cfg.fp_rate))):
         w = int(rng.integers(lo, hi + 1))
         h = int(rng.integers(lo, hi + 1))
         x = int(rng.integers(0, max(fw - w, 0) + 1))
         y = int(rng.integers(0, max(fh - h, 0) + 1))
         conf = float(rng.uniform(*cfg.confidence_range))
         ref = float(rng.uniform(*cfg.referring_range))
-        out.append(_false_positive(frame, k, (float(x), float(y), float(w), float(h)), conf, ref))
+        out.append((x, y, w, h, conf, ref))
     return out
 
 
@@ -382,9 +449,13 @@ def _uniform(raw: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + (hi - lo) * ((raw >> 11) * 2.0**-53)
 
 
-def _false_positives(cfg: PerturbationConfig) -> List[Detection]:
-    """Every frame's false positives, equal to ``_scalar_false_positives``'s
-    (the module docstring gives the decode and when a frame falls back).
+def _false_positives(
+    cfg: PerturbationConfig, gen: np.random.Generator, states: Sequence[dict]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame f's false positives, from the stream ``states[f - 1]``, as
+    columns: frame, index in the frame, and (x, y, w, h, confidence,
+    referring score), equal to ``_scalar_false_positives``' (the module
+    docstring gives the decode and when a frame falls back).
 
     Poisson draws only doubles, so after a frame's count no buffered 32-bit
     half is pending, and each false positive's scalar draws read the next
@@ -393,39 +464,31 @@ def _false_positives(cfg: PerturbationConfig) -> List[Detection]:
     """
     lo, hi = cfg.fp_box_size_range
     fw, fh = cfg.frame_size
-    frames = range(1, cfg.sequence_length + 1)
-    # sides below 2**32 keep every x and y range, max(fw - w, 0) + 1 with
-    # w >= 1, below 2**32 values
-    if not (0 < hi - lo < _U32 and max(fw, fh) <= _U32):
-        return [d for frame in frames for d in _scalar_false_positives(cfg, frame)]
-
     counts = []
     raws = [np.empty(0, np.uint64)]
-    for frame in frames:
-        rng = _rng(cfg.seed, _K_FP, frame)
-        count = int(rng.poisson(cfg.fp_rate))
+    for state in states:
+        count = int(_at(gen, state).poisson(cfg.fp_rate))
         counts.append(count)
-        raws.append(rng.bit_generator.random_raw(4 * count))
-    raw = np.concatenate(raws).reshape(-1, 4)
-    low, high = raw[:, :2] & _U32, raw[:, :2] >> 32
-
-    w, w_ok = _lemire(low[:, 0], hi - lo + 1)
-    h, h_ok = _lemire(high[:, 0], hi - lo + 1)
-    w += lo
-    h += lo
-    x, x_ok = _lemire(low[:, 1], np.maximum(fw - w, 0) + 1)
-    y, y_ok = _lemire(high[:, 1], np.maximum(fh - h, 0) + 1)
-    conf = _uniform(raw[:, 2], *cfg.confidence_range)
-    ref = _uniform(raw[:, 3], *cfg.referring_range)
-    inexact = set(np.repeat(frames, counts)[~(w_ok & h_ok & x_ok & y_ok)].tolist())
-
-    xywh = np.stack([x, y, w, h], axis=1).astype(np.float64)
-    rows = zip(xywh.tolist(), conf.tolist(), ref.tolist())
-    out: List[Detection] = []
-    for frame, count in zip(frames, counts):
-        drawn = list(islice(rows, count))
-        if frame in inexact:
-            out.extend(_scalar_false_positives(cfg, frame))
-        else:
-            out.extend(_false_positive(frame, k, *row) for k, row in enumerate(drawn))
-    return out
+        raws.append(gen.bit_generator.random_raw(4 * count))
+    starts = np.cumsum([0] + counts)
+    frame = np.repeat(np.arange(1, len(counts) + 1), counts)
+    fp = np.empty((len(frame), 6))
+    redo = np.flatnonzero(counts) + 1
+    # sides below 2**32 keep every x and y range, max(fw - w, 0) + 1 with
+    # w >= 1, below 2**32 values
+    if 0 < hi - lo < _U32 and max(fw, fh) <= _U32:
+        raw = np.concatenate(raws).reshape(-1, 4)
+        low, high = raw[:, :2] & _U32, raw[:, :2] >> 32
+        w, w_ok = _lemire(low[:, 0], hi - lo + 1)
+        h, h_ok = _lemire(high[:, 0], hi - lo + 1)
+        w += lo
+        h += lo
+        x, x_ok = _lemire(low[:, 1], np.maximum(fw - w, 0) + 1)
+        y, y_ok = _lemire(high[:, 1], np.maximum(fh - h, 0) + 1)
+        conf = _uniform(raw[:, 2], *cfg.confidence_range)
+        ref = _uniform(raw[:, 3], *cfg.referring_range)
+        fp[:] = np.stack([x, y, w, h, conf, ref], axis=1)
+        redo = np.unique(frame[~(w_ok & h_ok & x_ok & y_ok)])
+    for f in redo.tolist():
+        fp[starts[f - 1]:starts[f]] = _scalar_false_positives(cfg, _at(gen, states[f - 1]))
+    return frame, np.arange(len(frame)) - starts[frame - 1], fp

@@ -106,6 +106,21 @@ class TestOracle:
             wm = WeightMatrix(weights=np.array(w))
             assert solve_oracle(wm).pairs == solve_max_weight(wm).pairs
 
+    @pytest.mark.parametrize("solve", [solve_max_weight, solve_oracle])
+    @pytest.mark.parametrize(
+        "weights, total",
+        [
+            # 2.5e308 is past the float range: the sum rounds to inf
+            ([[1.5e308, 1e308], [1e308, 1.5e308]], math.inf),
+            # the largest float plus less than half its ulp rounds back to it
+            ([[1.7976931348623157e308, 0.0], [0.0, 9e291]], 1.7976931348623157e308),
+            ([[1.7976931348623157e308, 0.0], [0.0, 1e292]], math.inf),
+        ],
+    )
+    def test_total_past_the_float_range(self, solve, weights, total):
+        m = solve(WeightMatrix(weights=np.array(weights)))
+        assert m.pairs == ((0, 0), (1, 1)) and m.total_weight == total
+
 
 weight_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda r: st.integers(min_value=1, max_value=5).flatmap(

@@ -657,6 +657,10 @@ class TestSynthCommand:
             ({"box_size_range": [20.5, 50]}, "box_size_range"),
             ({"frame_size": [100.5, 100], "box_size_range": [20, 50]}, "frame_size"),
             ({"max_step": -2}, "max_step"),
+            ({"n_tracks": 2.5}, "n_tracks"),
+            ({"sequence_length": 2.5}, "sequence_length"),
+            ({"n_expressions": True}, "n_expressions"),
+            ({"seed": -3}, "seed"),
         ],
     )
     def test_invalid_scenario_exits_1(self, runner, tmp_path, scenario, field):
@@ -676,6 +680,8 @@ class TestSynthCommand:
             {"fp_box_size_range": [0, 0]},
             {"fp_box_size_range": [80, 20]},
             {"fp_box_size_range": [20.5, 80]},
+            {"jitter": 1.5},
+            {"jitter": True},
         ],
     )
     def test_invalid_perturbation_exits_1(self, runner, tmp_path, pert):
@@ -687,6 +693,15 @@ class TestSynthCommand:
         assert result.stderr.startswith("error: invalid config: ")
         assert isinstance(result.exception, SystemExit)
         assert not (tmp_path / "gen").exists()
+
+    def test_non_integer_jitter_names_the_field(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SYNTH_CONFIG, "perturbation": {"seed": 5, "jitter": 1.5}}))
+        result = runner.invoke(main, ["synth", str(cfg), str(tmp_path / "gen")])
+        assert result.exit_code == EXIT_IO
+        assert result.stderr == (
+            "error: invalid config: jitter must be an integer >= 0, got 1.5\n"
+        )
 
     def test_byte_order_mark_skipped(self, runner, tmp_path):
         for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):

@@ -35,7 +35,14 @@ from rmot_eval.io_formats import (
     write_report,
 )
 from rmot_eval.hota import AlphaStats, finalize
-from rmot_eval.model import DEFAULT_ALPHA_GRID, Attribute, BoundingBox, SequenceData
+from rmot_eval.model import (
+    DEFAULT_ALPHA_GRID,
+    Attribute,
+    BoundingBox,
+    Detection,
+    SequenceData,
+    UnitBoxes,
+)
 
 from .conftest import build_mini_bundle, perfect_predictions, task_from_tracks
 
@@ -234,6 +241,30 @@ class TestPredictionsFormat:
 
     def test_unit_filename(self):
         assert unit_filename("seq-a", "e1") == "seq-a__e1.txt"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                Detection,
+                frame=st.integers(1, 6),
+                box=st.builds(
+                    BoundingBox,
+                    *[st.one_of(st.integers(-9, 99).map(float), st.floats(-1e300, 1e300))] * 4,
+                ),
+                confidence=st.floats(0.0, 1.0),
+                referring_score=st.floats(0.0, 1.0),
+                track_id=st.sampled_from(["a", "b", "a#sw1", "fp-1-0", "fp-1-10", "fp-1-2"]),
+            ),
+            max_size=15,
+        )
+    )
+    def test_columns_write_the_bytes_of_the_list(self, tmp_path_factory, dets):
+        # repeated (frame, id) rows included: each keeps its place among equals
+        folder = tmp_path_factory.mktemp("write")
+        write_predictions(dets, folder / "list.txt")
+        write_predictions(UnitBoxes.from_detections(dets), folder / "columns.txt")
+        assert (folder / "columns.txt").read_bytes() == (folder / "list.txt").read_bytes()
 
 
 _PRED_HEADER = "frame,track_id,x,y,w,h,confidence,referring_score"

@@ -1,5 +1,8 @@
 """Synthetic scenario generation and seeded perturbation."""
 
+import re
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from rmot_eval import synth
 from rmot_eval.io_formats import DatasetBundle
-from rmot_eval.model import Detection, EvalConfig
+from rmot_eval.model import BoundingBox, Detection, EvalConfig, UnitBoxes
 from rmot_eval.pipeline import evaluate
 from rmot_eval.synth import (
     PerturbationConfig,
@@ -17,6 +20,8 @@ from rmot_eval.synth import (
     generate_scenario,
     perturb,
 )
+
+from . import reference_synth
 
 
 def full_coverage_predictions(scenario):
@@ -121,6 +126,24 @@ class TestGenerateScenario:
         cfg = ScenarioConfig(seed=1, frame_size=[1, 1], box_size_range=[1, 1], max_step=0)
         assert (cfg.frame_size, cfg.box_size_range) == ((1, 1), (1, 1))
         assert generate_scenario(cfg).sequence.tracks
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("sequence_length", 2.5),
+            ("sequence_length", True),
+            ("n_tracks", 2.5),
+            ("n_tracks", -1),
+            ("n_expressions", 1.5),
+            ("n_expressions", False),
+            ("seed", -1),
+            ("seed", [1, 2]),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, name, value):
+        message = re.escape(f"{name} must be an integer >= 0, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(**{"seed": 1, name: value})
 
 
 class TestPerturb:
@@ -234,11 +257,38 @@ class TestPerturb:
     def test_accepts_edge_ranges(self, edge):
         PerturbationConfig(seed=1, **edge)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("jitter", 1.5),
+            ("jitter", True),
+            ("jitter", -1),
+            ("sequence_length", 2.5),
+            ("sequence_length", -1),
+            ("seed", 1.5),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, name, value):
+        message = re.escape(f"{name} must be an integer >= 0, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            PerturbationConfig(**{"seed": 1, name: value})
+
 
 def scalar_false_positives(cfg):
-    """Every frame's false positives from the scalar draws alone."""
+    """Every frame's false positives from numpy's scalar draws alone."""
     frames = range(1, cfg.sequence_length + 1)
-    return [d for f in frames for d in synth._scalar_false_positives(cfg, f)]
+    return [d for f in frames for d in reference_synth.scalar_false_positives(cfg, f)]
+
+
+def decoded_false_positives(cfg):
+    """``_false_positives``' columns as detections."""
+    frames = range(1, cfg.sequence_length + 1)
+    (states,) = synth._streams(cfg.seed, (synth._K_FP, frames))
+    frame, k, fp = synth._false_positives(cfg, np.random.Generator(np.random.PCG64(0)), states)
+    return [
+        Detection(f, BoundingBox(*row[:4]), row[4], row[5], f"fp-{f}-{i}")
+        for f, i, row in zip(frame.tolist(), k.tolist(), fp.tolist())
+    ]
 
 
 class TestFalsePositiveDecode:
@@ -250,15 +300,23 @@ class TestFalsePositiveDecode:
             ScenarioConfig(seed=123, sequence_length=cfg.sequence_length, n_expressions=1)
         )
         preds = full_coverage_predictions(sc)
-        with mock.patch.object(
-            synth, "_scalar_false_positives", wraps=synth._scalar_false_positives
-        ) as scalar:
+        frame_of = {
+            np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(synth._K_FP, f)))
+            .state["state"]["state"]: f
+            for f in range(1, cfg.sequence_length + 1)
+        }
+        fallback = set()
+        scalar = synth._scalar_false_positives
+
+        def record(cfg, rng):
+            fallback.add(frame_of[rng.bit_generator.state["state"]["state"]])
+            return scalar(cfg, rng)
+
+        with mock.patch.object(synth, "_scalar_false_positives", record):
             out = perturb(preds, cfg)
-        with mock.patch.object(synth, "_false_positives", scalar_false_positives):
-            expected = perturb(preds, cfg)
-        assert out == expected
+        assert list(out) == reference_synth.perturb(preds, cfg)
         fps = [d for d in out if d.track_id.startswith("fp-")]
-        return fps, {c.args[1] for c in scalar.call_args_list}
+        return fps, fallback
 
     def test_decoded_without_fallback(self):
         cfg = PerturbationConfig(seed=7, fp_rate=12.0, miss_rate=0.1, jitter=2,
@@ -271,7 +329,8 @@ class TestFalsePositiveDecode:
                                  fp_box_size_range=(30, 30))
         fps, fallback = self.perturb_both_ways(cfg)
         assert fps and {d.box.w for d in fps} == {30.0}
-        assert fallback == set(range(1, 201))
+        # every frame holding a false positive; a frame with none has nothing to draw
+        assert fallback == {d.frame for d in fps}
 
     def test_box_as_wide_as_the_frame_falls_back(self):
         cfg = PerturbationConfig(seed=7, fp_rate=3.0, sequence_length=200,
@@ -322,4 +381,164 @@ class TestFalsePositiveDecode:
             fp_box_size_range=(lo, lo + extra), confidence_range=tuple(conf),
             referring_range=tuple(ref),
         )
-        assert synth._false_positives(cfg) == scalar_false_positives(cfg)
+        assert decoded_false_positives(cfg) == scalar_false_positives(cfg)
+
+
+def numpy_state(seed, kind, entity):
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(kind, entity))).state
+
+
+class TestStreams:
+    """``_streams`` computes numpy's seeding of many spawn keys at once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**140),
+        groups=st.lists(
+            st.tuples(
+                st.integers(0, 2**32 - 1), st.lists(st.integers(0, 2**32 - 1), max_size=4)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    # one-word and multi-word seeds at the 4-word boundary of numpy's pool
+    @example(0, [(0, [0])])
+    @example(2**128 - 1, [(5, [2**32 - 1]), (6, [])])
+    @example(2**128, [(1, [0, 7]), (7, [3])])
+    def test_equals_numpy(self, seed, groups):
+        expected = [[numpy_state(seed, kind, e) for e in entities] for kind, entities in groups]
+        assert synth._streams(seed, *groups) == expected
+
+    def test_entities_outside_32_bits(self):
+        entities = [2**32, 5, 2**40 + 5]
+        assert synth._streams(3, (4, entities)) == [[numpy_state(3, 4, e) for e in entities]]
+        with pytest.raises(ValueError):
+            synth._streams(3, (4, [-1]))
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_rejects_what_numpy_rejects(self, seed, error):
+        with pytest.raises(error):
+            np.random.SeedSequence(seed)
+        with pytest.raises(error):
+            synth._streams(seed, (1, [0]))
+
+
+TRACK_IDS = ("t1", "t1#sw1", "t2", "fp-1-0", "fp-2-1", "a", "")
+
+
+@st.composite
+def perturb_inputs(draw):
+    """Detections and a config: frames inside and outside 1..length, ids that
+    collide with generated ones, repeated (frame, id) pairs, integer and
+    fractional coordinates, rates of 0 and 1."""
+    length = draw(st.integers(0, 6))
+    coord = st.one_of(st.integers(-5, 60).map(float), st.floats(-5.0, 60.0, allow_nan=False))
+    score = st.floats(0.0, 1.0)
+    dets = draw(st.lists(
+        st.builds(
+            Detection,
+            frame=st.integers(0, length + 3),
+            box=st.builds(BoundingBox, coord, coord, coord, coord),
+            confidence=score,
+            referring_score=score,
+            track_id=st.sampled_from(TRACK_IDS),
+        ),
+        max_size=12,
+    ))
+    rate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    cfg = PerturbationConfig(
+        seed=draw(st.integers(0, 2**70)),
+        miss_rate=draw(rate),
+        fp_rate=draw(st.sampled_from([0.0, 0.5, 3.0])),
+        idswitch_rate=draw(rate),
+        jitter=draw(st.integers(0, 3)),
+        frame_size=(64, 48),
+        sequence_length=length,
+    )
+    return dets, cfg
+
+
+class TestPerturbMatchesReference:
+    """``perturb`` on columns against the per-detection reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturb_inputs())
+    def test_equals_reference(self, case):
+        dets, cfg = case
+        out = perturb(dets, cfg)
+        expected = reference_synth.perturb(dets, cfg)
+        assert list(out) == expected
+        assert out.ids == UnitBoxes.from_detections(expected).ids
+        assert perturb(UnitBoxes.from_detections(dets), cfg) == expected
+
+    @pytest.mark.parametrize(
+        "pert",
+        [
+            dict(miss_rate=1.0, fp_rate=2.0),
+            dict(idswitch_rate=1.0, jitter=0),
+            dict(fp_rate=3.0, sequence_length=0, idswitch_rate=0.5, jitter=2),
+            dict(miss_rate=0.0, fp_rate=0.0, idswitch_rate=0.0, jitter=0),
+        ],
+    )
+    def test_edge_configs(self, pert):
+        preds = full_coverage_predictions(
+            generate_scenario(ScenarioConfig(seed=4, sequence_length=12, n_tracks=3))
+        )
+        preds.append(Detection(2, BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 0.5, "fp-2-0"))
+        preds.append(Detection(15, BoundingBox(1.0, 2.0, 3.0, 4.0), 0.5, 0.5, "t000"))
+        cfg = PerturbationConfig(seed=9, **{"sequence_length": 12, **pert})
+        assert list(perturb(preds, cfg)) == reference_synth.perturb(preds, cfg)
+
+    def test_jitter_keeps_the_float_arithmetic(self):
+        # fractional corners, where (x + w) + j and x + (w + j) round apart
+        rng = np.random.default_rng(3)
+        preds = [
+            Detection(f, BoundingBox(*(rng.random(4) * 10).tolist()), 1.0, 1.0, f"t{i}")
+            for f in range(1, 11)
+            for i in range(5)
+        ]
+        cfg = PerturbationConfig(seed=2, jitter=3, sequence_length=10)
+        assert list(perturb(preds, cfg)) == reference_synth.perturb(preds, cfg)
+
+    def test_empty_input(self):
+        cfg = PerturbationConfig(seed=9, miss_rate=0.5, idswitch_rate=0.5, jitter=2,
+                                 sequence_length=5)
+        assert list(perturb([], cfg)) == [] == reference_synth.perturb([], cfg)
+        cfg = PerturbationConfig(seed=9, fp_rate=2.0, sequence_length=5)
+        assert list(perturb([], cfg)) == reference_synth.perturb([], cfg) != []
+
+    def test_negative_frame_raises_as_numpy_does(self):
+        dets = [Detection(-1, BoundingBox(0.0, 0.0, 1.0, 1.0), 1.0, 1.0, "a")]
+        cfg = PerturbationConfig(seed=1, sequence_length=5)
+        with pytest.raises(ValueError):
+            reference_synth.perturb(dets, cfg)
+        with pytest.raises(ValueError):
+            perturb(dets, cfg)
+
+    def test_two_threads_get_the_serial_result(self):
+        sc = generate_scenario(ScenarioConfig(seed=6, sequence_length=40, n_tracks=6))
+        preds = full_coverage_predictions(sc)
+        cfgs = [
+            PerturbationConfig(seed=s, miss_rate=0.2, fp_rate=3.0, idswitch_rate=0.05,
+                               jitter=2, sequence_length=40)
+            for s in range(8)
+        ]
+        serial = [list(perturb(preds, cfg)) for cfg in cfgs]
+        results = {}
+
+        def work(name):
+            results[name] = [[list(perturb(preds, cfg)) for cfg in cfgs] for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {n: [serial] * 3 for n in range(2)}
