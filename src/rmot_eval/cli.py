@@ -28,8 +28,6 @@ from .io_formats import (
 )
 from .model import EvalConfig, validate_dataset
 from .pipeline import evaluate, resolve_workers
-from .stats import compute_stats, emit_histograms
-from .synth import PerturbationConfig, ScenarioConfig, generate_scenario, perturb
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -221,6 +219,8 @@ def cmd_evaluate(
               show_default=True)
 def cmd_stats(gt_dir: Path, out_dir: Path) -> None:
     """Compute dataset statistics and histograms for the bundle in GT_DIR."""
+    from .stats import compute_stats, emit_histograms
+
     bundle = load_bundle(gt_dir)
     report = compute_stats(bundle.sequences, bundle.tasks)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -242,6 +242,8 @@ def cmd_stats(gt_dir: Path, out_dir: Path) -> None:
 @click.argument("out_dir", type=click.Path(path_type=Path))
 def cmd_synth(config_file: Path, out_dir: Path) -> None:
     """Generate a synthetic bundle plus predictions from CONFIG_FILE (JSON)."""
+    from .synth import PerturbationConfig, ScenarioConfig, generate_scenario, perturb
+
     try:
         with config_file.open("r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
@@ -257,6 +259,10 @@ def cmd_synth(config_file: Path, out_dir: Path) -> None:
             entry = dict(entry)
             entry.setdefault("sequence_id", f"synth-{i:04d}")
             cfg = ScenarioConfig(**entry)
+            if cfg.sequence_id in sequences:
+                raise CommandError(
+                    f"invalid config: scenario {i} repeats sequence_id {cfg.sequence_id!r}"
+                )
             scenario = generate_scenario(cfg)
             sequences[cfg.sequence_id] = scenario.sequence
             tasks.extend(scenario.tasks)

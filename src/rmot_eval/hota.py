@@ -53,7 +53,8 @@ the previous alpha's (no pair's level and no forced threshold lies between
 them) has the same arrays, so it takes that alpha's sums without a row of
 its own. The stats come back in the order of the alphas given, each
 bit-identical to a call with that alpha alone and, for a restriction, to
-matching the restricted unit on its own.
+matching the restricted unit on its own, as ``UnitStats`` views over the
+scorer's arrays, which build an ``AlphaStats`` only when one is read.
 
 A unit's boxes are read once, as columns: the predictions' ``UnitBoxes`` (a
 list of detections is converted by ``UnitBoxes.from_detections``) and the
@@ -96,6 +97,64 @@ class AlphaStats:
     ass_pr_sum: float = 0.0  # sum over TPs of TPA/(TPA+FPA)
     # per-unit (gt_id, pred_id) -> TPA detail; dropped when pooling
     pair_tpa: Optional[Dict[Tuple[str, str], int]] = None
+
+
+class UnitStats(Sequence[AlphaStats]):
+    """One layout's ``AlphaStats`` per alpha as columns: ``alphas`` in the
+    caller's order, ``ints`` the (alpha, 3) int64 tp, fn, fp, ``floats`` the
+    (alpha, 4) float64 sums and ``tpa`` (counts, gt, pred, gt_ids, pred_ids),
+    each (gt, pred) cell's TPA per alpha, (cells, alpha), and its indices
+    into the ids, or None for no ``pair_tpa``. It builds an ``AlphaStats``,
+    and its ``pair_tpa``, only when one is read, compares equal to any
+    sequence of equal stats and has the list's repr."""
+
+    __slots__ = ("alphas", "ints", "floats", "tpa")
+
+    def __init__(self, alphas: Sequence[float], ints: np.ndarray, floats: np.ndarray, tpa=None):
+        self.alphas, self.ints, self.floats, self.tpa = tuple(alphas), ints, floats, tpa
+
+    @classmethod
+    def from_stats(cls, stats: Sequence[AlphaStats]) -> "UnitStats":
+        """The columns of ``stats``, without their ``pair_tpa``; a
+        ``UnitStats`` is returned as it is."""
+        if isinstance(stats, UnitStats):
+            return stats
+        return cls(
+            [s.alpha for s in stats],
+            np.array([(s.tp, s.fn, s.fp) for s in stats], np.int64).reshape(-1, 3),
+            np.array(
+                [(s.iou_sum, s.ass_a_sum, s.ass_re_sum, s.ass_pr_sum) for s in stats], np.float64
+            ).reshape(-1, 4),
+        )
+
+    def __len__(self) -> int:
+        return len(self.alphas)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        alpha, pair_tpa = self.alphas[i], None
+        if self.tpa is not None:
+            counts, gt, pred, gt_ids, pred_ids = self.tpa
+            n = counts[:, i]
+            on = np.flatnonzero(n)
+            pair_tpa = {
+                (gt_ids[g], pred_ids[p]): c
+                for g, p, c in zip(gt[on].tolist(), pred[on].tolist(), n[on].tolist())
+            }
+        return AlphaStats(alpha, *self.ints[i].tolist(), *self.floats[i].tolist(), pair_tpa)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+# the float fields of an AlphaMetrics and of a MetricReport
+METRIC_FIELDS = ("hota", "det_a", "ass_a", "det_re", "det_pr", "ass_re", "ass_pr", "loc_a")
 
 
 @dataclass(frozen=True)
@@ -523,7 +582,8 @@ def _score_layouts(
 
     Returns the (layouts, alpha, 3) int64 tp, fn, fp; the (layouts, alpha,
     4) float64 iou_sum, ass_a_sum, ass_re_sum, ass_pr_sum; and layout 0's
-    nonzero pair TPAs as (alpha, gt index, pred index, TPA) index arrays."""
+    (gt, pred) cells with a candidate: their TPA at each alpha, (cells,
+    alpha), and their gt and pred track indices."""
     n_lay, n_frames = member.shape
     wf, wg, wp, wk, wlo, wiou = cands
     (gl, gi, gc), (pl, pi, pc) = gts, preds
@@ -660,8 +720,7 @@ def _score_layouts(
     floats[scored, :, 1:] = sums[ass_rows[:, :, None] + np.arange(3)]
 
     n0 = int(np.count_nonzero(ulay == 0))
-    a0, u0 = np.nonzero(pair_tpa[:n0].T)
-    return ints, floats, (a0, gi[ug[u0]], pi[up[u0]], pair_tpa[u0, a0])
+    return ints, floats, (pair_tpa[:n0], gi[ug[:n0]], pi[up[:n0]])
 
 
 def match_unit_all_alphas(
@@ -672,13 +731,14 @@ def match_unit_all_alphas(
     solver: Solver = solve_max_weight,
     force_solver: bool = False,
     restrictions: Optional[Mapping[str, Sequence[int]]] = None,
-) -> Union[List[AlphaStats], Tuple[List[AlphaStats], Dict[str, List[AlphaStats]]]]:
+) -> Union[UnitStats, Tuple[UnitStats, Dict[str, UnitStats]]]:
     """Run the two-pass HOTA matching for every alpha over one unit.
 
     ``frames`` is the evaluation frame set. ``force_solver`` disables the
     forced-match fast path; results must be identical either way. Returns
-    one ``AlphaStats`` per alpha, in the order of ``alphas``; each equals
-    what a call with that alpha alone gives.
+    one ``AlphaStats`` per alpha, in the order of ``alphas``, as a
+    ``UnitStats`` view over the scorer's arrays; each equals what a call
+    with that alpha alone gives.
 
     ``restrictions`` maps a name to a subset of ``frames``. With it, the call
     returns ``(stats, {name: stats})``, where each restriction's stats equal
@@ -719,66 +779,25 @@ def match_unit_all_alphas(
     lo = k if force_solver else _forced_from(f, g, p, k, (len(ua.gt_ids), len(ua.pred_ids)))
     # a layout has its tracks in content order over its frames, so every sum
     # and tie runs as it would alone
-    ints, floats, (ta, tg, tpr, tn) = _score_layouts(
+    ints, floats, tpa = _score_layouts(
         order.size, (f, g, p, k, lo, iou), member,
         ua.gt.order(member), ua.pred.order(member), solver, not force_solver,
     )
 
-    details: List[Dict[Tuple[str, str], int]] = [{} for _ in range(order.size)]
-    for ai, gi, pi, n in zip(ta.tolist(), tg.tolist(), tpr.tolist(), tn.tolist()):
-        details[ai][ua.gt.ids[gi], ua.pred.ids[pi]] = n
     grid = [float(a) for a in alphas]
-    ints, floats = ints[:, back].tolist(), floats[:, back].tolist()
-
-    def layout_stats(
-        i: int, pair_tpa: Sequence[Optional[Dict[Tuple[str, str], int]]]
-    ) -> List[AlphaStats]:
-        return [
-            AlphaStats(alpha, tp, fn, fp, iou_sum, a_sum, re_sum, pr_sum, tpa)
-            for alpha, (tp, fn, fp), (iou_sum, a_sum, re_sum, pr_sum), tpa in zip(
-                grid, ints[i], floats[i], pair_tpa
-            )
-        ]
-
-    stats = layout_stats(0, [details[i] for i in back.tolist()])
+    ints, floats = ints[:, back], floats[:, back]
+    counts, gt, pred = tpa
+    stats = UnitStats(grid, ints[0], floats[0], (counts[:, back], gt, pred, ua.gt_ids, ua.pred_ids))
     if restrictions is None:
         return stats
-    none = [None] * order.size
-    return stats, {name: layout_stats(i, none) for i, name in enumerate(names, start=1)}
-
-
-def match_unit(
-    task: ExpressionTask,
-    preds: Sequence[Detection],
-    alpha: float,
-    frames: Optional[Sequence[int]] = None,
-    solver: Solver = solve_max_weight,
-) -> AlphaStats:
-    """Single-alpha entry point; predictions must already be filtered."""
-    if frames is None:
-        seen = [f for f in task.targets] + [d.frame for d in preds]
-        frames = range(1, (max(seen) if seen else 0) + 1)
-    return match_unit_all_alphas(task, preds, [alpha], frames, solver=solver)[0]
-
-
-def tally_arrays(layouts: Sequence[Sequence[AlphaStats]]) -> Tuple[np.ndarray, np.ndarray]:
-    """The tallies of per-alpha stats lists of one length as a (layouts,
-    alpha, 3) int64 array of tp, fn, fp and a (layouts, alpha, 4) float64
-    array of iou_sum, ass_a_sum, ass_re_sum, ass_pr_sum."""
-    stats = [s for layout in layouts for s in layout]
-    shape = (len(layouts), len(layouts[0]) if layouts else 0)
-    ints = np.array([(s.tp, s.fn, s.fp) for s in stats], dtype=np.int64)
-    floats = np.array(
-        [(s.iou_sum, s.ass_a_sum, s.ass_re_sum, s.ass_pr_sum) for s in stats], dtype=np.float64
-    )
-    return ints.reshape(shape + (3,)), floats.reshape(shape + (4,))
+    return stats, {name: UnitStats(grid, ints[i], floats[i]) for i, name in enumerate(names, 1)}
 
 
 def pool_tallies(
     alphas: Sequence[float], ints: Sequence[np.ndarray], floats: Sequence[np.ndarray]
 ) -> List[AlphaStats]:
     """Pool per-unit tallies, one (alpha, 3) ``ints`` and one (alpha, 4)
-    ``floats`` array per unit as ``tally_arrays`` lays them out, into one
+    ``floats`` array per unit as ``UnitStats`` lays them out, into one
     ``AlphaStats`` per alpha.
 
     The integer columns are summed exactly and the float columns with the
@@ -796,19 +815,18 @@ def pool_tallies(
 
 def accumulate(per_unit: Iterable[Sequence[AlphaStats]]) -> List[AlphaStats]:
     """Pool per-unit stats across units by summing counts componentwise
-    (``pool_tallies`` over their ``tally_arrays``).
+    (``pool_tallies`` over their ``UnitStats.from_stats`` columns).
 
     Float components are combined with exactly rounded summation, so the
     pooled result is bit-identical for any ordering of the units.
     """
-    units = [list(u) for u in per_unit]
+    units = [UnitStats.from_stats(u) for u in per_unit]
     if not units:
         return []
-    grid = tuple(s.alpha for s in units[0])
-    for unit_stats in units[1:]:
-        if tuple(s.alpha for s in unit_stats) != grid:
-            raise ValueError("mismatched alpha grids across units")
-    return pool_tallies(grid, *tally_arrays(units))
+    grid = units[0].alphas
+    if any(u.alphas != grid for u in units):
+        raise ValueError("mismatched alpha grids across units")
+    return pool_tallies(grid, [u.ints for u in units], [u.floats for u in units])
 
 
 def _ratio(num: float, den: float) -> float:
@@ -828,23 +846,8 @@ def finalize(pooled: Sequence[AlphaStats]) -> MetricReport:
     for s in pooled:
         total = s.tp + s.fn + s.fp
         if total == 0:
-            rows.append(
-                AlphaMetrics(
-                    alpha=s.alpha,
-                    tp=0,
-                    fn=0,
-                    fp=0,
-                    hota=1.0,
-                    det_a=1.0,
-                    ass_a=1.0,
-                    det_re=1.0,
-                    det_pr=1.0,
-                    ass_re=1.0,
-                    ass_pr=1.0,
-                    loc_a=1.0,
-                    empty=True,
-                )
-            )
+            ones = dict.fromkeys(METRIC_FIELDS, 1.0)
+            rows.append(AlphaMetrics(alpha=s.alpha, tp=0, fn=0, fp=0, empty=True, **ones))
             continue
         det_a = s.tp / total
         det_re = _ratio(s.tp, s.tp + s.fn)
@@ -874,21 +877,8 @@ def finalize(pooled: Sequence[AlphaStats]) -> MetricReport:
             )
         )
 
-    def avg(get: Callable[[AlphaMetrics], float]) -> float:
-        return 100.0 * math.fsum(get(r) for r in rows) / len(rows)
-
-    flags: Tuple[str, ...] = ()
-    if all(r.empty for r in rows):
-        flags = ("EMPTY_EVAL",)
     return MetricReport(
-        hota=avg(lambda r: r.hota),
-        det_a=avg(lambda r: r.det_a),
-        ass_a=avg(lambda r: r.ass_a),
-        det_re=avg(lambda r: r.det_re),
-        det_pr=avg(lambda r: r.det_pr),
-        ass_re=avg(lambda r: r.ass_re),
-        ass_pr=avg(lambda r: r.ass_pr),
-        loc_a=avg(lambda r: r.loc_a),
+        **{k: 100.0 * math.fsum(getattr(r, k) for r in rows) / len(rows) for k in METRIC_FIELDS},
         per_alpha=tuple(rows),
-        flags=flags,
+        flags=("EMPTY_EVAL",) if all(r.empty for r in rows) else (),
     )

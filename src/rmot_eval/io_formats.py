@@ -38,7 +38,17 @@ from dataclasses import dataclass
 from itertools import islice, repeat
 from math import isfinite
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -55,8 +65,11 @@ from .model import (
     TargetsView,
     TracksView,
     UnitBoxes,
+    names_a_file,
 )
-from .stats import StatsReport
+
+if TYPE_CHECKING:
+    from .stats import StatsReport
 
 ATTRIBUTE_COLUMNS: Tuple[Attribute, ...] = (
     Attribute.DAY,
@@ -174,11 +187,10 @@ def _typed(value: object, kind: type, path: Path, where: str):
 
 
 def _unit_id(value: object, path: Path, where: str) -> str:
-    """A sequence or expression id, which names a file or directory: a
-    string that is not empty, ``.`` or ``..`` and holds no ``/``, ``\\`` or
-    NUL; UNSAFE_ID otherwise."""
+    """A sequence or expression id (``model.names_a_file``); FIELD_TYPE if
+    it is not a string, UNSAFE_ID if it cannot name a file or directory."""
     value = _typed(value, str, path, where)
-    if value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+    if not names_a_file(value):
         raise ParseError(
             "UNSAFE_ID", path, None, f"{where} {value!r} cannot name a file or directory"
         )

@@ -376,6 +376,17 @@ class TargetsView(Mapping[int, Mapping[str, BoundingBox]]):
         return f"TargetsView({self.rows.size} boxes)"
 
 
+def names_a_file(value: object) -> bool:
+    """Whether ``value`` can be a sequence or expression id, which names a
+    file or directory: a string that is not empty, ``.`` or ``..`` and holds
+    no ``/``, ``\\`` or NUL."""
+    return (
+        isinstance(value, str)
+        and value not in ("", ".", "..")
+        and not any(c in value for c in "/\\\0")
+    )
+
+
 @dataclass(frozen=True)
 class ExpressionTask:
     """One (sequence, expression) evaluation unit.
@@ -467,13 +478,6 @@ def box_iou(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
     out = np.zeros(inter.shape, dtype=np.float64)
     np.divide(inter, union, out=out, where=union > 0.0)
     return out
-
-
-def iou_matrix(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between (..., n, 4) and (..., m, 4) arrays of [x, y, w, h]
-    boxes; leading batch dimensions broadcast, giving (..., n, m).
-    Bit-identical to looping :func:`iou` over all pairs."""
-    return box_iou(gt[..., :, None, :], pred[..., None, :, :])
 
 
 def filter_predictions(dets: Sequence[Detection], cfg: EvalConfig) -> Sequence[Detection]:

@@ -9,9 +9,11 @@ A pool worker gets the run once, through the pool's initializer (under
 fork it is inherited, not pickled). Each unit's result travels back as two
 arrays, its (layouts, alpha, 3) integer tallies and (layouts, alpha, 4)
 float sums for the whole sequence (layout 0) and each attribute it was
-restricted to, plus those attribute names (``hota.tally_arrays``); the
-parent pools them with ``hota.pool_tallies``, integer sums and
-``math.fsum``, the same pooling ``hota.accumulate`` does. Each unit's
+restricted to, plus those attribute names: the columns of the
+``hota.UnitStats`` views that ``match_unit_all_alphas`` returns, stacked,
+so no ``AlphaStats`` and no ``pair_tpa`` is built for a unit. The parent
+pools them with ``hota.pool_tallies``, integer sums and ``math.fsum``, the
+same pooling ``hota.accumulate`` does. Each unit's
 predictions are looked up in the process that evaluates the unit (a
 ``PredictionFiles`` parses the unit's file there into a ``UnitBoxes``; a
 list of detections is converted to one) and dropped when the unit is done.
@@ -26,7 +28,6 @@ and shuts the pool down with ``close`` and ``join`` before raising it.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import pickle
 import signal
@@ -38,13 +39,13 @@ from .assignment import solve_max_weight
 from .attributes import AttributeReport, attribute_report
 from .attributes import restrict_to_attribute  # noqa: F401  unused; bench/tracing.py wraps it
 from .hota import (
+    METRIC_FIELDS,
     AlphaMetrics,
     MetricReport,
     Solver,
     finalize,
     match_unit_all_alphas,
     pool_tallies,
-    tally_arrays,
 )
 from .io_formats import DatasetBundle
 from .model import (
@@ -59,7 +60,7 @@ from .model import (
 WORKERS_ENV = "RMOT_EVAL_WORKERS"
 
 # one unit's result: its restriction names, and its (layouts, alpha, 3) int
-# and (layouts, alpha, 4) float tally arrays (see hota.tally_arrays)
+# and (layouts, alpha, 4) float tally arrays (see hota.UnitStats)
 UnitTallies = Tuple[Tuple[str, ...], np.ndarray, np.ndarray]
 
 # everything a unit is evaluated from: the bundle, the predictions, the
@@ -148,7 +149,12 @@ def _eval_unit(run: Run, index: int) -> UnitTallies:
         solver=solver,
         restrictions=attribute_frames.get(task.sequence_id, {}),
     )
-    return (tuple(per_attr), *tally_arrays([main, *per_attr.values()]))
+    layouts = [main, *per_attr.values()]
+    return (
+        tuple(per_attr),
+        np.stack([s.ints for s in layouts]),
+        np.stack([s.floats for s in layouts]),
+    )
 
 
 def _attribute_tallies(
@@ -216,6 +222,8 @@ def _eval_in_pool(run: Run, n_workers: int) -> List[UnitTallies]:
     ``join``, never ``terminate``: a worker killed while it writes a result
     leaves the result queue locked, and the pool's shutdown then waits for
     ever."""
+    import multiprocessing
+
     n_units = len(run[0].tasks)
     n_workers = min(n_workers, n_units)
     mp = multiprocessing.get_context("fork")
@@ -241,14 +249,9 @@ def _eval_in_pool(run: Run, n_workers: int) -> List[UnitTallies]:
     return results
 
 
-# the float fields of an AlphaMetrics and of a MetricReport, averaged over
-# units by _macro_average
-_MEANS = ("hota", "det_a", "ass_a", "det_re", "det_pr", "ass_re", "ass_pr", "loc_a")
-
-
 def _macro_average(reports: Sequence[MetricReport], cfg: EvalConfig) -> MetricReport:
     def means(rows: Sequence) -> Dict[str, float]:
-        return {k: math.fsum([getattr(r, k) for r in rows]) / len(rows) for k in _MEANS}
+        return {k: math.fsum([getattr(r, k) for r in rows]) / len(rows) for k in METRIC_FIELDS}
 
     per_alpha = []
     for i, alpha in enumerate(cfg.alpha_grid):

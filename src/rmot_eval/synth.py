@@ -49,6 +49,7 @@ from .model import (
     GroundTruthTrack,
     SequenceData,
     UnitBoxes,
+    names_a_file,
 )
 
 # spawn-key stream kinds
@@ -117,6 +118,11 @@ class ScenarioConfig:
         _check_pair(self, "box_size_range", ordered=True)
         if self.box_size_range[1] > min(self.frame_size):
             raise ValueError("boxes cannot exceed the frame")
+        if not names_a_file(self.sequence_id):
+            raise ValueError(
+                "sequence_id must be a string that can name a file or directory "
+                f"(not empty, '.' or '..', without '/', '\\' or NUL), got {self.sequence_id!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,9 @@ def unit_tallies(
     preds: Sequence[Detection],
     frames: Sequence[int],
     alphas: Sequence[float],
-) -> List[Tally]:
-    """One unit's tallies at every alpha, over the given frames only."""
+) -> Tuple[List[Tally], List[Counter]]:
+    """One unit's tallies at every alpha, over the given frames only, and
+    at every alpha its TPA per matched (gt id, pred id) pair."""
     frame_list = sorted(set(frames))
     keep = set(frame_list)
     gt: Dict[str, List[Tuple[int, BoundingBox]]] = {}
@@ -97,6 +98,7 @@ def unit_tallies(
     total_pr = sum(len(b) for b in pr.values())
 
     out: List[Tally] = []
+    tpas: List[Counter] = []
     for alpha in alphas:
 
         def overlap(g: str, p: str, f: int) -> Optional[float]:
@@ -146,7 +148,8 @@ def unit_tallies(
         tp = len(matches)
         sums = [float(ious.sum()), *terms.sum((1, 2)).tolist()]
         out.append((alpha, tp, total_gt - tp, total_pr - tp, *sums))
-    return out
+        tpas.append(tpa)
+    return out, tpas
 
 
 def pool(units: Sequence[Sequence[Tally]]) -> List[Tally]:
@@ -224,14 +227,15 @@ def reference_evaluate(bundle, predictions, cfg: EvalConfig, macro: bool = False
             for d in predictions.get((task.sequence_id, task.expression_id), ())
             if d.confidence >= cfg.score_threshold and d.referring_score >= cfg.beta_ref
         ]
-        main.append(unit_tallies(task.targets, dets, range(1, length + 1), alphas))
+        main.append(unit_tallies(task.targets, dets, range(1, length + 1), alphas)[0])
         labels = bundle.attributes.get(task.sequence_id)
         if labels is None:
             continue
         for attr in Attribute:
             flagged = [f for f in sorted(labels.flags) if attr in labels.flags[f]]
             if flagged:
-                per_attr[attr.value].append(unit_tallies(task.targets, dets, flagged, alphas))
+                tallies, _ = unit_tallies(task.targets, dets, flagged, alphas)
+                per_attr[attr.value].append(tallies)
 
     empty = [(a, 0, 0, 0, 0.0, 0.0, 0.0, 0.0) for a in alphas]
     if macro and main:

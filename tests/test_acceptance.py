@@ -16,7 +16,7 @@ import pytest
 
 from rmot_eval.assignment import solve_max_weight, solve_oracle
 from rmot_eval.attributes import compose_geometric
-from rmot_eval.hota import finalize, match_unit, match_unit_all_alphas
+from rmot_eval.hota import finalize, match_unit_all_alphas
 from rmot_eval.io_formats import DatasetBundle, load_bundle, report_payload
 from rmot_eval.model import (
     DEFAULT_ALPHA_GRID,

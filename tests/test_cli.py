@@ -703,6 +703,28 @@ class TestSynthCommand:
             "error: invalid config: jitter must be an integer >= 0, got 1.5\n"
         )
 
+    @pytest.mark.parametrize("sequence_id", ["../escape", "../../x", "a/b", "..", "", 7])
+    def test_unsafe_sequence_id_exits_1_and_writes_nothing(self, runner, tmp_path, sequence_id):
+        cfg = tmp_path / "cfg.json"
+        doc = {"scenarios": [{**SYNTH_CONFIG["scenarios"][0], "sequence_id": sequence_id}]}
+        cfg.write_text(json.dumps(doc))
+        # an id that climbs two levels would still land under tmp_path
+        result = runner.invoke(main, ["synth", str(cfg), str(tmp_path / "out" / "gen")])
+        assert result.exit_code == EXIT_IO
+        assert result.stderr.startswith(
+            "error: invalid config: sequence_id must be a string that can name a file or directory"
+        )
+        assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+
+    def test_repeated_sequence_id_exits_1_and_writes_nothing(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        scenario = {**SYNTH_CONFIG["scenarios"][0], "sequence_id": "s"}
+        cfg.write_text(json.dumps({"scenarios": [scenario, {**scenario, "seed": 12}]}))
+        result = runner.invoke(main, ["synth", str(cfg), str(tmp_path / "gen")])
+        assert result.exit_code == EXIT_IO
+        assert result.stderr == "error: invalid config: scenario 1 repeats sequence_id 's'\n"
+        assert not (tmp_path / "gen").exists()
+
     def test_byte_order_mark_skipped(self, runner, tmp_path):
         for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
             cfg = tmp_path / f"{name}.json"
@@ -774,7 +796,33 @@ print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
+# Imports the CLI in a fresh interpreter; prints the lazily loaded modules it
+# loaded, then resolves every public name of the package.
+LAZY_IMPORT_RUN = """
+import json, sys
+import rmot_eval.cli
+lazy = ("rmot_eval.synth", "rmot_eval.stats", "multiprocessing")
+loaded = [m for m in lazy if m in sys.modules]
+import rmot_eval
+unresolved = [n for n in rmot_eval.__all__ if getattr(rmot_eval, n, None) is None]
+print(json.dumps({"loaded": loaded, "unresolved": unresolved}))
+"""
+
+
 class TestImports:
+    def test_cli_import_loads_only_what_evaluate_runs(self):
+        # synth, stats and multiprocessing are imported by the commands and
+        # the worker pool that use them, and the package's names on first use
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        done = subprocess.run(
+            [sys.executable, "-c", LAZY_IMPORT_RUN],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"loaded": [], "unresolved": []}
+
     def test_evaluate_never_imports_numpy_ma(self, runner, tmp_path):
         # numpy.unique imports numpy.ma (about 30 ms per run on numpy 2.4),
         # so it stays off the evaluate path, workers included

@@ -1,10 +1,13 @@
 """HOTA engine: unit matching, pooling, finalization, fast-path equivalence."""
 
+import dataclasses
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -12,18 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmot_eval import hota
+from rmot_eval import hota, pipeline
 from rmot_eval.assignment import Matching, match_small, solve_oracle
 from rmot_eval.attributes import restrict_to_attribute
 from rmot_eval.hota import (
     AlphaStats,
     _forced_from,
     accumulate,
+    UnitStats,
     finalize,
-    match_unit,
     match_unit_all_alphas,
     pool_tallies,
-    tally_arrays,
 )
 from rmot_eval.io_formats import load_bundle, parse_predictions, unit_filename
 from rmot_eval.model import (
@@ -48,7 +50,7 @@ class TestMatchUnit:
         task = simple_task(2)
         preds = [det(1, box(0, 0, 10, 10), "p1"), det(2, box(0, 0, 10, 10), "p1")]
         for alpha in (0.05, 0.5, 0.95):
-            s = match_unit(task, preds, alpha, frames=range(1, 3))
+            s = match_unit_all_alphas(task, preds, [alpha], range(1, 3))[0]
             assert (s.tp, s.fn, s.fp) == (2, 0, 0)
             assert s.ass_a_sum == 2.0  # A = 1 for both TPs
             assert s.iou_sum == 2.0
@@ -56,7 +58,7 @@ class TestMatchUnit:
     def test_two_frame_id_switch(self):
         task = simple_task(2)
         preds = [det(1, box(0, 0, 10, 10), "p1"), det(2, box(0, 0, 10, 10), "p2")]
-        s = match_unit(task, preds, 0.5, frames=range(1, 3))
+        s = match_unit_all_alphas(task, preds, [0.5], range(1, 3))[0]
         assert (s.tp, s.fn, s.fp) == (2, 0, 0)
         # each TP: TPA=1, FNA=1, FPA=0 -> A = 0.5
         assert s.pair_tpa == {("g1", "p1"): 1, ("g1", "p2"): 1}
@@ -65,21 +67,21 @@ class TestMatchUnit:
     def test_no_target_with_surviving_predictions(self):
         task = ExpressionTask("s", "e", "nothing here", {})
         preds = [det(f, box(0, 0, 5, 5), "p1") for f in (1, 2, 3)]
-        s = match_unit(task, preds, 0.5, frames=range(1, 4))
+        s = match_unit_all_alphas(task, preds, [0.5], range(1, 4))[0]
         assert (s.tp, s.fn, s.fp) == (0, 0, 3)
 
     def test_half_missed(self):
         task = simple_task(2)
         preds = [det(1, box(0, 0, 10, 10), "p1")]
-        s = match_unit(task, preds, 0.5, frames=range(1, 3))
+        s = match_unit_all_alphas(task, preds, [0.5], range(1, 3))[0]
         assert (s.tp, s.fn, s.fp) == (1, 1, 0)
         assert s.ass_a_sum == pytest.approx(0.5)
 
     def test_below_alpha_not_matched(self):
         task = simple_task(1)
         preds = [det(1, box(5, 0, 10, 10), "p1")]  # iou = 50/150 = 1/3
-        low = match_unit(task, preds, 0.3, frames=[1])
-        high = match_unit(task, preds, 0.4, frames=[1])
+        low = match_unit_all_alphas(task, preds, [0.3], [1])[0]
+        high = match_unit_all_alphas(task, preds, [0.4], [1])[0]
         assert (low.tp, low.fn, low.fp) == (1, 0, 0)
         assert (high.tp, high.fn, high.fp) == (0, 1, 1)
 
@@ -87,7 +89,7 @@ class TestMatchUnit:
         task = simple_task(1)
         preds = [det(1, box(0, 0, 10, 10), "p1"), det(1, box(1, 1, 9, 9), "p1")]
         with pytest.raises(ValueError, match="duplicate"):
-            match_unit(task, preds, 0.5, frames=[1])
+            match_unit_all_alphas(task, preds, [0.5], [1])[0]
         # of two repeats, the first in file order is reported
         preds = [
             det(2, box(0, 0, 10, 10), "p1"),
@@ -96,12 +98,12 @@ class TestMatchUnit:
             det(2, box(0, 0, 10, 10), "p1"),
         ]
         with pytest.raises(ValueError, match="track 'p2' at frame 1"):
-            match_unit(simple_task(2), preds, 0.5, frames=[1, 2])
+            match_unit_all_alphas(simple_task(2), preds, [0.5], [1, 2])[0]
 
     def test_frames_outside_window_ignored(self):
         task = simple_task(5)
         preds = [det(f, box(0, 0, 10, 10), "p1") for f in range(1, 6)]
-        s = match_unit(task, preds, 0.5, frames=[2, 3])
+        s = match_unit_all_alphas(task, preds, [0.5], [2, 3])[0]
         assert (s.tp, s.fn, s.fp) == (2, 0, 0)
 
     def test_prior_association_guides_matching(self):
@@ -116,7 +118,7 @@ class TestMatchUnit:
             det(3, box(1, 0, 10, 10), "pA"),  # iou 9/11
             det(3, box(0, 0, 10, 10), "pB"),  # iou 1.0
         ]
-        s = match_unit(task, preds, 0.5, frames=[1, 2, 3])
+        s = match_unit_all_alphas(task, preds, [0.5], [1, 2, 3])[0]
         assert s.pair_tpa == {("g1", "pA"): 3}
         assert (s.tp, s.fn, s.fp) == (3, 0, 1)
 
@@ -135,7 +137,7 @@ class TestAllAlphasConsistency:
         ]
         combined = match_unit_all_alphas(task, preds, DEFAULT_ALPHA_GRID, range(1, 5))
         for stats, alpha in zip(combined, DEFAULT_ALPHA_GRID):
-            single = match_unit(task, preds, alpha, frames=range(1, 5))
+            single = match_unit_all_alphas(task, preds, [alpha], range(1, 5))[0]
             assert (stats.tp, stats.fn, stats.fp) == (single.tp, single.fn, single.fp)
             assert stats.iou_sum == single.iou_sum
             assert stats.ass_a_sum == single.ass_a_sum
@@ -652,16 +654,137 @@ class TestAlphaOrder:
         )
         assert len(whole) == len(alphas)
         for i, alpha in enumerate(alphas):
-            alone = match_unit(task, preds, alpha, frames=frames)
+            alone = match_unit_all_alphas(task, preds, [alpha], frames)[0]
             assert [getattr(whole[i], f) for f in STAT_FIELDS] == [
                 getattr(alone, f) for f in STAT_FIELDS
             ]
             assert whole[i].pair_tpa == alone.pair_tpa
             for name, sub in restrictions.items():
-                alone = match_unit(*restrict_to_attribute(task, preds, sub), alpha, frames=sub)
+                alone = match_unit_all_alphas(
+                    *restrict_to_attribute(task, preds, sub), [alpha], sub
+                )[0]
                 assert [getattr(restricted[name][i], f) for f in STAT_FIELDS] == [
                     getattr(alone, f) for f in STAT_FIELDS
                 ]
+
+
+class TestUnitStats:
+    """``match_unit_all_alphas`` returns each layout's stats as a read-only
+    ``Sequence[AlphaStats]`` over the scorer's arrays, which builds an
+    ``AlphaStats`` only when one is read."""
+
+    ALPHAS = (0.5, 0.05, 0.95)
+
+    def unit(self):
+        """(whole-unit view, {"late": restriction view}) of a unit whose
+        content order (g2, g1; pz, pa, pm) is neither its id order nor its
+        predictions' file order."""
+        g2 = track("g2", [1, 2], box(0, 0, 10, 10))
+        g1 = track("g1", [2, 3], box(30, 0, 10, 10))
+        task = task_from_tracks("s", "e", "t", [(g2, [1, 2]), (g1, [2, 3])])
+        preds = [
+            det(2, box(30, 0, 10, 10), "pm"),
+            det(3, box(31, 0, 10, 10), "pm"),  # iou 9/11
+            det(2, box(0, 0, 10, 10), "pa"),
+            det(1, box(0, 0, 10, 10), "pz"),
+        ]
+        return match_unit_all_alphas(
+            task, preds, self.ALPHAS, [1, 2, 3], restrictions={"late": [2, 3]}
+        )
+
+    def test_sequence_protocol(self):
+        whole, restricted = self.unit()
+        stats = list(whole)
+        assert isinstance(whole, UnitStats) and isinstance(whole, Sequence)
+        assert len(whole) == 3 and [s.alpha for s in whole] == list(self.ALPHAS)
+        assert whole[-1] == stats[2] and whole[-3] == stats[0]
+        assert whole[1:] == stats[1:] and whole[::-1] == stats[::-1]
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                whole[i]
+        assert [s.pair_tpa for s in restricted["late"]] == [None] * 3
+
+    def test_equality(self):
+        whole, restricted = self.unit()
+        stats = list(whole)
+        assert whole == stats and stats == whole and whole == tuple(stats)
+        assert not (whole != stats or stats != whole)
+        assert whole == self.unit()[0] and not whole != self.unit()[0]
+        changed = [*stats[:2], dataclasses.replace(stats[2], fp=stats[2].fp + 1)]
+        for other in (changed, stats[:2], [*stats, stats[0]], restricted["late"]):
+            assert whole != other and other != whole and not whole == other
+        assert (whole == 3) is False
+
+    def test_repr_is_the_lists(self):
+        whole, restricted = self.unit()
+        assert repr(whole) == repr(list(whole))
+        assert repr(restricted) == repr({"late": list(restricted["late"])})
+
+    def test_pickle_round_trip(self):
+        whole, restricted = self.unit()
+        for view in (whole, restricted["late"]):
+            back = pickle.loads(pickle.dumps(view))
+            assert type(back) is UnitStats and back == view and repr(back) == repr(view)
+
+    def test_each_read_builds_fresh_stats(self):
+        whole, _ = self.unit()
+        want = [dataclasses.replace(s, pair_tpa=dict(s.pair_tpa)) for s in whole]
+        first = whole[0]
+        assert first is not whole[0]
+        first.tp += 100
+        first.pair_tpa.clear()
+        for s in whole:
+            s.iou_sum = -1.0
+        assert list(whole) == want
+
+    def test_pair_tpa_in_content_order(self):
+        # each alpha's (gt, pred) cells in content order, as the eager
+        # dicts were built: by gt, then pred, each in content order
+        whole, _ = self.unit()
+        both = [(("g2", "pz"), 1), (("g2", "pa"), 1), (("g1", "pm"), 2)]
+        assert [list(s.pair_tpa.items()) for s in whole] == [
+            both, both, [*both[:2], (("g1", "pm"), 1)]
+        ]
+
+    def test_from_stats(self):
+        whole, _ = self.unit()
+        assert UnitStats.from_stats(whole) is whole
+        columns = UnitStats.from_stats(list(whole))
+        assert columns == [dataclasses.replace(s, pair_tpa=None) for s in whole]
+        assert UnitStats.from_stats([]) == [] and UnitStats.from_stats([]).ints.shape == (0, 3)
+
+    def test_unit_path_builds_no_alpha_stats(self, monkeypatch):
+        # on the crowded golden bundle, pipeline._eval_unit constructs no
+        # AlphaStats; pooling the units still does
+        root = Path(__file__).resolve().parent / "data" / "golden" / "crowded"
+        bundle = load_bundle(root / "bundle")
+        preds = {
+            (t.sequence_id, t.expression_id): parse_predictions(
+                root / "predictions" / unit_filename(t.sequence_id, t.expression_id),
+                bundle.sequences[t.sequence_id].length,
+            )
+            for t in bundle.tasks
+        }
+        made, units, in_unit = [], [], [False]
+        init, eval_unit = AlphaStats.__init__, pipeline._eval_unit
+
+        def counted_init(self, *args, **kwargs):
+            made.append(in_unit[0])
+            init(self, *args, **kwargs)
+
+        def traced_eval_unit(run, index):
+            units.append(index)
+            in_unit[0] = True
+            try:
+                return eval_unit(run, index)
+            finally:
+                in_unit[0] = False
+
+        monkeypatch.setattr(AlphaStats, "__init__", counted_init)
+        monkeypatch.setattr(pipeline, "_eval_unit", traced_eval_unit)
+        pipeline.evaluate(bundle, preds, EvalConfig(), workers=1)
+        assert units == list(range(len(bundle.tasks))) and units
+        assert made and not any(made)
 
 
 # One match_unit_all_alphas call on a dense unit: 74 GT tracks over the
@@ -830,6 +953,12 @@ class TestPoolTallies:
         return out
 
     @staticmethod
+    def arrays(units):
+        """The units' (unit, alpha, 3) int and (unit, alpha, 4) float tallies."""
+        views = [UnitStats.from_stats(u) for u in units]
+        return np.stack([v.ints for v in views]), np.stack([v.floats for v in views])
+
+    @staticmethod
     def bits(stats):
         return [
             (s.alpha, s.tp, s.fn, s.fp)
@@ -840,13 +969,13 @@ class TestPoolTallies:
     def test_cancelling_column_is_exactly_rounded(self):
         column = np.array([1e16, 1.0, -1e16, 1.0])
         assert math.fsum(column) == 2.0 and float(np.sum(column)) != 2.0
-        pooled = pool_tallies(self.ALPHAS, *tally_arrays(self.units(4, seed=1)))
+        pooled = pool_tallies(self.ALPHAS, *self.arrays(self.units(4, seed=1)))
         assert pooled[0].iou_sum == 2.0
 
     @pytest.mark.parametrize("n_units", [1, 2, 4, 9])
     def test_equals_accumulate_and_exact_sums_bitwise(self, n_units):
         units = self.units(n_units, seed=n_units)
-        ints, floats = tally_arrays(units)
+        ints, floats = self.arrays(units)
         assert ints.shape == (n_units, len(self.ALPHAS), 3) and ints.dtype == np.int64
         assert floats.shape == (n_units, len(self.ALPHAS), 4) and floats.dtype == np.float64
         pooled = pool_tallies(self.ALPHAS, ints, floats)
@@ -908,7 +1037,7 @@ class TestFinalize:
         task = simple_task(4)
         preds = [det(f, box(0, 0, 10, 10), "p1") for f in range(1, 5)]
         report = finalize(
-            [match_unit(task, preds, a, frames=range(1, 5)) for a in DEFAULT_ALPHA_GRID]
+            [match_unit_all_alphas(task, preds, [a], range(1, 5))[0] for a in DEFAULT_ALPHA_GRID]
         )
         d = report.as_dict()
         for key in ("HOTA", "DetA", "AssA", "DetRe", "DetPr", "AssRe", "AssPr", "LocA"):

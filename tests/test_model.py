@@ -18,7 +18,6 @@ from rmot_eval.model import (
     box_iou,
     filter_predictions,
     iou,
-    iou_matrix,
     validate_dataset,
 )
 
@@ -66,7 +65,7 @@ class TestIoUMatrix:
     def test_bit_identical_to_scalar(self, gts, preds):
         g = np.array([[b.x, b.y, b.w, b.h] for b in gts])
         p = np.array([[b.x, b.y, b.w, b.h] for b in preds])
-        mat = iou_matrix(g, p)
+        mat = box_iou(g[:, None], p[None])
         for i, gb in enumerate(gts):
             for j, pb in enumerate(preds):
                 assert mat[i, j] == iou(gb, pb)
@@ -82,7 +81,7 @@ class TestIoUMatrix:
     def test_shape(self):
         g = np.zeros((3, 4))
         p = np.zeros((2, 4))
-        assert iou_matrix(g, p).shape == (3, 2)
+        assert box_iou(g[:, None], p[None]).shape == (3, 2)
         assert box_iou(g, p[:1]).shape == (3,)
 
     @given(st.integers(min_value=1, max_value=4), st.data())
@@ -100,7 +99,7 @@ class TestIoUMatrix:
         for fi, (gts, preds) in enumerate(frames):
             gb[fi, :len(gts)] = [[b.x, b.y, b.w, b.h] for b in gts]
             pb[fi, :len(preds)] = [[b.x, b.y, b.w, b.h] for b in preds]
-        mat = iou_matrix(gb, pb)
+        mat = box_iou(gb[:, :, None], pb[:, None])
         assert mat.shape == (n_frames, g, p)
         for fi, (gts, preds) in enumerate(frames):
             for i in range(g):

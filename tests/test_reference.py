@@ -14,6 +14,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rmot_eval.hota import match_unit_all_alphas
 from rmot_eval.io_formats import DatasetBundle
 from rmot_eval.model import (
     Attribute,
@@ -26,7 +27,7 @@ from rmot_eval.model import (
 )
 from rmot_eval.pipeline import evaluate
 
-from .reference_hota import HEADLINE, reference_evaluate
+from .reference_hota import HEADLINE, reference_evaluate, unit_tallies
 
 BOX = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4), st.integers(1, 4))
 
@@ -169,3 +170,23 @@ def test_evaluate_matches_reference(spec, macro):
     assert close(attrs.hota_s, want_attrs["HOTA_S"])
     assert close(attrs.hota_m, want_attrs["HOTA_M"])
 
+
+@settings(max_examples=150, deadline=None)
+@given(specs())
+@example(TIE)
+@example(CELL_ORDER)
+def test_pair_tpa_matches_reference(spec):
+    # each unit's pair_tpa at every alpha: the matched frames of each (gt,
+    # pred) pair with at least one, as the reference counts them
+    bundle, preds = build(spec)
+    cfg = EvalConfig()
+    for task in bundle.tasks:
+        frames = range(1, bundle.sequences[task.sequence_id].length + 1)
+        dets = [
+            d
+            for d in preds[task.sequence_id, task.expression_id]
+            if d.confidence >= cfg.score_threshold and d.referring_score >= cfg.beta_ref
+        ]
+        stats = match_unit_all_alphas(task, dets, cfg.alpha_grid, frames)
+        _, tpas = unit_tallies(task.targets, dets, frames, cfg.alpha_grid)
+        assert [s.pair_tpa for s in stats] == [dict(tpa) for tpa in tpas]

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rmot_eval import synth
-from rmot_eval.io_formats import DatasetBundle
+from rmot_eval.io_formats import DatasetBundle, ParseError, _unit_id
 from rmot_eval.model import BoundingBox, Detection, EvalConfig, UnitBoxes
 from rmot_eval.pipeline import evaluate
 from rmot_eval.synth import (
@@ -144,6 +144,22 @@ class TestGenerateScenario:
         message = re.escape(f"{name} must be an integer >= 0, got {value!r}")
         with pytest.raises(ValueError, match=message):
             ScenarioConfig(**{"seed": 1, name: value})
+
+    @pytest.mark.parametrize(
+        "sequence_id", ["../escape", "../../x", "a/b", "a\\b", "a\0b", "", ".", "..", 7, None]
+    )
+    def test_rejects_every_id_the_bundle_loader_rejects(self, sequence_id, tmp_path):
+        # one rule for both: an id the loader refuses is never written
+        with pytest.raises(ParseError, match="FIELD_TYPE|UNSAFE_ID"):
+            _unit_id(sequence_id, tmp_path / "manifest.json", "sequence_id")
+        message = re.escape("sequence_id must be a string that can name a file or directory")
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(seed=1, sequence_id=sequence_id)
+
+    @pytest.mark.parametrize("sequence_id", ["s", "..x", "a.b", "synth 0", "ü-1"])
+    def test_accepts_ids_the_bundle_loader_accepts(self, sequence_id, tmp_path):
+        assert _unit_id(sequence_id, tmp_path / "manifest.json", "sequence_id") == sequence_id
+        assert ScenarioConfig(seed=1, sequence_id=sequence_id).sequence_id == sequence_id
 
 
 class TestPerturb:
