@@ -7,9 +7,10 @@ pairs. The order is made exact by lossless integer encoding:
 
 * a finite float is ``num / den`` with ``den`` a power of two, so every
   feasible weight times the largest ``den`` is an integer (no rounding), and
-* each cell (r, c) carries a tie-break bonus of 3 ** (rows*cols - (r*cols+c)).
-  Bonus sums of distinct pair sets are distinct, and the whole bonus range is
-  smaller than one unit of scaled weight, so the combined integer objective
+* the i-th of the k feasible cells, in row-major order, carries a tie-break
+  bonus of 3 ** (k - i); only feasible cells are ever matched. Bonus sums of
+  distinct pair sets are distinct, and the whole bonus range is smaller than
+  one unit of scaled weight (3 ** (k + 1)), so the combined integer objective
   orders matchings exactly as (weight, greedy-lex) would.
 
 Pairs with negative weight or a false feasibility mask are never matched.
@@ -103,14 +104,14 @@ def _encode(weights: np.ndarray, feas: np.ndarray) -> List[List[int]]:
     combined[r][c] is meaningful only where feasible; infeasible cells hold 0.
     """
     rows, cols = weights.shape
-    k = rows * cols
-    bonus_base = 3 ** (k + 1)
     at_r, at_c = np.nonzero(feas)
+    k = at_r.size  # the feasible cells, in row-major order
+    bonus_base = 3 ** (k + 1)
     ratios = [w.as_integer_ratio() for w in weights[at_r, at_c].tolist()]
     scale = max((den for _, den in ratios), default=1)
     combined = [[0] * cols for _ in range(rows)]
-    for r, c, (num, den) in zip(at_r.tolist(), at_c.tolist(), ratios):
-        combined[r][c] = num * (scale // den) * bonus_base + 3 ** (k - (r * cols + c))
+    for i, (r, c, (num, den)) in enumerate(zip(at_r.tolist(), at_c.tolist(), ratios)):
+        combined[r][c] = num * (scale // den) * bonus_base + 3 ** (k - i)
     return combined
 
 

@@ -29,6 +29,7 @@ expression's targets are a ``model.TargetsView``, a row selection into its
 sequence's columns that ``parse_expressions`` resolves for the whole
 document at once, in the order a dict filled interval by interval, frame by
 frame would iterate. The other formats parse into the ``model`` types.
+Both files are written by one row writer over the same columns.
 """
 
 from __future__ import annotations
@@ -271,18 +272,9 @@ def _fmt(v: float) -> str:
 
 
 def write_gt(tracks: Mapping[str, GroundTruthTrack], path: Path | str) -> None:
-    path = Path(path)
-    rows = []
-    for tid in sorted(tracks):
-        for frame in sorted(tracks[tid].boxes):
-            b = tracks[tid].boxes[frame]
-            rows.append((frame, tid, b))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for frame, tid, b in rows:
-            fh.write(
-                f"{frame},{tid},{_fmt(b.x)},{_fmt(b.y)},{_fmt(b.w)},{_fmt(b.h)}\n"
-            )
+    """Write a sequence's tracks, a dict or a ``TracksView``, as ``gt.txt``
+    rows sorted by (frame, track id)."""
+    _write_rows(Path(path), TracksView.from_mapping(tracks).columns)
 
 
 def parse_attributes(path: Path | str, sequence_id: str, length: int) -> AttributeFrameLabels:
@@ -429,36 +421,32 @@ def _check_rows(path: Path, n_fields: int, length: Optional[int]) -> None:
 
 
 def write_predictions(dets: Sequence[Detection], path: Path | str) -> None:
-    """Write one unit's predictions sorted by (frame, track id), rows of one
-    frame and id in their order. A ``UnitBoxes`` is written from its
-    columns, with the bytes the same detections give as a list."""
-    path = Path(path)
-    if isinstance(dets, UnitBoxes):
-        _write_unit_boxes(dets, path)
-        return
-    ordered = sorted(dets, key=lambda d: (d.frame, d.track_id))
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for d in ordered:
-            b = d.box
-            fh.write(
-                f"{d.frame},{d.track_id},{_fmt(b.x)},{_fmt(b.y)},{_fmt(b.w)},{_fmt(b.h)},"
-                f"{repr(float(d.confidence))},{repr(float(d.referring_score))}\n"
-            )
+    """Write one unit's predictions, a ``UnitBoxes`` or any sequence of
+    detections, sorted by (frame, track id), rows of one frame and id in
+    their order."""
+    boxes = UnitBoxes.from_detections(dets)
+    _write_rows(Path(path), boxes, boxes.confidence, boxes.referring_score)
 
 
-def _write_unit_boxes(boxes: UnitBoxes, path: Path) -> None:
+def _write_rows(path: Path, boxes: GtColumns | UnitBoxes, *scores: np.ndarray) -> None:
+    """The one row writer of ``gt.txt`` and prediction files: rows sorted by
+    (frame, track id), ties in row order, coordinates through ``_fmt_column``
+    and a prediction's two scores through ``repr``."""
     ids = boxes.ids  # distinct, so a rank per id orders the rows
     rank = np.empty(len(ids), np.intp)
     rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     order = np.lexsort((rank[boxes.track], boxes.frame))
     rows = zip(
         boxes.frame[order].tolist(), boxes.track[order].tolist(),
-        *map(_fmt_column, boxes.xywh[order].T),
-        boxes.confidence[order].tolist(), boxes.referring_score[order].tolist(),
+        *map(_fmt_column, boxes.xywh[order].T), *(s[order].tolist() for s in scores),
     )
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for frame, t, x, y, w, h, conf, ref in rows:
-            fh.write(f"{frame},{ids[t]},{x},{y},{w},{h},{conf!r},{ref!r}\n")
+        if scores:
+            for f, t, x, y, w, h, conf, ref in rows:
+                fh.write(f"{f},{ids[t]},{x},{y},{w},{h},{conf!r},{ref!r}\n")
+        else:
+            for f, t, x, y, w, h in rows:
+                fh.write(f"{f},{ids[t]},{x},{y},{w},{h}\n")
 
 
 def _fmt_column(values: np.ndarray) -> list:

@@ -82,8 +82,10 @@ class Detection:
     track_id: str
 
 
-def _int64_frames(frames: List[int]) -> np.ndarray:
-    """``frames`` as int64; a ``ValueError`` when one does not fit."""
+def _int64_frames(frames: Iterable[int]) -> np.ndarray:
+    """``frames`` as int64; a ``TypeError`` when one is not an integer (a
+    float is never truncated), a ``ValueError`` when one does not fit."""
+    frames = list(map(operator.index, frames))
     try:
         return np.array(frames, dtype=np.int64)
     except OverflowError:
@@ -131,7 +133,7 @@ class UnitBoxes(Sequence[Detection]):
         n = len(dets)
         index: Dict[str, int] = {}
         return cls(
-            _int64_frames([operator.index(d.frame) for d in dets]),
+            _int64_frames(d.frame for d in dets),
             np.fromiter((index.setdefault(d.track_id, len(index)) for d in dets), np.intp, n),
             list(index),
             np.array(
@@ -218,7 +220,8 @@ class GtColumns:
         cls, frame: List[int], track: List[int], ids: Sequence[str], xywh: List[float]
     ) -> "GtColumns":
         """Columns from lists, ``xywh`` flat (four numbers per box); a frame
-        past the int64 range is a ``ValueError``."""
+        that is not an integer is a ``TypeError``, one past the int64 range a
+        ``ValueError``."""
         return cls(
             _int64_frames(frame),
             np.array(track, dtype=np.intp),
@@ -378,11 +381,12 @@ class TargetsView(Mapping[int, Mapping[str, BoundingBox]]):
 
 def names_a_file(value: object) -> bool:
     """Whether ``value`` can be a sequence or expression id, which names a
-    file or directory: a string that is not empty, ``.`` or ``..`` and holds
-    no ``/``, ``\\`` or NUL."""
+    file or directory: a string that is not empty, ``.``, ``..`` or a bundle
+    file a sequence directory would shadow (``manifest.json``,
+    ``expressions.json``), and holds no ``/``, ``\\`` or NUL."""
     return (
         isinstance(value, str)
-        and value not in ("", ".", "..")
+        and value not in ("", ".", "..", "manifest.json", "expressions.json")
         and not any(c in value for c in "/\\\0")
     )
 

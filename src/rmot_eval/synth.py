@@ -121,7 +121,8 @@ class ScenarioConfig:
         if not names_a_file(self.sequence_id):
             raise ValueError(
                 "sequence_id must be a string that can name a file or directory "
-                f"(not empty, '.' or '..', without '/', '\\' or NUL), got {self.sequence_id!r}"
+                "(not empty, '.', '..', 'manifest.json' or 'expressions.json', without '/', "
+                f"'\\' or NUL), got {self.sequence_id!r}"
             )
 
 

@@ -703,7 +703,10 @@ class TestSynthCommand:
             "error: invalid config: jitter must be an integer >= 0, got 1.5\n"
         )
 
-    @pytest.mark.parametrize("sequence_id", ["../escape", "../../x", "a/b", "..", "", 7])
+    @pytest.mark.parametrize(
+        "sequence_id",
+        ["../escape", "../../x", "a/b", "..", "", 7, "manifest.json", "expressions.json"],
+    )
     def test_unsafe_sequence_id_exits_1_and_writes_nothing(self, runner, tmp_path, sequence_id):
         cfg = tmp_path / "cfg.json"
         doc = {"scenarios": [{**SYNTH_CONFIG["scenarios"][0], "sequence_id": sequence_id}]}

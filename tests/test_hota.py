@@ -828,16 +828,21 @@ print(json.dumps({
 """
 
 
-def run_dense_unit(n_frames: int, n_restrictions: int) -> dict:
+def run_script(script: str, *args: int) -> dict:
+    """Run ``script`` in a fresh interpreter on ``args``; its printed JSON."""
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run(
-        [sys.executable, "-c", DENSE_UNIT_RUN, str(n_frames), str(n_restrictions)],
+        [sys.executable, "-c", script, *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def run_dense_unit(n_frames: int, n_restrictions: int) -> dict:
+    return run_script(DENSE_UNIT_RUN, n_frames, n_restrictions)
 
 
 class TestDenseUnit:
@@ -876,6 +881,39 @@ class TestDenseUnit:
         }
         assert run["peak_rss_mb"] < 150
         assert run["seconds"] < 3
+
+
+GRID_FRAME_RUN = """
+import json, sys, time
+from rmot_eval.hota import match_unit_all_alphas
+from rmot_eval.model import DEFAULT_ALPHA_GRID, BoundingBox, Detection, ExpressionTask
+
+k = int(sys.argv[1])
+cells = [(i, j) for i in range(k) for j in range(k)]
+targets = {1: {f"g{i}-{j}": BoundingBox(16.0 * i, 16.0 * j, 20.0, 20.0) for i, j in cells}}
+preds = [
+    Detection(1, BoundingBox(16.0 * i + 8, 16.0 * j + 8, 20.0, 20.0), 1.0, 1.0, f"p{i}-{j}")
+    for i, j in cells
+]
+task = ExpressionTask("s", "e", "t", targets)
+start = time.perf_counter()
+stats = match_unit_all_alphas(task, preds, DEFAULT_ALPHA_GRID, [1])
+seconds = time.perf_counter() - start
+print(json.dumps({"tp": [s.tp for s in stats], "seconds": seconds}))
+"""
+
+
+class TestGridFrame:
+    def test_one_large_component_stays_fast(self):
+        # a k x k grid of 20 px GT boxes 16 px apart, each prediction offset
+        # by 8 px: it overlaps up to four GT boxes at IoU 144/656 (about
+        # 0.22), so the frame is one component of k**2 x k**2 cells at
+        # alpha <= 0.2, 529 of them feasible on 12 x 12. A tie-break bonus
+        # numbered over every cell, not the feasible ones, makes the solver's
+        # integers about 33k bits long and the frame take 3-4 s.
+        run = run_script(GRID_FRAME_RUN, 12)
+        assert run["tp"] == [144 if a <= 0.2 else 0 for a in DEFAULT_ALPHA_GRID]
+        assert run["seconds"] < 1.5
 
 
 class TestAccumulate:

@@ -40,11 +40,37 @@ from rmot_eval.model import (
     Attribute,
     BoundingBox,
     Detection,
+    GroundTruthTrack,
     SequenceData,
     UnitBoxes,
 )
 
+from . import reference_io
 from .conftest import build_mini_bundle, perfect_predictions, task_from_tracks
+
+
+# box coordinates: whole and fractional, -0.0, and whole numbers past the
+# int64 range, which are written exactly, not through int64
+_COORD = st.one_of(
+    st.integers(-9, 99).map(float),
+    st.floats(-1e300, 1e300),
+    st.sampled_from([-0.0, 2.0**63, -(2.0**63), 2.0**64 + 2**12, 1e300]),
+)
+_BOX = st.builds(BoundingBox, _COORD, _COORD, _COORD, _COORD)
+# ids whose string order differs from their first-appearance order
+_TRACK_IDS = st.sampled_from(["a", "b", "B", "a#sw1", "fp-1-0", "fp-1-10", "fp-1-2", "é"])
+_DETECTION = st.builds(
+    Detection,
+    frame=st.integers(1, 6),
+    box=_BOX,
+    confidence=st.floats(0.0, 1.0),
+    referring_score=st.floats(0.0, 1.0),
+    track_id=_TRACK_IDS,
+)
+# tracks and their frames in drawn, unsorted order
+_TRACKS = st.dictionaries(_TRACK_IDS, st.dictionaries(st.integers(1, 8), _BOX, max_size=6)).map(
+    lambda d: {tid: GroundTruthTrack(tid, boxes) for tid, boxes in d.items()}
+)
 
 
 class TestGtFormat:
@@ -128,6 +154,29 @@ class TestGtFormat:
         assert {t: dict(tr.boxes) for t, tr in parsed.items()} == {
             t: dict(tr.boxes) for t, tr in tracks.items()
         }
+
+    @pytest.mark.parametrize("frame", [1.5, 2.0])
+    def test_non_integer_frame_not_written(self, tmp_path, frame):
+        # never truncated to a whole frame, nor written as a line that
+        # parse_gt rejects
+        tracks = {"a": GroundTruthTrack("a", {frame: BoundingBox(0, 0, 1, 1)})}
+        with pytest.raises(TypeError):
+            write_gt(tracks, tmp_path / "gt.txt")
+        assert not (tmp_path / "gt.txt").exists()
+
+    # without the explain phase, which takes minutes on a failing draw
+    @settings(max_examples=150, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @given(tracks=_TRACKS)
+    def test_columns_write_the_bytes_of_the_dict(self, tmp_path_factory, tracks):
+        # a dict's tracks and their parsed TracksView write the same rows
+        folder = tmp_path_factory.mktemp("write")
+        reference_io.write_gt(tracks, folder / "reference.txt")
+        expected = (folder / "reference.txt").read_bytes()
+        write_gt(tracks, folder / "dict.txt")
+        assert (folder / "dict.txt").read_bytes() == expected
+        write_gt(parse_gt(folder / "reference.txt"), folder / "view.txt")
+        assert (folder / "view.txt").read_bytes() == expected
 
     def test_crlf_accepted(self, tmp_path):
         p = tmp_path / "gt.txt"
@@ -242,29 +291,20 @@ class TestPredictionsFormat:
     def test_unit_filename(self):
         assert unit_filename("seq-a", "e1") == "seq-a__e1.txt"
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(
-            st.builds(
-                Detection,
-                frame=st.integers(1, 6),
-                box=st.builds(
-                    BoundingBox,
-                    *[st.one_of(st.integers(-9, 99).map(float), st.floats(-1e300, 1e300))] * 4,
-                ),
-                confidence=st.floats(0.0, 1.0),
-                referring_score=st.floats(0.0, 1.0),
-                track_id=st.sampled_from(["a", "b", "a#sw1", "fp-1-0", "fp-1-10", "fp-1-2"]),
-            ),
-            max_size=15,
-        )
-    )
+    # without the explain phase, which takes minutes on a failing draw
+    @settings(max_examples=150, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @given(dets=st.lists(_DETECTION, max_size=15))
     def test_columns_write_the_bytes_of_the_list(self, tmp_path_factory, dets):
         # repeated (frame, id) rows included: each keeps its place among equals
         folder = tmp_path_factory.mktemp("write")
-        write_predictions(dets, folder / "list.txt")
-        write_predictions(UnitBoxes.from_detections(dets), folder / "columns.txt")
-        assert (folder / "columns.txt").read_bytes() == (folder / "list.txt").read_bytes()
+        reference_io.write_predictions(dets, folder / "reference.txt")
+        expected = (folder / "reference.txt").read_bytes()
+        for name, form in (
+            ("list", dets), ("tuple", tuple(dets)), ("columns", UnitBoxes.from_detections(dets))
+        ):
+            write_predictions(form, folder / f"{name}.txt")
+            assert (folder / f"{name}.txt").read_bytes() == expected, name
 
 
 _PRED_HEADER = "frame,track_id,x,y,w,h,confidence,referring_score"
@@ -516,6 +556,44 @@ print(json.dumps({
 """
 
 
+class TestNumberSpellings:
+    """Every number is read by Python's ``int`` and ``float``, so a line file
+    accepts their spellings: a leading space, a ``+``, a ``_`` between
+    digits and non-ASCII decimal digits (here Arabic-Indic)."""
+
+    PREDICTIONS = " 1,a,+2,1_0, 3,\u0664,+0.5, 1\n+1_2,b,\u0661\u0665,0,+1_0.5,2, 0.2_5,+0\n"
+    GT = " 1,a,+2,1_0, 3,\u0664\n+1_2,b,\u0661\u0665,0,+1_0.5,2\n"
+
+    def test_prediction_file(self, tmp_path):
+        p = tmp_path / "pred.txt"
+        p.write_text(self.PREDICTIONS, encoding="utf-8")
+        assert parse_predictions(p, length=12) == [
+            Detection(1, BoundingBox(2.0, 10.0, 3.0, 4.0), 0.5, 1.0, "a"),
+            Detection(12, BoundingBox(15.0, 0.0, 10.5, 2.0), 0.25, 0.0, "b"),
+        ]
+
+    def test_gt_file(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text(self.GT, encoding="utf-8")
+        tracks = parse_gt(p)
+        assert tracks["a"].boxes == {1: BoundingBox(2.0, 10.0, 3.0, 4.0)}
+        assert tracks["b"].boxes == {12: BoundingBox(15.0, 0.0, 10.5, 2.0)}
+
+    @pytest.mark.parametrize("kind", ["pred", "gt"])
+    def test_row_check_reads_the_same_grammar(self, tmp_path, kind):
+        # the block check fails on the last line, so every line is checked
+        # row by row, and only the last one raises
+        text, bad = {
+            "pred": (self.PREDICTIONS, "2,c,x,0,1,1,0.5,0.5\n"),
+            "gt": (self.GT, "2,c,x,0,1,1\n"),
+        }[kind]
+        p = tmp_path / f"{kind}.txt"
+        p.write_text(text + bad, encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            parse_predictions(p) if kind == "pred" else parse_gt(p)
+        assert (exc.value.code, exc.value.line) == ("FIELD_TYPE", 3)
+
+
 class TestLargePredictionFile:
     def test_memory_and_time_stay_bounded(self, tmp_path):
         # 500k lines: 50 tracks on each of 10k frames
@@ -749,7 +827,10 @@ class TestBundleRoundTrip:
 
 
 
-_UNSAFE_IDS = ["", ".", "..", "a/b", "/abs", "a\\b", "a\0b"]
+# a sequence directory named like a bundle file would shadow it
+_UNSAFE_IDS = [
+    "", ".", "..", "a/b", "/abs", "a\\b", "a\0b", "manifest.json", "expressions.json",
+]
 
 
 class TestUnitIds:

@@ -146,7 +146,9 @@ class TestGenerateScenario:
             ScenarioConfig(**{"seed": 1, name: value})
 
     @pytest.mark.parametrize(
-        "sequence_id", ["../escape", "../../x", "a/b", "a\\b", "a\0b", "", ".", "..", 7, None]
+        "sequence_id",
+        ["../escape", "../../x", "a/b", "a\\b", "a\0b", "", ".", "..", 7, None,
+         "manifest.json", "expressions.json"],
     )
     def test_rejects_every_id_the_bundle_loader_rejects(self, sequence_id, tmp_path):
         # one rule for both: an id the loader refuses is never written
