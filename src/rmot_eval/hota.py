@@ -74,7 +74,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .assignment import Matching, WeightMatrix, match_small, solve_max_weight
-from .model import Detection, ExpressionTask, TargetsView, UnitBoxes, box_iou
+from .model import Detection, ExpressionTask, TargetsView, UnitBoxes, _int64_frames, box_iou
 
 # Matches one matrix exactly. It is handed one connected component of a
 # (layout, alpha, frame)'s feasibility graph per call, or under
@@ -332,19 +332,21 @@ class UnitArrays:
     any sequence of detections, converted by ``UnitBoxes.from_detections``;
     ``task.targets`` likewise a ``TargetsView`` or a dict, converted by
     ``TargetsView.from_mapping``. Boxes on frames outside ``frames`` are
-    left out.
+    left out. ``frames`` keeps the evaluation frames as int64, ascending and
+    without repeats; a frame that is not an integer is a ``TypeError``.
     """
 
     __slots__ = ("frames", "n_frames", "gt", "pred", "pairs")
 
     def __init__(self, task: ExpressionTask, preds: Sequence[Detection], frames: Sequence[int]):
-        self.frames = sorted(set(frames))
-        self.n_frames = len(self.frames)
+        # np.unique would hash: sorting and dropping repeats is faster
+        frames = np.sort(_int64_frames(frames))
+        self.frames = frames = np.delete(frames, np.flatnonzero(frames[1:] == frames[:-1]) + 1)
+        self.n_frames = frames.size
         preds = UnitBoxes.from_detections(preds)
-        frames_arr = np.asarray(self.frames, dtype=np.int64)
         gt_columns = TargetsView.from_mapping(task.targets).unit_columns()
-        self.gt = gt = _on_frames(frames_arr, *gt_columns)
-        self.pred = pred = _on_frames(frames_arr, preds.frame, preds.track, preds.ids, preds.xywh)
+        self.gt = gt = _on_frames(frames, *gt_columns)
+        self.pred = pred = _on_frames(frames, preds.frame, preds.track, preds.ids, preds.xywh)
         # every gt box with each prediction box on its frame: gt boxes and
         # each frame's run of prediction boxes in (frame, track) order
         g_box = gt.by_frame
@@ -744,22 +746,26 @@ def match_unit_all_alphas(
     returns ``(stats, {name: stats})``, where each restriction's stats equal
     those of the unit restricted to its frames and matched on its own
     (``restrict_to_attribute``), except that they carry no ``pair_tpa``. A
-    restriction frame outside ``frames`` raises ``ValueError``.
+    restriction frame outside ``frames`` raises ``ValueError``, and a frame
+    that is not an integer, in ``frames`` or a restriction, ``TypeError``.
     """
     for a in alphas:
         if not 0.0 < a < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {a}")
     ua = UnitArrays(task, preds, frames)
-    frame_pos = {f: i for i, f in enumerate(ua.frames)}
     # layout 0 is the whole unit, each restriction a layout of its frames
     names = list(restrictions or {})
     member = np.zeros((1 + len(names), ua.n_frames), dtype=bool)
     member[0] = True
     for i, name in enumerate(names, start=1):
-        outside = set(restrictions[name]) - frame_pos.keys()
-        if outside:
-            raise ValueError(f"restriction {name!r}: frame {min(outside)} is not evaluated")
-        member[i, [frame_pos[f] for f in restrictions[name]]] = True
+        chosen = _int64_frames(restrictions[name])
+        at = np.searchsorted(ua.frames, chosen)
+        found = at < ua.n_frames
+        found[found] = ua.frames[at[found]] == chosen[found]
+        if not found.all():
+            outside = int(chosen[~found].min())
+            raise ValueError(f"restriction {name!r}: frame {outside} is not evaluated")
+        member[i, at] = True
 
     # the layouts are scored at the sorted alphas, then put back in order
     alphas_arr = np.asarray(alphas, dtype=np.float64)

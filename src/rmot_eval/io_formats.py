@@ -66,6 +66,7 @@ from .model import (
     TargetsView,
     TracksView,
     UnitBoxes,
+    _INT64_MAX,
     names_a_file,
 )
 
@@ -83,7 +84,6 @@ ATTRIBUTE_COLUMNS: Tuple[Attribute, ...] = (
     Attribute.LOW_RESOLUTION,
 )
 
-_INT64_MAX = 2**63 - 1  # the largest frame an int64 column holds
 _BLOCK_LINES = 1 << 14  # prediction lines read, split and converted at a time
 
 REPORT_SCHEMA = "rmot-eval-report/1"
@@ -198,12 +198,16 @@ def _unit_id(value: object, path: Path, where: str) -> str:
     return value
 
 
-def _is_number(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
+def _is_header(line: str) -> bool:
+    """Whether a file's first line is its optional header: none of its
+    fields parses as a number."""
+    for token in line.split(","):
+        try:
+            float(token)
+            return False
+        except ValueError:
+            pass
+    return True
 
 
 def _records(
@@ -214,9 +218,9 @@ def _records(
     is checked, and the frame must be an integer >= 1 (and <= ``length`` when
     given)."""
     for lineno, line in _lines(path):
+        if lineno == 1 and _is_header(line):
+            continue
         fields = line.split(",")
-        if lineno == 1 and not any(map(_is_number, fields)):
-            continue  # optional header
         if len(fields) != n_fields:
             raise ParseError(
                 "LINE_FIELD_COUNT", path, lineno,
@@ -357,10 +361,8 @@ def _line_blocks(path: Path, n_fields: int, length: Optional[int]) -> Optional[_
     index: Dict[str, int] = {}  # track id -> its index, in first-appearance order
     with path.open("r", encoding="utf-8-sig", newline="") as fh:
         for at, block in enumerate(iter(lambda: list(islice(fh, _BLOCK_LINES)), [])):
-            if at == 0:
-                head = block[0].rstrip("\r\n")
-                if head and not any(map(_is_number, head.split(","))):
-                    block[0] = ""  # optional header
+            if at == 0 and _is_header(block[0].rstrip("\r\n")):
+                block[0] = ""
             lines = list(filter(None, map(str.rstrip, block, repeat("\r\n"))))
             if not lines:
                 continue

@@ -15,6 +15,7 @@ dicts; ``from_mapping`` converts them to columns where columns are needed.
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -534,44 +535,66 @@ class SequenceData:
     split: str = "train"
 
 
-_INT64_MAX = 2**63 - 1
+_INT64_MAX = 2**63 - 1  # the largest frame an int64 column holds
 
 
-def _box_faults(c: GtColumns, length: int) -> Optional[np.ndarray]:
-    """Per row: a non-finite coordinate, a negative width or height, and a
-    frame outside [1, ``length``], as an (n, 3) bool array; None when no row
-    has any."""
-    faults = np.stack(
-        (
-            ~np.isfinite(c.xywh).all(axis=1),
-            (c.xywh[:, 2] < 0) | (c.xywh[:, 3] < 0),
-            # every int64 frame is at most _INT64_MAX, so the clip keeps the comparison
-            (c.frame < 1) | (c.frame > min(length, _INT64_MAX)),
-        ),
-        axis=1,
-    )
-    return faults if faults.any() else None
+def box_faults(
+    boxes: GtColumns | UnitBoxes, length: int, scores: Optional[Sequence[np.ndarray]] = None
+) -> Optional[Dict[str, np.ndarray]]:
+    """Per row of ``boxes``, its faults as bool columns keyed by violation
+    code, or None when no row has one: NON_FINITE (a non-finite x, y, w or
+    h), FRAME_OUT_OF_BOUNDS (a frame outside [1, ``length``]), and for ground
+    truth NEGATIVE_EXTENT (a negative w or h) or, for predictions with their
+    ``scores`` columns, SCORE_RANGE (a score outside [0, 1], NaN included)."""
+    faults = {
+        "NON_FINITE": ~np.isfinite(boxes.xywh).all(axis=1),
+        # every int64 frame is at most _INT64_MAX, so the clip keeps the comparison
+        "FRAME_OUT_OF_BOUNDS": (boxes.frame < 1) | (boxes.frame > min(length, _INT64_MAX)),
+    }
+    if scores is None:
+        faults["NEGATIVE_EXTENT"] = (boxes.xywh[:, 2] < 0) | (boxes.xywh[:, 3] < 0)
+    else:
+        in_range = [(s >= 0.0) & (s <= 1.0) for s in scores]
+        faults["SCORE_RANGE"] = ~functools.reduce(operator.and_, in_range)
+    return faults if functools.reduce(operator.or_, faults.values()).any() else None
 
 
-def _faulty_boxes(
-    c: GtColumns, rows: np.ndarray, faults: np.ndarray
-) -> Iterator[Tuple[int, str, List[float], bool, bool, bool, bool]]:
-    """Each faulty box of ``rows``, in their order: its frame, track id,
-    [x, y, w, h], its three ``faults`` and whether it starts a run of rows
-    on its frame."""
-    at = np.flatnonzero(faults[rows].any(axis=1))
+# Each side's box faults in the order validate_dataset reports a box's:
+# (code, message, once per frame: on the frame's first row, with no track id)
+_GT_FAULTS = (
+    ("NON_FINITE", "box coordinates x, y, w, h must be finite, got {x}, {y}, {w}, {h}", False),
+    ("NEGATIVE_EXTENT", "box has negative extent w={w} h={h}", False),
+    ("FRAME_OUT_OF_BOUNDS", "frame {f} outside [1, {length}]", False),
+)
+_TARGET_FAULTS = (
+    ("NON_FINITE", "target box coordinates x, y, w, h must be finite, "
+     "got {x}, {y}, {w}, {h}", False),
+    ("FRAME_OUT_OF_BOUNDS", "target frame {f} outside [1, {length}]", True),
+    ("NEGATIVE_EXTENT", "target box has negative extent w={w} h={h}", False),
+)
+
+
+def _box_violations(
+    c: GtColumns, rows: np.ndarray, faults: Dict[str, np.ndarray], table, length: int,
+    sequence_id: str, expression_id: Optional[str] = None,
+) -> Iterator[Violation]:
+    """Each fault of ``table`` that ``faults`` marks on ``rows`` (a frame's
+    rows contiguous), row by row, a row's faults in table order."""
     frame = c.frame[rows]
-    starts = np.ones(frame.size, dtype=bool)
-    starts[1:] = frame[1:] != frame[:-1]
+    first = np.ones(frame.size, dtype=bool)
+    first[1:] = frame[1:] != frame[:-1]
+    marks = np.stack([faults[code][rows] & (first if once else True) for code, _, once in table], 1)
+    at = np.flatnonzero(marks.any(axis=1))
     bad = rows[at]
-    for f, t, xywh, (non_finite, negative, outside), start in zip(
-        c.frame[bad].tolist(),
-        c.track[bad].tolist(),
-        c.xywh[bad].tolist(),
-        faults[bad].tolist(),
-        starts[at].tolist(),
+    for f, t, (x, y, w, h), marked in zip(
+        c.frame[bad].tolist(), c.track[bad].tolist(), c.xywh[bad].tolist(), marks[at].tolist()
     ):
-        yield f, c.ids[t], xywh, non_finite, negative, outside, start
+        for (code, message, once), m in zip(table, marked):
+            if m:
+                yield Violation(
+                    code, sequence_id, message.format(f=f, length=length, x=x, y=y, w=w, h=h),
+                    expression_id, f, None if once else c.ids[t],
+                )
 
 
 def validate_dataset(
@@ -590,53 +613,16 @@ def validate_dataset(
     out: List[Violation] = []
     # a parsed task's boxes are rows of its sequence's columns, which are
     # checked once; a task has no faulty box when they have none
-    faults: Dict[Tuple[GtColumns, int], Optional[np.ndarray]] = {}
-
-    def faults_of(c: GtColumns, length: int) -> Optional[np.ndarray]:
-        if (c, length) not in faults:
-            faults[c, length] = _box_faults(c, length)
-        return faults[c, length]
+    faults_of = functools.cache(box_faults)
 
     for seq in sequences.values():
         c = TracksView.from_mapping(seq.tracks).columns
-        seq_faults = faults_of(c, seq.length)
-        if seq_faults is None:
-            continue
-        # track by track, each track's boxes in row order
-        for frame, track_id, xywh, non_finite, negative, outside, _ in _faulty_boxes(
-            c, np.argsort(c.track, kind="stable"), seq_faults
-        ):
-            x, y, w, h = xywh
-            if non_finite:
-                out.append(
-                    Violation(
-                        "NON_FINITE",
-                        seq.sequence_id,
-                        f"box coordinates x, y, w, h must be finite, got {x}, {y}, {w}, {h}",
-                        frame=frame,
-                        track_id=track_id,
-                    )
-                )
-            if negative:
-                out.append(
-                    Violation(
-                        "NEGATIVE_EXTENT",
-                        seq.sequence_id,
-                        f"box has negative extent w={w} h={h}",
-                        frame=frame,
-                        track_id=track_id,
-                    )
-                )
-            if outside:
-                out.append(
-                    Violation(
-                        "FRAME_OUT_OF_BOUNDS",
-                        seq.sequence_id,
-                        f"frame {frame} outside [1, {seq.length}]",
-                        frame=frame,
-                        track_id=track_id,
-                    )
-                )
+        faults = faults_of(c, seq.length)
+        if faults is not None:  # track by track, each track's boxes in row order
+            out += _box_violations(
+                c, np.argsort(c.track, kind="stable"), faults, _GT_FAULTS, seq.length,
+                seq.sequence_id,
+            )
 
     for task in expressions:
         seq = sequences.get(task.sequence_id)
@@ -651,47 +637,12 @@ def validate_dataset(
             )
             continue
         targets = TargetsView.from_mapping(task.targets)
-        task_faults = faults_of(targets.columns, seq.length)
-        if task_faults is None:
-            continue
-        # a frame's rows are contiguous; the first reports the frame
-        for frame, track_id, xywh, non_finite, negative, outside, first in _faulty_boxes(
-            targets.columns, targets.rows, task_faults
-        ):
-            x, y, w, h = xywh
-            if non_finite:
-                out.append(
-                    Violation(
-                        "NON_FINITE",
-                        task.sequence_id,
-                        "target box coordinates x, y, w, h must be finite, "
-                        f"got {x}, {y}, {w}, {h}",
-                        expression_id=task.expression_id,
-                        frame=frame,
-                        track_id=track_id,
-                    )
-                )
-            if outside and first:
-                out.append(
-                    Violation(
-                        "FRAME_OUT_OF_BOUNDS",
-                        task.sequence_id,
-                        f"target frame {frame} outside [1, {seq.length}]",
-                        expression_id=task.expression_id,
-                        frame=frame,
-                    )
-                )
-            if negative:
-                out.append(
-                    Violation(
-                        "NEGATIVE_EXTENT",
-                        task.sequence_id,
-                        f"target box has negative extent w={w} h={h}",
-                        expression_id=task.expression_id,
-                        frame=frame,
-                        track_id=track_id,
-                    )
-                )
+        faults = faults_of(targets.columns, seq.length)
+        if faults is not None:
+            out += _box_violations(
+                targets.columns, targets.rows, faults, _TARGET_FAULTS, seq.length,
+                task.sequence_id, task.expression_id,
+            )
 
     for seq_id, labels in (attributes or {}).items():
         # the labels may come from another bundle than the sequences

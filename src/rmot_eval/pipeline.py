@@ -54,6 +54,7 @@ from .model import (
     EvalConfig,
     ExpressionTask,
     UnitBoxes,
+    box_faults,
     filter_predictions,
 )
 
@@ -109,25 +110,23 @@ def _unit_boxes(task: ExpressionTask, preds: Sequence[Detection], length: int) -
     for the first prediction that does not lie on the sequence's frames
     1..``length``, then for the first with a non-finite box coordinate, then
     for the first with a score outside [0, 1] (NaN included): the parser's
-    checks on a prediction file."""
+    checks on a prediction file, read from ``model.box_faults``."""
     unit = f"unit {task.sequence_id}/{task.expression_id}"
     try:
         boxes = UnitBoxes.from_detections(preds)
     except ValueError as exc:
         raise ValueError(f"{unit}: {exc}") from None
-    conf, ref = boxes.confidence, boxes.referring_score
-    for bad, fault in (
-        ((boxes.frame < 1) | (boxes.frame > length),
+    faults = box_faults(boxes, length, (boxes.confidence, boxes.referring_score))
+    for code, fault in (
+        ("FRAME_OUT_OF_BOUNDS",
          "lies on frame {d.frame}, outside the sequence's frames 1-{length}"),
-        (~np.isfinite(boxes.xywh).all(axis=1),
-         "on frame {d.frame} has box coordinates x, y, w, h "
+        ("NON_FINITE", "on frame {d.frame} has box coordinates x, y, w, h "
          "{d.box.x}, {d.box.y}, {d.box.w}, {d.box.h}; they must be finite"),
-        (~((conf >= 0.0) & (conf <= 1.0) & (ref >= 0.0) & (ref <= 1.0)),
-         "on frame {d.frame} has a confidence/referring score outside [0, 1]: "
+        ("SCORE_RANGE", "on frame {d.frame} has a confidence/referring score outside [0, 1]: "
          "{d.confidence}, {d.referring_score}"),
     ):
-        if bad.any():
-            d = boxes[int(np.argmax(bad))]
+        if faults is not None and faults[code].any():
+            d = boxes[int(np.argmax(faults[code]))]
             raise ValueError(f"{unit}: a prediction " + fault.format(d=d, length=length))
     return boxes
 

@@ -545,6 +545,17 @@ class TestRestrictions:
                 task, [], DEFAULT_ALPHA_GRID, [1, 2, 3], restrictions={"ok": [1], "late": [2, 4]}
             )
 
+    def test_non_integer_frame_rejected(self):
+        # a float frame is not truncated to the frame below it: frame 1.5
+        # does not score frame 1's boxes, and 1.0 is not frame 1
+        task = simple_task(1)
+        preds = [det(1, box(0, 0, 10, 10), "p")]
+        assert match_unit_all_alphas(task, preds, [0.5], [1])[0].tp == 1
+        with pytest.raises(TypeError):
+            match_unit_all_alphas(task, preds, [0.5], [1.5])
+        with pytest.raises(TypeError):
+            match_unit_all_alphas(task, preds, [0.5], [1], restrictions={"a": [1.0]})
+
 
 class TestLevels:
     """The candidates' forced thresholds against brute-force row and column

@@ -14,6 +14,8 @@ from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rmot_eval import pipeline
 from rmot_eval.hota import match_unit_all_alphas
@@ -21,6 +23,7 @@ from rmot_eval.io_formats import (
     DatasetBundle,
     ParseError,
     PredictionFiles,
+    parse_predictions,
     report_payload,
     unit_filename,
     write_predictions,
@@ -29,6 +32,8 @@ from rmot_eval.model import (
     Attribute,
     AttributeFrameLabels,
     EvalConfig,
+    ExpressionTask,
+    SequenceData,
     UnitBoxes,
     filter_predictions,
 )
@@ -361,6 +366,87 @@ class TestInputForms:
             ]
             assert whole[0] == whole[1]
             assert any(s.pair_tpa for s in whole[0]) or not task.targets
+
+
+# the kind of fault a prediction file's ParseError code names, and the
+# kind an in-memory prediction's ValueError names
+_PARSED_FAULTS = {
+    "FRAME_INDEX": "frame",
+    "FRAME_OUT_OF_RANGE": "frame",
+    "NON_FINITE": "coordinate",
+    "SCORE_RANGE": "score",
+}
+_EVALUATED_FAULTS = {
+    "outside the sequence's frames": "frame",
+    "they must be finite": "coordinate",
+    "score outside [0, 1]": "score",
+}
+
+
+# the columns of a row [frame, track, x, y, w, h, confidence, referring
+# score] that a fault of each kind but "frame" changes, and its values
+_FAULTY_VALUES = {
+    "coordinate": (range(2, 6), [math.nan, math.inf, -math.inf]),
+    "score": (range(6, 8), [math.nan, -0.25, 1.5, math.inf, -math.inf]),
+}
+
+
+@st.composite
+def faulty_units(draw):
+    """(sequence length, detections, kind of fault): 1-8 detections with
+    unique (frame, track id), some with negative extents, and at most one
+    kind of fault, on 1-3 of them: a frame of 0 or past the sequence
+    ("frame"), a nan or ±inf coordinate ("coordinate"), or a score outside
+    [0, 1] or NaN ("score")."""
+    length = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from([None, "frame", "coordinate", "score"]))
+    tracks = st.sampled_from("abc")
+    keys = draw(
+        st.lists(st.tuples(st.integers(1, length), tracks), min_size=1, max_size=8, unique=True)
+    )
+    if kind == "frame":
+        outside = st.sampled_from([0, length + 1, length + 7])
+        keys += draw(st.lists(st.tuples(outside, tracks), min_size=1, max_size=3, unique=True))
+    coordinate = st.integers(-5, 20).map(float)
+    score = st.integers(0, 4).map(lambda v: v / 4)
+    rows = [
+        [f, t, *(draw(coordinate) for _ in range(4)), draw(score), draw(score)] for f, t in keys
+    ]
+    if kind in _FAULTY_VALUES:
+        columns, values = _FAULTY_VALUES[kind]
+        for i in draw(st.sets(st.integers(0, len(rows) - 1), min_size=1, max_size=3)):
+            rows[i][draw(st.sampled_from(columns))] = draw(st.sampled_from(values))
+    rows = draw(st.permutations(rows))
+    return length, [det(f, box(x, y, w, h), t, c, r) for f, t, x, y, w, h, c, r in rows], kind
+
+
+class TestFileAndMemoryChecksAgree:
+    """A prediction file's checks and ``evaluate``'s checks of the same
+    detections in memory reject the same units, for the same kind of fault."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=faulty_units())
+    def test_parser_and_evaluate_name_the_same_fault(self, tmp_path, case):
+        length, dets, kind = case
+        path = tmp_path / unit_filename("s", "e")
+        write_predictions(dets, path)
+        try:
+            parse_predictions(path, length)
+            parsed = None
+        except ParseError as exc:
+            parsed = _PARSED_FAULTS[exc.code]
+        bundle = DatasetBundle(
+            {"s": SequenceData("s", length, {})}, (ExpressionTask("s", "e", "t", {}),), {}
+        )
+        try:
+            evaluate(bundle, {("s", "e"): dets}, EvalConfig())
+            evaluated = None
+        except ValueError as exc:
+            evaluated = [k for text, k in _EVALUATED_FAULTS.items() if text in str(exc)]
+            assert len(evaluated) == 1, str(exc)
+            evaluated = evaluated[0]
+        assert parsed == evaluated == kind
 
 
 class LoggedLookups(Mapping):

@@ -10,6 +10,7 @@ on the dicts (``reference_validate``), kept as they were.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
@@ -92,6 +93,13 @@ def reference_validate(
     for seq in sequences.values():
         for track in seq.tracks.values():
             for frame, box in track.boxes.items():
+                if not all(map(math.isfinite, (box.x, box.y, box.w, box.h))):
+                    out.append(Violation(
+                        "NON_FINITE", seq.sequence_id,
+                        "box coordinates x, y, w, h must be finite, "
+                        f"got {box.x}, {box.y}, {box.w}, {box.h}",
+                        frame=frame, track_id=track.track_id,
+                    ))
                 if box.w < 0 or box.h < 0:
                     out.append(Violation(
                         "NEGATIVE_EXTENT", seq.sequence_id,
@@ -107,13 +115,21 @@ def reference_validate(
     for task in tasks:
         seq = sequences[task.sequence_id]
         for frame, by_track in task.targets.items():
-            if not 1 <= frame <= seq.length:
-                out.append(Violation(
-                    "FRAME_OUT_OF_BOUNDS", task.sequence_id,
-                    f"target frame {frame} outside [1, {seq.length}]",
-                    expression_id=task.expression_id, frame=frame,
-                ))
-            for track_id, box in by_track.items():
+            for i, (track_id, box) in enumerate(by_track.items()):
+                if not all(map(math.isfinite, (box.x, box.y, box.w, box.h))):
+                    out.append(Violation(
+                        "NON_FINITE", task.sequence_id,
+                        "target box coordinates x, y, w, h must be finite, "
+                        f"got {box.x}, {box.y}, {box.w}, {box.h}",
+                        expression_id=task.expression_id, frame=frame, track_id=track_id,
+                    ))
+                # the frame is reported once, after its first box's NON_FINITE
+                if i == 0 and not 1 <= frame <= seq.length:
+                    out.append(Violation(
+                        "FRAME_OUT_OF_BOUNDS", task.sequence_id,
+                        f"target frame {frame} outside [1, {seq.length}]",
+                        expression_id=task.expression_id, frame=frame,
+                    ))
                 if box.w < 0 or box.h < 0:
                     out.append(Violation(
                         "NEGATIVE_EXTENT", task.sequence_id,
@@ -128,11 +144,14 @@ _TRACK_IDS = ("a", "b7", "c", "dd")
 
 @st.composite
 def _bundles(draw):
-    """(manifest, gt rows per sequence in file order, expression document):
-    1-2 sequences of 1-8 frames with 1-4 tracks whose boxes may lie past the
-    sequence's end or have negative extents, and 1-5 expressions of 0-5
-    intervals each, drawn independently, so they overlap, repeat, come out
-    of frame order and cover frames where their track has no box."""
+    """(manifest, gt rows per sequence in file order, expression document,
+    non-finite coordinates): 1-2 sequences of 1-8 frames with 1-4 tracks
+    whose boxes may lie past the sequence's end or have negative extents,
+    and 1-5 expressions of 0-5 intervals each, drawn independently, so they
+    overlap, repeat, come out of frame order and cover frames where their
+    track has no box. The parser rejects a non-finite coordinate, so the
+    last item, {(sequence id, row, coordinate): nan or ±inf}, is for the
+    dict-built cases only."""
     lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))
     coord = st.integers(-20, 20).map(lambda v: v / 10)
     extent = st.integers(-2, 30).map(lambda v: v / 4)
@@ -164,7 +183,14 @@ def _bundles(draw):
     manifest = {"sequences": [
         {"sequence_id": f"s{si}", "length": n, "split": "train"} for si, n in enumerate(lengths)
     ]}
-    return manifest, gt, doc
+    non_finite = {}
+    for seq_id, rows in gt.items():
+        for row in draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)):
+            coordinate = draw(st.integers(0, 3))
+            non_finite[seq_id, row, coordinate] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf])
+            )
+    return manifest, gt, doc, non_finite
 
 
 def _write(root, manifest, gt, doc):
@@ -208,7 +234,7 @@ class TestTargetOrder:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=_bundles())
     def test_selection_matches_the_dict_join(self, tmp_path_factory, case):
-        manifest, gt, doc = case
+        manifest, gt, doc, non_finite = case
         root = tmp_path_factory.mktemp("bundle")
         _write(root, manifest, gt, doc)
         bundle = load_bundle(root)
@@ -234,6 +260,14 @@ class TestTargetOrder:
         violations = reference_validate(sequences, tasks)
         assert validate_dataset(bundle.sequences, bundle.tasks) == violations
         assert validate_dataset(sequences, tasks) == violations
+        # dict-built tracks, and the targets joined from them, may hold
+        # non-finite coordinates
+        gt = {seq_id: [list(r) for r in rows] for seq_id, rows in gt.items()}
+        for (seq_id, row, coordinate), value in non_finite.items():
+            gt[seq_id][row][2 + coordinate] = value
+        sequences = _reference_sequences(manifest, gt)
+        tasks, _ = reference_join(doc, sequences)
+        assert validate_dataset(sequences, tasks) == reference_validate(sequences, tasks)
         # target frames moved outside the sequence, as a hand-built task may have them
         shift = (1 - max(manifest["sequences"][0]["length"], 1), 5)
         moved = [
